@@ -30,15 +30,11 @@ from .attributable import (
 )
 from .likelihood import (
     LOG_ZERO,
-    LikelihoodSurface,
     MaxLikelihood,
     likelihood_exact,
-    log_choose,
-    log_choose_or_zero,
     loglik_general,
     loglik_monotone,
     mle,
-    surface,
 )
 from .moments import (
     classic_neyman_variance,
@@ -65,11 +61,9 @@ from .oracle import (
 from .tables import (
     InfeasibleError,
     IntervalEstimate,
-    Margins,
     ObservedTable,
     ParameterPoint,
     ScienceTable,
-    derived_margins,
     general_support,
     in_general_support,
     monotone_support,
@@ -86,8 +80,6 @@ __all__ = [
     "InfeasibleError",
     "IntervalEstimate",
     "LOG_ZERO",
-    "LikelihoodSurface",
-    "Margins",
     "MaxLikelihood",
     "ObservedTable",
     "ParameterPoint",
@@ -97,7 +89,6 @@ __all__ = [
     "a_posterior",
     "classic_neyman_variance",
     "confidence_interval",
-    "derived_margins",
     "enumerate_assignments",
     "general_support",
     "hl_estimate",
@@ -108,8 +99,6 @@ __all__ = [
     "interval_A",
     "lemma1_check",
     "likelihood_exact",
-    "log_choose",
-    "log_choose_or_zero",
     "loglik_general",
     "loglik_monotone",
     "mle",
@@ -128,7 +117,6 @@ __all__ = [
     "sensitivity_sweep",
     "sensitivity_variance",
     "standardized_pvalues",
-    "surface",
     "tau_hat",
     "tau_posterior",
 ]

@@ -4,25 +4,19 @@ With the harmed count held fixed, the posterior over (n11, n10) under any
 prior is proportional to prior weight times the randomization likelihood,
 normalized over the finite support. Posteriors of derived quantities (the
 average effect, the attributable effect) are pushforwards of that point
-posterior. At desk scale all masses are exact rationals, so modes and
-highest-density windows never depend on float dust.
+posterior. Every mass is an exact rational at every population size, built
+from the likelihood's integer numerators, so modes and highest-density
+windows never depend on float dust.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
-from .likelihood import (
-    EXACT_N_LIMIT,
-    LOG_ZERO,
-    likelihood_exact,
-    loglik_general,
-)
+from .likelihood import _grid, _numerator
 from .tables import (
-    InfeasibleError,
     IntervalEstimate,
     ObservedTable,
     ParameterPoint,
@@ -127,49 +121,55 @@ class Prior:
 UNIFORM = Prior.uniform()
 
 
+def _weighted(
+    obs: ObservedTable, n01: int, prior: Prior
+) -> Iterable[tuple[int, int, object]]:
+    """``(n11, n10, prior weight x likelihood numerator)`` wherever positive.
+
+    A table prior is evaluated on its own weighted points only. Raises
+    InfeasibleError on an empty support and ValueError when the prior
+    annihilates all of it.
+    """
+    rows = _grid(obs, n01)
+    if prior.kind == "table":
+        rows = [
+            (p.n11, p.n10, w * _numerator(obs, p.n11, p.n10, n01))
+            for p, w in prior.weights.items()
+            if p.n01 == n01 and w > 0
+        ]
+        rows = [row for row in rows if row[2]]
+        if not rows:
+            raise ValueError("prior assigns zero weight to the entire support")
+    return rows
+
+
 def posterior_points(
     obs: ObservedTable, n01: int = 0, prior: Prior = UNIFORM
 ) -> DiscreteDistribution:
     """Posterior over support points: prior times likelihood, normalized.
 
-    Under the uniform prior the posterior is exactly the normalized
-    likelihood. Raises when the support is empty or the prior annihilates
-    all of it.
+    Masses are exact rationals at every population size; under the uniform
+    prior the posterior is exactly the normalized likelihood. Raises when
+    the support is empty or the prior annihilates all of it.
     """
+    weights = {(n11, n10): w for n11, n10, w in _weighted(obs, n01, prior)}
+    total = sum(weights.values())
     support = general_support(obs, n01)
-    if not support:
-        raise InfeasibleError(f"empty likelihood support at n01={n01}")
-    weights = [prior.weight(point) for point in support]
-    if obs.total <= EXACT_N_LIMIT:
-        masses = [w * likelihood_exact(obs, p) for w, p in zip(weights, support)]
-        total = sum(masses)
-        if total == 0:
-            raise ValueError("prior assigns zero weight to the entire support")
-        masses = [m / total for m in masses]
-    else:
-        logs = [
-            math.log(w) + loglik_general(obs, p) if w > 0 else LOG_ZERO
-            for w, p in zip(weights, support)
-        ]
-        peak = max(logs)
-        if peak == LOG_ZERO:
-            raise ValueError("prior assigns zero weight to the entire support")
-        raw = [math.exp(v - peak) if v > LOG_ZERO else 0.0 for v in logs]
-        total = math.fsum(raw)
-        masses = [r / total for r in raw]
-    return DiscreteDistribution(support=support, mass=tuple(masses))
+    mass = tuple(Fraction(weights.get((p.n11, p.n10), 0), total) for p in support)
+    return DiscreteDistribution(support=support, mass=mass)
 
 
-def _pushforward(dist: DiscreteDistribution, fn: Callable) -> DiscreteDistribution:
-    accumulated: dict = {}
-    for point, mass in zip(dist.support, dist.mass):
-        value = fn(point)
-        accumulated[value] = accumulated.get(value, 0) + mass
-    # A pushforward's support is where mass actually lives; grid points
-    # zeroed out by the prior are dropped.
-    support = tuple(sorted(v for v, m in accumulated.items() if m > 0))
+def _pushforward(rows, axis: int, fn: Callable) -> DiscreteDistribution:
+    # Weights are summed per grid coordinate first, so Fractions are built
+    # only for the pushforward's values. Its support is where mass lives.
+    sums: dict = {}
+    for row in rows:
+        key = row[axis]
+        sums[key] = sums.get(key, 0) + row[2]
+    total = sum(sums.values())
+    pairs = sorted((fn(key), Fraction(weight, total)) for key, weight in sums.items())
     return DiscreteDistribution(
-        support=support, mass=tuple(accumulated[v] for v in support)
+        support=tuple(v for v, _ in pairs), mass=tuple(m for _, m in pairs)
     )
 
 
@@ -177,18 +177,18 @@ def tau_posterior(
     obs: ObservedTable, n01: int = 0, prior: Prior = UNIFORM
 ) -> DiscreteDistribution:
     """Posterior of the average causal effect, on the grid (k - n01)/N."""
-    dist = posterior_points(obs, n01, prior)
     total = obs.total
-    return _pushforward(dist, lambda p: Fraction(p.n10 - n01, total))
+    return _pushforward(
+        _weighted(obs, n01, prior), 1, lambda n10: Fraction(n10 - n01, total)
+    )
 
 
 def a_posterior(
     obs: ObservedTable, n01: int = 0, prior: Prior = UNIFORM
 ) -> DiscreteDistribution:
     """Posterior of the attributable effect A = n11_obs + n01_obs - n01 - n11."""
-    dist = posterior_points(obs, n01, prior)
     base = obs.n11 + obs.n01 - n01
-    return _pushforward(dist, lambda p: base - p.n11)
+    return _pushforward(_weighted(obs, n01, prior), 0, lambda n11: base - n11)
 
 
 def hpd_window(dist: DiscreteDistribution, level: float) -> tuple:

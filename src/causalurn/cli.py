@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -264,8 +265,13 @@ def _load_prior(path: Optional[str], n01: int) -> bayes.Prior:
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 problems.append(f"{key} must be a nonnegative integer")
         weight = entry.get("weight")
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool) or weight < 0:
-            problems.append("weight must be a nonnegative number")
+        if (
+            not isinstance(weight, (int, float))
+            or isinstance(weight, bool)
+            or weight < 0
+            or (isinstance(weight, float) and not math.isfinite(weight))
+        ):
+            problems.append("weight must be a finite nonnegative number")
         if problems:
             offenders.append(f"entry {index} {entry!r}: " + "; ".join(problems))
             continue
@@ -365,6 +371,8 @@ def cmd_attributable(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 2:
+        raise UsageError("--max-n must be at least 2; smaller populations have no designs")
     report = verify.run_verification(
         max_n=args.max_n, seed=args.seed, mc_draws=args.draws
     )

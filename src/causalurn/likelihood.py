@@ -11,8 +11,10 @@ table is a multivariate hypergeometric sum
 
 over the feasible counts x of always-responders assigned to treatment
 (n00 = N - n11 - n10 - n01). With no harmed units the sum collapses to a
-single term. Evaluation is in log space with log-sum-exp; exact big-integer
-rationals back every computation at desk scale and all oracle comparisons.
+single term. Every point shares the denominator C(N, N1), so the sum is
+evaluated as an exact integer numerator at every population size: argmax
+sets and posterior masses are decided on those integers, and a float
+appears only when a caller asks for a log-likelihood.
 """
 
 from __future__ import annotations
@@ -20,178 +22,99 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator
 
 from .tables import (
     InfeasibleError,
     ObservedTable,
     ParameterPoint,
-    general_support,
+    support_rows,
 )
 
 #: Log of an impossible event; compares below every finite log-likelihood.
 LOG_ZERO = float("-inf")
 
-#: Populations up to this size use exact rational likelihoods for argmax
-#: and posterior work; beyond it, floating log space only.
-EXACT_N_LIMIT = 60
 
-# Below this min(k, n-k) the binomial coefficient is computed exactly and
-# logged once; above it, a compensated sum of log factors.
-_EXACT_SIDE_LIMIT = 10_000
-
-
-def log_choose(n: int, k: int) -> float:
-    """Natural log of C(n, k).
-
-    Exact-integer evaluation whenever min(k, n-k) <= 10^4, so results are
-    correct to one rounding for every population this library targets;
-    the compensated-sum fallback for huge balanced coefficients stays well
-    inside 1e-10 absolute error for n up to 10^6.
-    """
-    if k < 0 or k > n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
-    side = min(k, n - k)
-    if side <= _EXACT_SIDE_LIMIT:
-        return math.log(math.comb(n, k))
-    return math.fsum(
-        math.log(n - side + i) - math.log(i) for i in range(1, side + 1)
-    )
-
-
-def log_choose_or_zero(n: int, k: int) -> float:
-    """Like :func:`log_choose` but LOG_ZERO for out-of-range terms."""
-    if n < 0 or k < 0 or k > n:
-        return LOG_ZERO
-    return log_choose(n, k)
-
-
-def _logsumexp(terms: list[float]) -> float:
-    peak = max(terms)
-    if peak == LOG_ZERO:
-        return LOG_ZERO
-    return peak + math.log(sum(math.exp(t - peak) for t in terms))
-
-
-def _x_range(obs: ObservedTable, point: ParameterPoint) -> tuple[int, int]:
+def _x_range(obs: ObservedTable, n11: int, n10: int, n01: int) -> tuple[int, int]:
     # Bounds on the number of always-responders assigned to treatment; the
     # point has positive likelihood exactly when lo <= hi.
     lo = max(
         0,
-        obs.n11 - point.n10,
-        point.n11 - obs.n01,
-        point.n01 + point.n11 - obs.n10 - obs.n01,
+        obs.n11 - n10,
+        n11 - obs.n01,
+        n01 + n11 - obs.n10 - obs.n01,
     )
     hi = min(
-        point.n11,
+        n11,
         obs.n11,
-        point.n01 + point.n11 - obs.n01,
-        obs.total - point.n10 - obs.n10 - obs.n01,
+        n01 + n11 - obs.n01,
+        obs.total - n10 - obs.n10 - obs.n01,
     )
     return lo, hi
 
 
-def loglik_monotone(obs: ObservedTable, point: ParameterPoint) -> float:
-    """Log-likelihood of (n11, n10) when no unit is harmed.
-
-    LOG_ZERO outside the feasible region. The point must carry n01 = 0.
-    """
-    if point.n01 != 0:
-        raise ValueError("monotone likelihood requires a point with n01 = 0")
-    total = obs.total
-    n11, n10 = point.n11, point.n10
-    if not obs.n01 <= n11 <= obs.n11 + obs.n01 <= n10 + n11 <= total - obs.n10:
-        return LOG_ZERO
-    return (
-        log_choose(n11, n11 - obs.n01)
-        + log_choose(n10, obs.n11 + obs.n01 - n11)
-        + log_choose(total - n10 - n11, obs.n10)
-        - log_choose(total, obs.n_treated)
+def _numerator(obs: ObservedTable, n11: int, n10: int, n01: int) -> int:
+    """The likelihood times C(N, N1), an exact integer; 0 off the support."""
+    n00 = obs.total - n11 - n10 - n01
+    if n00 < 0:
+        return 0
+    lo, hi = _x_range(obs, n11, n10, n01)
+    return sum(
+        math.comb(n11, x)
+        * math.comb(n10, obs.n11 - x)
+        * math.comb(n01, n01 + n11 - obs.n01 - x)
+        * math.comb(n00, obs.n10 + obs.n01 + x - n01 - n11)
+        for x in range(lo, hi + 1)
     )
+
+
+def _grid(obs: ObservedTable, n01: int) -> Iterator[tuple[int, int, int]]:
+    """``(n11, n10, numerator)`` over the support, in (n11, n10) order.
+
+    Every numerator is positive. Raises InfeasibleError, before the walk
+    starts, when the support is empty.
+    """
+    rows = support_rows(obs, n01)
+    if not any(n10s for _, n10s in rows):
+        raise InfeasibleError(f"empty likelihood support at n01={n01}")
+    return (
+        (n11, n10, _numerator(obs, n11, n10, n01))
+        for n11, n10s in rows
+        for n10 in n10s
+    )
+
+
+def _log_likelihood(obs: ObservedTable, numerator: int) -> float:
+    if not numerator:
+        return LOG_ZERO
+    return math.log(numerator) - math.log(math.comb(obs.total, obs.n_treated))
+
+
+def likelihood_exact(obs: ObservedTable, point: ParameterPoint) -> Fraction:
+    """The likelihood as an exact rational; 0 off the support."""
+    numerator = _numerator(obs, point.n11, point.n10, point.n01)
+    return Fraction(numerator, math.comb(obs.total, obs.n_treated))
 
 
 def loglik_general(obs: ObservedTable, point: ParameterPoint) -> float:
     """Log-likelihood of (n11, n10) given the point's harmed count.
 
-    Log-sum-exp over the inner sum; LOG_ZERO wherever the point lies off
-    the feasible region (including an empty inner range). At n01 = 0 this
-    reproduces :func:`loglik_monotone` bit for bit.
+    The exact numerator and denominator are each logged once; LOG_ZERO
+    wherever the point lies off the feasible region.
     """
-    total = obs.total
-    n00 = total - point.n11 - point.n10 - point.n01
-    if n00 < 0:
-        return LOG_ZERO
-    lo, hi = _x_range(obs, point)
-    if lo > hi:
-        return LOG_ZERO
-    terms = [
-        log_choose(point.n11, x)
-        + log_choose(point.n10, obs.n11 - x)
-        + log_choose(point.n01, point.n01 + point.n11 - obs.n01 - x)
-        + log_choose(n00, obs.n10 + obs.n01 + x - point.n01 - point.n11)
-        for x in range(lo, hi + 1)
-    ]
-    return _logsumexp(terms) - log_choose(total, obs.n_treated)
+    return _log_likelihood(obs, _numerator(obs, point.n11, point.n10, point.n01))
 
 
-def likelihood_exact(obs: ObservedTable, point: ParameterPoint) -> Fraction:
-    """The same likelihood as an exact rational; 0 off the support."""
-    total = obs.total
-    n00 = total - point.n11 - point.n10 - point.n01
-    if n00 < 0:
-        return Fraction(0)
-    lo, hi = _x_range(obs, point)
-    if lo > hi:
-        return Fraction(0)
-    numerator = sum(
-        math.comb(point.n11, x)
-        * math.comb(point.n10, obs.n11 - x)
-        * math.comb(point.n01, point.n01 + point.n11 - obs.n01 - x)
-        * math.comb(n00, obs.n10 + obs.n01 + x - point.n01 - point.n11)
-        for x in range(lo, hi + 1)
-    )
-    return Fraction(numerator, math.comb(total, obs.n_treated))
+def loglik_monotone(obs: ObservedTable, point: ParameterPoint) -> float:
+    """Log-likelihood of (n11, n10) when no unit is harmed.
 
-
-@dataclass(frozen=True)
-class LikelihoodSurface:
-    """Log-likelihood over the full support grid for one harmed count.
-
-    ``entries`` maps each support point to its log-likelihood, iterated in
-    lexicographic (n11, n10) order. The exponentiated entries sum to a
-    positive finite value; normalization is the posterior's job.
+    LOG_ZERO outside the feasible region. The point must carry n01 = 0,
+    where the inner sum is one integer product, so this equals
+    :func:`loglik_general` bit for bit.
     """
-
-    n01: int
-    n: int
-    n_treated: int
-    n_control: int
-    entries: Mapping[ParameterPoint, float]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def points(self) -> tuple[ParameterPoint, ...]:
-        return tuple(self.entries)
-
-
-def surface(obs: ObservedTable, n01: int) -> LikelihoodSurface:
-    """Evaluate the likelihood over every support point.
-
-    An empty surface (no support) is a valid result and signals an
-    infeasible ``n01`` for this data.
-    """
-    entries = {
-        point: loglik_general(obs, point) for point in general_support(obs, n01)
-    }
-    return LikelihoodSurface(
-        n01=n01,
-        n=obs.total,
-        n_treated=obs.n_treated,
-        n_control=obs.n_control,
-        entries=entries,
-    )
+    if point.n01 != 0:
+        raise ValueError("monotone likelihood requires a point with n01 = 0")
+    return loglik_general(obs, point)
 
 
 @dataclass(frozen=True)
@@ -206,22 +129,20 @@ class MaxLikelihood:
 def mle(obs: ObservedTable, n01: int = 0) -> MaxLikelihood:
     """Maximum-likelihood point(s) and the implied effect value(s).
 
-    Uses exact rational comparison for populations up to EXACT_N_LIMIT, so
-    genuine discrete ties survive; beyond that, exact float comparison of
-    log-likelihoods.
+    The argmax compares exact integer numerators at every population size,
+    so every genuine discrete tie survives.
     """
-    support = general_support(obs, n01)
-    if not support:
-        raise InfeasibleError(f"empty likelihood support at n01={n01}")
+    best, argmax = 0, []
+    for n11, n10, numerator in _grid(obs, n01):
+        if numerator > best:
+            best, argmax = numerator, [(n11, n10)]
+        elif numerator == best:
+            argmax.append((n11, n10))
+    points = tuple(ParameterPoint(n11, n10, n01) for n11, n10 in argmax)
     total = obs.total
-    if total <= EXACT_N_LIMIT:
-        values = [(likelihood_exact(obs, point), point) for point in support]
-        best = max(value for value, _ in values)
-        points = tuple(point for value, point in values if value == best)
-        log_best = math.log(best)
-    else:
-        values = [(loglik_general(obs, point), point) for point in support]
-        log_best = max(value for value, _ in values)
-        points = tuple(point for value, point in values if value == log_best)
-    tau_values = tuple(sorted({Fraction(p.n10 - n01, total) for p in points}))
-    return MaxLikelihood(points=points, tau_values=tau_values, log_likelihood=log_best)
+    tau_values = tuple(sorted({Fraction(n10 - n01, total) for _, n10 in argmax}))
+    return MaxLikelihood(
+        points=points,
+        tau_values=tau_values,
+        log_likelihood=_log_likelihood(obs, best),
+    )

@@ -14,7 +14,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 
 class InfeasibleError(ValueError):
@@ -77,18 +76,6 @@ class ScienceTable:
     @property
     def parameter_point(self) -> "ParameterPoint":
         return ParameterPoint(n11=self.n11, n10=self.n10, n01=self.n01)
-
-
-class Margins(NamedTuple):
-    p1: Fraction
-    p0: Fraction
-    tau: Fraction
-    s: int
-
-
-def derived_margins(science: ScienceTable) -> Margins:
-    """Response rates per arm, the average causal effect, and s = n11 + n01."""
-    return Margins(science.p1, science.p0, science.tau, science.s)
 
 
 @dataclass(frozen=True)
@@ -212,6 +199,29 @@ def monotone_support(obs: ObservedTable) -> tuple[ParameterPoint, ...]:
     return tuple(points)
 
 
+def support_rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
+    """The general support as rows ``(n11, range of n10)``, in (n11, n10) order.
+
+    Every point the rows cover has positive likelihood given ``n01`` harmed
+    units, and no other point does. Empty when ``n01`` is infeasible.
+    """
+    n01 = _count(n01, "n01")
+    if n01 > obs.n10 + obs.n01:
+        return []
+    total = obs.total
+    n11_lo = max(0, obs.n01 - n01)
+    n11_hi = min(obs.n01 + obs.n11, total - obs.n00 - n01)
+    sum_lo = max(obs.n11 + obs.n01 - n01, obs.n11)
+    sum_hi = total - obs.n10
+    n10_cap = total - obs.n01 - obs.n10
+    rows = []
+    for n11 in range(n11_lo, n11_hi + 1):
+        lo = max(0, sum_lo - n11)
+        hi = min(n10_cap, sum_hi - n11, total - n01 - n11)
+        rows.append((n11, range(lo, hi + 1)))
+    return rows
+
+
 def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
     """All (n11, n10) with positive likelihood given ``n01`` harmed units.
 
@@ -220,22 +230,11 @@ def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
     then skip the value gracefully. At ``n01 = 0`` the result equals
     :func:`monotone_support`.
     """
-    n01 = _count(n01, "n01")
-    if n01 > obs.n10 + obs.n01:
-        return ()
-    total = obs.total
-    n11_lo = max(0, obs.n01 - n01)
-    n11_hi = min(obs.n01 + obs.n11, total - obs.n00 - n01)
-    sum_lo = max(obs.n11 + obs.n01 - n01, obs.n11)
-    sum_hi = total - obs.n10
-    n10_cap = total - obs.n01 - obs.n10
-    points = []
-    for n11 in range(n11_lo, n11_hi + 1):
-        lo = max(0, sum_lo - n11)
-        hi = min(n10_cap, sum_hi - n11, total - n01 - n11)
-        for n10 in range(lo, hi + 1):
-            points.append(ParameterPoint(n11=n11, n10=n10, n01=n01))
-    return tuple(points)
+    return tuple(
+        ParameterPoint(n11=n11, n10=n10, n01=n01)
+        for n11, n10s in support_rows(obs, n01)
+        for n10 in n10s
+    )
 
 
 def in_general_support(obs: ObservedTable, point: ParameterPoint) -> bool:

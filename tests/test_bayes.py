@@ -107,16 +107,15 @@ class TestPosteriorPoints:
 
 class TestPosteriorFloatPath:
     def test_large_population_matches_exact_masses(self):
-        # N > 60 switches to floating log space; compare to the rational
-        # computation done directly.
+        # N = 106: masses are exact rationals at every population size.
         obs = ObservedTable(40, 25, 12, 29)
         assert obs.total > 60
         dist = posterior_points(obs, 2)
         likelihoods = [likelihood_exact(obs, p) for p in dist.support]
         total = sum(likelihoods)
         for mass, lik in zip(dist.mass, likelihoods):
-            assert mass == pytest.approx(float(lik / total), abs=1e-12)
-        assert sum(dist.mass) == pytest.approx(1.0, abs=1e-9)
+            assert mass == lik / total  # exact rational equality
+        assert sum(dist.mass) == 1
 
 
 class TestTauPosterior:

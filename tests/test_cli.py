@@ -170,6 +170,15 @@ class TestPosterior:
         assert "entry 2" in err
         assert "entry 0" not in err
 
+    @pytest.mark.parametrize("weight", ["Infinity", "NaN"])
+    def test_non_finite_weight_exit_1(self, capsys, tmp_path, weight):
+        # json.load accepts these literals as floats; they are not weights.
+        prior = tmp_path / "prior.json"
+        prior.write_text('{"points": [{"n11": 13, "n10": 17, "weight": %s}]}' % weight)
+        code, _, err = run(capsys, "posterior", *PIT, "--prior-file", str(prior))
+        assert code == EXIT_USAGE
+        assert "finite" in err
+
     def test_missing_prior_file(self, capsys):
         code, _, err = run(capsys, "posterior", *PIT, "--prior-file", "/no/such.json")
         assert code == EXIT_USAGE
@@ -223,6 +232,13 @@ class TestVerify:
         assert code == EXIT_OK
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_vacuous_max_n_is_usage_error(self, capsys):
+        # No science table has fewer than 2 units, so nothing would be checked.
+        code, out, err = run(capsys, "verify", "--max-n", "1")
+        assert code == EXIT_USAGE
+        assert "all identities hold" not in out
+        assert "--max-n" in err
 
     def test_failing_suite_exits_3(self, capsys, monkeypatch):
         from fractions import Fraction

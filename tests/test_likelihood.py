@@ -1,4 +1,4 @@
-"""Likelihood surfaces, log-space evaluation, and maximum likelihood."""
+"""The exact likelihood, its log views, and maximum likelihood."""
 
 import math
 from fractions import Fraction
@@ -15,52 +15,12 @@ from causalurn import (
     general_support,
     in_general_support,
     likelihood_exact,
-    log_choose,
-    log_choose_or_zero,
     loglik_general,
     loglik_monotone,
     mle,
     monotone_support,
-    surface,
 )
 from causalurn.verify import science_tables_up_to
-
-
-class TestLogChoose:
-    def test_worked_example_binomial(self):
-        assert log_choose(53, 32) == pytest.approx(
-            math.log(math.comb(53, 32)), abs=1e-10
-        )
-
-    @pytest.mark.parametrize("n", [1, 7, 120])
-    def test_edges_are_zero(self, n):
-        assert log_choose(n, 0) == 0.0
-        assert log_choose(n, n) == 0.0
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            log_choose(5, 6)
-        with pytest.raises(ValueError):
-            log_choose(5, -1)
-
-    def test_sentinel_variant(self):
-        assert log_choose_or_zero(5, 6) == LOG_ZERO
-        assert log_choose_or_zero(5, -1) == LOG_ZERO
-        assert log_choose_or_zero(5, 2) == log_choose(5, 2)
-
-    @pytest.mark.parametrize("k", [1, 17, 1000])
-    def test_large_population_small_side(self, k):
-        n = 10**6
-        assert log_choose(n, k) == pytest.approx(
-            math.log(math.comb(n, k)), abs=1e-10
-        )
-
-    def test_compensated_sum_path(self):
-        # min(k, n - k) above the exact-path threshold.
-        n, k = 20002, 10001
-        assert log_choose(n, k) == pytest.approx(
-            math.log(math.comb(n, k)), abs=1e-10
-        )
 
 
 class TestMonotoneLikelihood:
@@ -174,18 +134,6 @@ class TestExactLikelihoodAgainstOracle:
         assert log_total == pytest.approx(1.0, abs=1e-9)
 
 
-class TestSurface:
-    def test_worked_example_size_and_order(self, pit):
-        s = surface(pit, 0)
-        assert len(s) == 323
-        assert list(s.entries) == sorted(s.entries)
-        assert all(value > LOG_ZERO for value in s.entries.values())
-
-    def test_empty_surface_for_infeasible_n01(self, pit):
-        s = surface(pit, pit.n10 + pit.n01 + 1)
-        assert len(s) == 0
-
-
 class TestMaxLikelihood:
     def test_worked_example_regression(self, pit):
         # Exhaustive exact-rational argmax over the 323-point grid.
@@ -225,10 +173,17 @@ class TestMaxLikelihood:
             mle(pit, pit.n10 + pit.n01 + 1)
 
     def test_float_path_agrees_with_exact(self):
-        # Beyond the exact-arithmetic limit the argmax comes from floating
-        # log-likelihoods; it must still maximize the exact likelihood.
+        # N = 106: the argmax maximizes the exact likelihood at every N.
         obs = ObservedTable(40, 25, 12, 29)  # N = 106
         assert obs.total > 60
         result = mle(obs, 3)
         best = max(likelihood_exact(obs, p) for p in general_support(obs, 3))
         assert all(likelihood_exact(obs, p) == best for p in result.points)
+
+    def test_tie_kept_above_old_split(self):
+        # N = 70: both points have the same exact likelihood, and both
+        # must be reported.
+        obs = ObservedTable(10, 3, 30, 27)
+        result = mle(obs, 0)
+        assert [(p.n11, p.n10) for p in result.points] == [(37, 16), (37, 17)]
+        assert len({likelihood_exact(obs, p) for p in result.points}) == 1

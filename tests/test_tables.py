@@ -10,7 +10,6 @@ from causalurn import (
     ObservedTable,
     ParameterPoint,
     ScienceTable,
-    derived_margins,
     enumerate_assignments,
     general_support,
     in_general_support,
@@ -28,8 +27,8 @@ class TestScienceTable:
         ],
     )
     def test_margins(self, cells, p1, p0, tau, s):
-        margins = derived_margins(ScienceTable(*cells))
-        assert (margins.p1, margins.p0, margins.tau, margins.s) == (p1, p0, tau, s)
+        science = ScienceTable(*cells)
+        assert (science.p1, science.p0, science.tau, science.s) == (p1, p0, tau, s)
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
