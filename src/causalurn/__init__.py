@@ -20,7 +20,6 @@ from .bayes import (
     tau_posterior,
 )
 from .attributable import (
-    HypergeomLaw,
     hl_estimate,
     interval_A,
     neyman_predict,
@@ -76,7 +75,6 @@ __all__ = [
     "AssignmentRecord",
     "DiscreteDistribution",
     "EnumerationCapError",
-    "HypergeomLaw",
     "InfeasibleError",
     "IntervalEstimate",
     "LOG_ZERO",

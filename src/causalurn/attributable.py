@@ -9,14 +9,16 @@ reduces to a classical hypergeometric problem, and every result here is
 free of any assumption about the association between potential outcomes:
 none of these functions take a harmed count.
 
-All p-values are computed in exact rational arithmetic, so ties in the
-Hodges-Lehmann-type maximization are genuine, not float artifacts.
+Every p-value shares the denominator C(N, N0), so each is computed as an
+exact integer numerator over it and the whole curve is compared in integer
+arithmetic: ties in the Hodges-Lehmann-type maximization are genuine, not
+float artifacts. Only s in [n01_obs, n01_obs + N1] keep the observed count
+in the law's support, so only those s can have a positive p-value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
 
@@ -25,43 +27,39 @@ from .moments import normal_quantile, tau_hat
 from .tables import IntervalEstimate, ObservedTable
 
 
-@dataclass(frozen=True)
-class HypergeomLaw:
-    """Number of successes among ``draws`` taken from ``population``."""
+def _pvalue_numerator(obs: ObservedTable, s: int) -> int:
+    """p(s) times C(N, N0): the summed weights C(s, h) C(N - s, N0 - h) of
+    the control-success counts h no likelier than the observed one.
 
-    population: int
-    successes: int
-    draws: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.successes <= self.population:
-            raise ValueError("successes must lie in [0, population]")
-        if not 1 <= self.draws <= self.population - 1:
-            raise ValueError("draws must leave the rest of the population nonempty")
-
-    @property
-    def support(self) -> range:
-        lo = max(0, self.successes - (self.population - self.draws))
-        hi = min(self.successes, self.draws)
-        return range(lo, hi + 1)
-
-    def pmf(self, h: int) -> Fraction:
-        if h not in self.support:
-            return Fraction(0)
-        return Fraction(
-            math.comb(self.successes, h)
-            * math.comb(self.population - self.successes, self.draws - h),
-            math.comb(self.population, self.draws),
-        )
-
-    def pmf_table(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple((h, self.pmf(h)) for h in self.support)
+    Zero when the observed count is off the support of h.
+    """
+    total, draws = obs.total, obs.n_control
+    if not 0 <= s <= total:
+        raise ValueError(f"s must lie in [0, {total}], got {s}")
+    lo, hi = max(0, s - obs.n_treated), min(s, draws)
+    if not lo <= obs.n01 <= hi:
+        return 0
+    weight = math.comb(s, lo) * math.comb(total - s, draws - lo)
+    weights = [weight]
+    for h in range(lo, hi):
+        weight = weight * (s - h) * (draws - h) // ((h + 1) * (total - s - draws + h + 1))
+        weights.append(weight)
+    observed = weights[obs.n01 - lo]
+    return sum(w for w in weights if w <= observed)
 
 
-def control_law(obs: ObservedTable, s: int) -> HypergeomLaw:
-    """Law of the observed control successes when ``s`` units respond
-    under control: draws are the N0 control slots."""
-    return HypergeomLaw(population=obs.total, successes=s, draws=obs.n_control)
+def _curve(obs: ObservedTable) -> dict[int, int]:
+    """Numerator of p(s) for every s that can have a positive p-value."""
+    return {
+        s: _pvalue_numerator(obs, s)
+        for s in range(obs.n01, obs.n01 + obs.n_treated + 1)
+    }
+
+
+def _hl_set(obs: ObservedTable, curve: dict[int, int]) -> tuple[int, ...]:
+    best = max(curve.values())
+    base = obs.n11 + obs.n01
+    return tuple(sorted(base - s for s, num in curve.items() if num == best))
 
 
 def pvalue_exact(obs: ObservedTable, s: int) -> Fraction:
@@ -69,12 +67,7 @@ def pvalue_exact(obs: ObservedTable, s: int) -> Fraction:
 
     Zero when the observed control-success count is impossible under s.
     """
-    law = control_law(obs, s)
-    observed = obs.n01
-    if observed not in law.support:
-        return Fraction(0)
-    observed_mass = law.pmf(observed)
-    return sum(mass for _, mass in law.pmf_table() if mass <= observed_mass)
+    return Fraction(_pvalue_numerator(obs, s), math.comb(obs.total, obs.n_control))
 
 
 def pvalue(obs: ObservedTable, s: int) -> float:
@@ -86,16 +79,7 @@ def hl_estimate(obs: ObservedTable) -> tuple[int, ...]:
 
     Discreteness makes ties real; the whole set is returned, ascending.
     """
-    base = obs.n11 + obs.n01
-    best = Fraction(0)
-    argmax: list[int] = []
-    for s in range(obs.total + 1):
-        p = pvalue_exact(obs, s)
-        if p > best:
-            best, argmax = p, [s]
-        elif p == best and p > 0:
-            argmax.append(s)
-    return tuple(sorted(base - s for s in argmax))
+    return _hl_set(obs, _curve(obs))
 
 
 def interval_A(
@@ -110,12 +94,14 @@ def interval_A(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    curve = _curve(obs)
+    denominator = math.comb(obs.total, obs.n_control)
     base = obs.n11 + obs.n01
     retained = tuple(
-        sorted(base - s for s in range(obs.total + 1) if pvalue_exact(obs, s) > alpha)
+        sorted(base - s for s, num in curve.items() if Fraction(num, denominator) > alpha)
     )
     estimate = IntervalEstimate(
-        point=float(median(hl_estimate(obs))),
+        point=float(median(_hl_set(obs, curve))),
         lower=float(retained[0]),
         upper=float(retained[-1]),
         level=1.0 - alpha,
@@ -158,9 +144,9 @@ def standardized_pvalues(obs: ObservedTable) -> DiscreteDistribution:
     plot-ready companion to the posterior of A and shares its support hull.
     """
     base = obs.n11 + obs.n01
-    values = [(a, pvalue_exact(obs, base - a)) for a in range(obs.n11 + 1)]
-    total = sum(p for _, p in values)
+    numerators = [_pvalue_numerator(obs, base - a) for a in range(obs.n11 + 1)]
+    total = sum(numerators)
     return DiscreteDistribution(
-        support=tuple(a for a, _ in values),
-        mass=tuple(p / total for _, p in values),
+        support=tuple(range(obs.n11 + 1)),
+        mass=tuple(Fraction(num, total) for num in numerators),
     )

@@ -510,10 +510,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser: Optional[_Parser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # One parser per process: a fresh one per call leaves a reference cycle
+    # behind for the garbage collector each time.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

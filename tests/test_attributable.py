@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from causalurn import (
-    HypergeomLaw,
     ObservedTable,
     ScienceTable,
     a_posterior,
@@ -18,32 +17,6 @@ from causalurn import (
     pvalue_exact,
     standardized_pvalues,
 )
-from causalurn.attributable import control_law
-
-
-class TestHypergeomLaw:
-    def test_pmf_sums_to_one_exactly(self):
-        for population in (4, 9, 21, 53):
-            for successes in (0, 1, population // 2, population):
-                for draws in (1, population // 2, population - 1):
-                    if draws < 1:
-                        continue
-                    law = HypergeomLaw(population, successes, draws)
-                    assert sum(law.pmf(h) for h in law.support) == 1
-
-    def test_support_bounds(self):
-        law = HypergeomLaw(10, 7, 5)
-        assert law.support == range(2, 6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HypergeomLaw(10, 11, 5)
-        with pytest.raises(ValueError):
-            HypergeomLaw(10, 5, 10)
-
-    def test_control_law_draws_the_control_arm(self, pit):
-        law = control_law(pit, 12)
-        assert (law.population, law.successes, law.draws) == (53, 12, 21)
 
 
 class TestPvalue:
@@ -57,16 +30,18 @@ class TestPvalue:
         assert pvalue_exact(pit, 53) == 0
 
     def test_modal_observation_by_hand(self):
-        # Law on {0, 1, 2} with masses {1/6, 2/3, 1/6}; observing the mode
-        # retains all the mass.
-        obs = ObservedTable(1, 1, 1, 1)
-        law = control_law(obs, 2)
-        assert [law.pmf(h) for h in law.support] == [
-            Fraction(1, 6),
-            Fraction(2, 3),
-            Fraction(1, 6),
-        ]
-        assert pvalue_exact(obs, 2) == 1
+        # N = 4, N0 = 2, s = 2: the control successes follow the law on
+        # {0, 1, 2} with masses {1/6, 2/3, 1/6}. Observing the mode retains
+        # all the mass; observing either end retains the two tails.
+        assert pvalue_exact(ObservedTable(1, 1, 1, 1), 2) == 1
+        assert pvalue_exact(ObservedTable(2, 0, 0, 2), 2) == Fraction(1, 3)
+        assert pvalue_exact(ObservedTable(0, 2, 2, 0), 2) == Fraction(1, 3)
+
+    def test_s_outside_population_raises(self, pit):
+        with pytest.raises(ValueError):
+            pvalue_exact(pit, -1)
+        with pytest.raises(ValueError):
+            pvalue_exact(pit, 54)
 
     def test_worked_example_plateau(self, pit):
         # p(s) = 1 exactly where the observed count is modal: s in 12..14.
@@ -81,6 +56,17 @@ class TestHodgesLehmann:
         # No responder observed anywhere; with the control arm larger than
         # the treated arm the p-value is uniquely maximized at s = 0.
         assert hl_estimate(ObservedTable(0, 1, 0, 2)) == (0,)
+
+    def test_ladder_x10_pinned(self):
+        # The worked example scaled by 10 (N = 530); values recorded from
+        # the per-s Fraction implementation this kernel replaced.
+        obs = ObservedTable(180, 140, 50, 160)
+        assert hl_estimate(obs) == (103, 104)
+        for alpha, bounds in ((0.05, (79.0, 126.0)), (0.01, (70.0, 133.0))):
+            estimate, retained = interval_A(obs, alpha)
+            assert (estimate.lower, estimate.upper) == bounds
+            assert estimate.point == 103.5
+            assert retained == tuple(range(int(bounds[0]), int(bounds[1]) + 1))
 
     def test_matches_direct_maximization(self):
         for obs in (ObservedTable(2, 1, 1, 2), ObservedTable(3, 2, 1, 4)):

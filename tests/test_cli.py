@@ -225,6 +225,20 @@ class TestAttributable:
         assert payload["hl_estimate"] == [9, 10, 11]
         assert payload["retained"] == list(range(2, 17))
 
+    def test_usage_error_then_valid_command(self, capsys):
+        # main() reuses one parser per process; an error must not leave
+        # state behind for the next command.
+        code, out, err = run(capsys, "attributable", *PIT, "--format", "xml")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "xml" in err
+        code, out, _ = run(capsys, "attributable", *PIT, "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["hl_estimate"] == [9, 10, 11]
+        assert payload["retained"] == list(range(2, 17))
+        assert "standardized_pvalues" not in payload
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):

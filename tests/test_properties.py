@@ -1,9 +1,13 @@
-"""Property tests of the integer likelihood kernel on generated tables.
+"""Property tests of the integer kernels on generated tables.
 
-Populations run from 4 to 90 units. Each property is checked against a
-brute-force computation from ``likelihood_exact`` over ``general_support``.
+Populations run up to 90 units. The likelihood properties are checked
+against a brute-force computation from ``likelihood_exact`` over
+``general_support``; the p-value properties against a ``Fraction``
+hypergeometric law built from ``math.comb``; ``hpd_window`` against a scan
+of every window.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -11,13 +15,19 @@ from hypothesis import strategies as st
 
 from causalurn import (
     UNIFORM,
+    DiscreteDistribution,
     ObservedTable,
     Prior,
     a_posterior,
     general_support,
+    hl_estimate,
+    hpd_window,
+    interval_A,
     likelihood_exact,
     mle,
     posterior_points,
+    pvalue_exact,
+    standardized_pvalues,
     tau_posterior,
 )
 
@@ -25,13 +35,19 @@ PROPERTY = settings(max_examples=30, deadline=None)
 
 
 @st.composite
-def designs(draw):
-    """An observed table with 4 <= N <= 90 and a feasible harmed count."""
-    total = draw(st.integers(4, 90))
+def tables(draw, min_total=2):
+    """An observed table with min_total <= N <= 90."""
+    total = draw(st.integers(min_total, 90))
     n_treated = draw(st.integers(1, total - 1))
     n11 = draw(st.integers(0, n_treated))
     n01 = draw(st.integers(0, total - n_treated))
-    obs = ObservedTable(n11, n_treated - n11, n01, total - n_treated - n01)
+    return ObservedTable(n11, n_treated - n11, n01, total - n_treated - n01)
+
+
+@st.composite
+def designs(draw):
+    """An observed table with 4 <= N <= 90 and a feasible harmed count."""
+    obs = draw(tables(min_total=4))
     harmed = draw(st.integers(0, min(3, obs.n10 + obs.n01)))
     return obs, harmed
 
@@ -81,3 +97,84 @@ def test_posteriors_are_the_normalized_likelihood(design, data):
     a = a_posterior(obs, harmed, prior)
     base = obs.n11 + obs.n01 - harmed
     assert dict(zip(a.support, a.mass)) == _pushforward(points, lambda p: base - p.n11)
+
+
+def _reference_pvalues(obs) -> list:
+    """p(s) for s in 0..N from the hypergeometric law of the control
+    successes, each mass a Fraction."""
+    total, draws = obs.total, obs.n_control
+    curve = []
+    for s in range(total + 1):
+        law = [
+            Fraction(math.comb(s, h) * math.comb(total - s, draws - h),
+                     math.comb(total, draws))
+            for h in range(min(s, draws) + 1)
+        ]
+        observed = law[obs.n01] if obs.n01 < len(law) else 0
+        curve.append(sum(m for m in law if m <= observed) if observed else Fraction(0))
+    return curve
+
+
+@PROPERTY
+@given(tables())
+def test_pvalue_curve_matches_the_fraction_reference(obs):
+    reference = _reference_pvalues(obs)
+    assert [pvalue_exact(obs, s) for s in range(obs.total + 1)] == reference
+
+    base = obs.n11 + obs.n01
+    best = max(reference)
+    assert hl_estimate(obs) == tuple(
+        sorted(base - s for s, p in enumerate(reference) if p == best)
+    )
+    for alpha in (0.01, 0.05, 0.11, 0.5):
+        assert interval_A(obs, alpha)[1] == tuple(
+            sorted(base - s for s, p in enumerate(reference) if p > alpha)
+        )
+
+    curve = standardized_pvalues(obs)
+    raw = [reference[base - a] for a in range(obs.n11 + 1)]
+    assert curve.support == tuple(range(obs.n11 + 1))
+    assert curve.mass == tuple(p / sum(raw) for p in raw)
+
+
+def _brute_force_hpd(dist, level):
+    """Apply the documented rules of ``hpd_window`` in order to every window."""
+    mass, size = dist.mass, len(dist.mass)
+    mode = mass.index(max(mass))
+    windows = [(lo, hi, sum(mass[lo:hi + 1]))
+               for lo in range(size) for hi in range(lo, size)]
+    windows = [w for w in windows if w[2] >= level]
+    for rule in (
+        lambda w: w[1] - w[0],                  # minimal width
+        lambda w: -w[2],                        # then maximal mass
+        lambda w: abs(w[0] + w[1] - 2 * mode),  # then most symmetric around the mode
+        lambda w: w[0],                         # then leftmost
+    ):
+        best = min(rule(w) for w in windows)
+        windows = [w for w in windows if rule(w) == best]
+    (lo, hi, window_mass), = windows
+    return dist.support[lo], dist.support[hi], window_mass
+
+
+LEVELS = st.one_of(st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]), st.floats(0.01, 0.99))
+
+
+@PROPERTY
+@given(designs(), st.sampled_from([tau_posterior, a_posterior]), LEVELS)
+def test_hpd_window_follows_its_rules(design, posterior, level):
+    obs, harmed = design
+    dist = posterior(obs, harmed)
+    assert hpd_window(dist, level) == _brute_force_hpd(dist, level)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any), LEVELS)
+def test_hpd_window_tie_rules_on_small_integer_weights(weights, level):
+    # Unimodal posteriors rarely put the mass and symmetry rules in
+    # conflict; small integer weights make such ties common.
+    total = sum(weights)
+    dist = DiscreteDistribution(
+        support=tuple(range(len(weights))),
+        mass=tuple(Fraction(w, total) for w in weights),
+    )
+    assert hpd_window(dist, level) == _brute_force_hpd(dist, level)
