@@ -4,7 +4,10 @@ Observed tables enter as four counts in the order
 ``n11 n10 n01 n00`` (treated-success, treated-failure, control-success,
 control-failure). Human output uses 3 decimals; CSV and JSON carry 12
 significant digits and a versioned schema tag. Exit codes: 0 success,
-1 usage error, 2 infeasible request, 3 verification failure.
+1 usage error, 2 infeasible request, 3 verification failure, 141 output
+closed by its reader (as in ``causalurn ... | head``; 128 + SIGPIPE, the
+code a shell reports for a process the signal ends). A closed output
+prints no traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -29,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -513,6 +518,21 @@ def build_parser() -> _Parser:
 _parser: Optional[_Parser] = None
 
 
+def _discard_stdout() -> None:
+    # The reader is gone; send what is still buffered to the null device so
+    # the interpreter's own flush at exit raises nothing. A stdout with no
+    # file descriptor (captured in process) is left alone.
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     # One parser per process: a fresh one per call leaves a reference cycle
     # behind for the garbage collector each time.
@@ -521,7 +541,13 @@ def main(argv=None) -> int:
         _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

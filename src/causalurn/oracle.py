@@ -5,9 +5,11 @@ force. For a given science table, assignments that place the same number
 of each unit type into the treatment arm produce identical observed data,
 so enumeration runs over type compositions (at most (N1+1)^3 cells)
 weighted by multivariate hypergeometric counts instead of over all
-C(N, N1) raw assignments. Probabilities are exact rationals throughout;
-a seeded Monte Carlo stand-in covers populations beyond the enumeration
-cap.
+C(N, N1) raw assignments. Each composition carries its integer way count,
+and every probability is that count over the one shared denominator
+C(N, N1), so moments are exact integer sums divided once. A seeded Monte
+Carlo stand-in covers populations beyond the enumeration cap; its weights
+are draw counts over the number of draws.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,21 +49,36 @@ def enumeration_cap() -> int:
     return cap
 
 
+#: Draws per Monte Carlo chunk, so memory stays bounded at any ``draws``.
+_MC_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class AssignmentRecord:
     """One type composition of the treatment arm and its statistics.
 
     ``treated_types`` counts, per potential-outcome type (11, 10, 01, 00),
-    how many units of that type were assigned to treatment. The
-    attributable effect is treated helped minus treated harmed; it varies
-    across compositions that share an observed table.
+    how many units of that type were assigned to treatment. ``weight`` is
+    the number of assignments (or Monte Carlo draws) with this composition,
+    out of ``denominator``, which every record of a distribution shares.
+    The attributable effect is treated helped minus treated harmed; it
+    varies across compositions that share an observed table.
     """
 
     observed: ObservedTable
     treated_types: tuple[int, int, int, int]
-    probability: Fraction
-    tau_hat: Fraction
+    weight: int
+    denominator: int
     attributable: int
+
+    @property
+    def probability(self) -> Fraction:
+        return Fraction(self.weight, self.denominator)
+
+    @property
+    def tau_hat(self) -> Fraction:
+        obs = self.observed
+        return Fraction(obs.n11, obs.n_treated) - Fraction(obs.n01, obs.n_control)
 
 
 @dataclass(frozen=True)
@@ -80,26 +98,53 @@ class AssignmentDistribution:
     def n_control(self) -> int:
         return self.science.total - self.n_treated
 
-    def expectation(self, fn: Callable[[AssignmentRecord], object]) -> Fraction:
-        return sum(record.probability * fn(record) for record in self.records)
+    @property
+    def denominator(self) -> int:
+        """The total of the record weights: C(N, N1), or the draws."""
+        return self.n_assignments if self.draws is None else self.draws
 
-    def moments(self, fn: Callable[[AssignmentRecord], object]) -> tuple:
-        mean = self.expectation(fn)
-        second = self.expectation(lambda r: fn(r) ** 2)
-        return mean, second - mean * mean
+    def expectation(self, fn: Callable[[AssignmentRecord], object]) -> Fraction:
+        weighted = sum(record.weight * fn(record) for record in self.records)
+        return weighted / Fraction(self.denominator)
+
+    def _moments(self, values: Iterable[int], scale: int) -> tuple:
+        # Mean and variance of value / scale from the integer sums of w v
+        # and w v^2, one integer value per record.
+        first = second = 0
+        for record, value in zip(self.records, values):
+            weighted = record.weight * value
+            first += weighted
+            second += weighted * value
+        total = self.denominator
+        return (
+            Fraction(first, total * scale),
+            Fraction(total * second - first * first, (total * scale) ** 2),
+        )
 
     def tau_hat_moments(self) -> tuple:
-        return self.moments(lambda r: r.tau_hat)
+        # tau_hat = (n11_obs N0 - n01_obs N1) / (N1 N0)
+        n1, n0 = self.n_treated, self.n_control
+        return self._moments(
+            (r.observed.n11 * n0 - r.observed.n01 * n1 for r in self.records),
+            n1 * n0,
+        )
 
     def prediction_gap_moments(self) -> tuple:
         """Mean and variance of A - N1 * tau_hat."""
-        n1 = self.n_treated
-        return self.moments(lambda r: r.attributable - n1 * r.tau_hat)
+        # A - N1 tau_hat = (A N0 - (n11_obs N0 - n01_obs N1)) / N0
+        n1, n0 = self.n_treated, self.n_control
+        return self._moments(
+            (
+                r.attributable * n0 - r.observed.n11 * n0 + r.observed.n01 * n1
+                for r in self.records
+            ),
+            n0,
+        )
 
 
 def _record(
     science: ScienceTable, n_treated: int, types: tuple[int, int, int, int],
-    probability: Fraction,
+    weight: int, denominator: int,
 ) -> AssignmentRecord:
     x11, x10, x01, x00 = types
     observed = ObservedTable(
@@ -108,24 +153,28 @@ def _record(
         n01=(science.n11 - x11) + (science.n01 - x01),
         n00=(science.n10 - x10) + (science.n00 - x00),
     )
-    n_control = science.total - n_treated
-    t_hat = Fraction(observed.n11, n_treated) - Fraction(observed.n01, n_control)
     return AssignmentRecord(
         observed=observed,
         treated_types=types,
-        probability=probability,
-        tau_hat=t_hat,
+        weight=weight,
+        denominator=denominator,
         attributable=x10 - x01,
     )
 
 
-def _aggregate_outcomes(records: tuple[AssignmentRecord, ...]) -> dict:
-    outcomes: dict = {}
+def _outcome_weights(records: Iterable[AssignmentRecord]) -> Counter:
+    """Summed integer weight of each observed table, in first-seen order."""
+    weights: Counter = Counter()
     for record in records:
-        outcomes[record.observed] = (
-            outcomes.get(record.observed, Fraction(0)) + record.probability
-        )
-    return outcomes
+        weights[record.observed] += record.weight
+    return weights
+
+
+def _aggregate_outcomes(records: tuple, denominator: int) -> dict:
+    return {
+        obs: Fraction(weight, denominator)
+        for obs, weight in _outcome_weights(records).items()
+    }
 
 
 def enumerate_assignments(
@@ -158,18 +207,20 @@ def enumerate_assignments(
                 records.append(
                     _record(
                         science, n_treated, (x11, x10, x01, x00),
-                        Fraction(ways, n_assignments),
+                        ways, n_assignments,
                     )
                 )
     records = tuple(records)
-    total_mass = sum(r.probability for r in records)
-    if total_mass != 1:
-        raise AssertionError(f"composition probabilities sum to {total_mass}")
+    total_ways = sum(r.weight for r in records)
+    if total_ways != n_assignments:
+        raise AssertionError(
+            f"composition probabilities sum to {Fraction(total_ways, n_assignments)}"
+        )
     return AssignmentDistribution(
         science=science,
         n_treated=n_treated,
         records=records,
-        outcomes=_aggregate_outcomes(records),
+        outcomes=_aggregate_outcomes(records, n_assignments),
         n_assignments=n_assignments,
     )
 
@@ -180,7 +231,9 @@ def monte_carlo(
     """Seeded empirical stand-in: frequencies replace exact probabilities.
 
     The same seed always reproduces the same distribution; the PRNG is
-    recorded in the result so runs can be replicated elsewhere.
+    recorded in the result so runs can be replicated elsewhere. Draws are
+    taken and tallied in fixed-size chunks, so memory does not grow with
+    ``draws``; records come in lexicographic order of composition.
     """
     total = science.total
     if not 1 <= n_treated <= total - 1:
@@ -189,20 +242,39 @@ def monte_carlo(
         raise ValueError("draws must be positive")
     rng = np.random.default_rng(seed)
     colors = [science.n11, science.n10, science.n01, science.n00]
-    samples = rng.multivariate_hypergeometric(colors, n_treated, size=draws)
-    compositions, counts = np.unique(samples, axis=0, return_counts=True)
-    records = tuple(
-        _record(
-            science, n_treated, tuple(int(v) for v in comp),
-            Fraction(int(count), draws),
+    # One mixed-radix key per draw, (x11 (n10+1) + x10) (n01+1) + x01: its
+    # numeric order is the lexicographic order of the compositions, and x00
+    # is fixed by the other three. Keys too large for int64 stay Python ints.
+    r10, r01 = science.n10 + 1, science.n01 + 1
+    wide = (science.n11 + 1) * r10 * r01 > np.iinfo(np.int64).max
+    tally: Counter = Counter()
+    for start in range(0, draws, _MC_CHUNK):
+        sample = rng.multivariate_hypergeometric(
+            colors, n_treated, size=min(_MC_CHUNK, draws - start)
         )
-        for comp, count in zip(compositions, counts)
-    )
+        if wide:
+            sample = sample.astype(object)
+        keys, counts = np.unique(
+            (sample[:, 0] * r10 + sample[:, 1]) * r01 + sample[:, 2],
+            return_counts=True,
+        )
+        tally.update(dict(zip(keys.tolist(), counts.tolist())))
+    records = []
+    for key in sorted(tally):
+        head, x01 = divmod(key, r01)
+        x11, x10 = divmod(head, r10)
+        records.append(
+            _record(
+                science, n_treated, (x11, x10, x01, n_treated - x11 - x10 - x01),
+                tally[key], draws,
+            )
+        )
+    records = tuple(records)
     return AssignmentDistribution(
         science=science,
         n_treated=n_treated,
         records=records,
-        outcomes=_aggregate_outcomes(records),
+        outcomes=_aggregate_outcomes(records, draws),
         n_assignments=math.comb(total, n_treated),
         kind="monte-carlo",
         draws=draws,

@@ -1,10 +1,12 @@
 """Oracle-versus-formula identity suite behind ``causalurn verify``.
 
 Sweeps every science table up to a small population size and checks, by
-exhaustive enumeration in exact rational arithmetic, that the closed-form
-moments, the likelihood, and the feasibility regions agree with brute
-force. The formula arguments exist so tests can inject a deliberately
-wrong formula and confirm the suite catches it.
+exhaustive enumeration in exact arithmetic, that the closed-form moments,
+the likelihood, and the feasibility regions agree with brute force. The
+oracle's integer way counts and the likelihood's integer numerators share
+the denominator C(N, N1), so they are compared as integers. The formula
+arguments exist so tests can inject a deliberately wrong formula and
+confirm the suite catches it.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ class CheckResult:
     failed: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def record(self, ok: bool, detail: str) -> None:
+    def record(self, ok: bool, detail: Callable[[], str]) -> None:
+        """Count one identity; ``detail`` describes it and runs on failure only."""
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if len(self.failures) < _MAX_REPORTED_FAILURES:
-                self.failures.append(detail)
+                self.failures.append(detail())
 
     @property
     def ok(self) -> bool:
@@ -101,58 +104,60 @@ def run_verification(
 
     for science, n_treated in _designs(max_n):
         dist = oracle.enumerate_assignments(science, n_treated)
-        label = f"science={science} N1={n_treated}"
+
+        def label() -> str:
+            return f"science={science} N1={n_treated}"
 
         mean, variance = dist.tau_hat_moments()
-        estimator.record(mean == science.tau, f"{label}: E(tau_hat)={mean}")
+        estimator.record(mean == science.tau, lambda: f"{label()}: E(tau_hat)={mean}")
         estimator.record(
             variance == tau_variance(science, n_treated),
-            f"{label}: var(tau_hat)={variance}",
+            lambda: f"{label()}: var(tau_hat)={variance}",
         )
 
         n = science.total
         n_control = n - n_treated
-        est_n11 = dist.expectation(
-            lambda r: Fraction(n * r.observed.n01, n_control) - science.n01
-        )
-        est_n00 = dist.expectation(
-            lambda r: Fraction(n * r.observed.n10, n_treated) - science.n01
-        )
-        est_n10 = dist.expectation(
-            lambda r: n
-            + science.n01
-            - Fraction(n * r.observed.n01, n_control)
-            - Fraction(n * r.observed.n10, n_treated)
-        )
+        mean_n01 = dist.expectation(lambda r: r.observed.n01)
+        mean_n10 = dist.expectation(lambda r: r.observed.n10)
+        est_n11 = n * mean_n01 / n_control - science.n01
+        est_n00 = n * mean_n10 / n_treated - science.n01
+        est_n10 = n + science.n01 - n * mean_n01 / n_control - n * mean_n10 / n_treated
         cells.record(
             (est_n11, est_n00, est_n10)
             == (science.n11, science.n00, science.n10),
-            f"{label}: cell means {(est_n11, est_n00, est_n10)}",
+            lambda: f"{label()}: cell means {(est_n11, est_n00, est_n10)}",
         )
 
         gap_mean, gap_var = dist.prediction_gap_moments()
-        prediction.record(gap_mean == 0, f"{label}: E(A - N1 tau_hat)={gap_mean}")
+        prediction.record(
+            gap_mean == 0, lambda: f"{label()}: E(A - N1 tau_hat)={gap_mean}"
+        )
         prediction.record(
             gap_var == attributable_mse(science, n_treated),
-            f"{label}: var(A - N1 tau_hat)={gap_var}",
+            lambda: f"{label()}: var(A - N1 tau_hat)={gap_var}",
         )
 
         point = science.parameter_point
-        for obs, probability in dist.outcomes.items():
+        p11, p10, p01 = point.n11, point.n10, point.n01
+        ways = oracle._outcome_weights(dist.records)
+        for obs, weight in ways.items():
             lik.record(
-                likelihood.likelihood_exact(obs, point) == probability,
-                f"{label} obs={obs}: likelihood != probability {probability}",
+                likelihood._numerator(obs, p11, p10, p01) == weight,
+                lambda: f"{label()} obs={obs}: likelihood != probability "
+                f"{Fraction(weight, dist.n_assignments)}",
             )
             support.record(
                 in_general_support(obs, point),
-                f"{label} obs={obs}: reachable table outside the support region",
+                lambda: f"{label()} obs={obs}: "
+                "reachable table outside the support region",
             )
         for obs in _all_observed(n, n_treated):
-            if obs not in dist.outcomes:
+            if obs not in ways:
                 support.record(
                     not in_general_support(obs, point)
-                    and likelihood.likelihood_exact(obs, point) == 0,
-                    f"{label} obs={obs}: unreachable table inside the support",
+                    and likelihood._numerator(obs, p11, p10, p01) == 0,
+                    lambda: f"{label()} obs={obs}: "
+                    "unreachable table inside the support",
                 )
 
     for constants in _constant_families(max_n):
@@ -160,7 +165,7 @@ def run_verification(
             report = oracle.lemma1_check(constants, n_treated)
             lemma.record(
                 report.matches,
-                f"constants={constants} N1={n_treated}: "
+                lambda: f"constants={constants} N1={n_treated}: "
                 f"mean={report.mean} var={report.variance}",
             )
 
@@ -173,7 +178,7 @@ def run_verification(
         spread = math.sqrt(tau_variance(science, n_treated) / mc_draws)
         mc.record(
             abs(float(mean - science.tau)) <= 4 * spread,
-            f"MC science={science} N1={n_treated}: mean {float(mean):.5f} "
+            lambda: f"MC science={science} N1={n_treated}: mean {float(mean):.5f} "
             f"vs tau {float(science.tau):.5f}",
         )
 

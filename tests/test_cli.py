@@ -1,10 +1,22 @@
 """Command-line behavior: output values, formats, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from causalurn.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+import causalurn
+from causalurn.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    main,
+)
 
 PIT = ["18", "14", "5", "16"]
 
@@ -292,3 +304,32 @@ class TestSimulate:
     def test_arm_validation(self, capsys):
         code, _, _ = run(capsys, "simulate", "1", "1", "0", "1", "--n1", "3")
         assert code == EXIT_USAGE
+
+
+class TestClosedOutput:
+    def test_closed_pipe_exits_without_traceback(self):
+        # The read end is closed before the command starts, so its first
+        # write to stdout fails every time.
+        src = str(Path(causalurn.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "causalurn.cli", "estimate", *PIT],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
+        assert proc.returncode == EXIT_BROKEN_PIPE
+
+    def test_no_stdout_at_all(self, monkeypatch):
+        # A process started with stdout closed has sys.stdout None; print
+        # then writes nothing and the command still succeeds.
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["estimate", *PIT]) == EXIT_OK

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from causalurn import (
@@ -13,6 +14,7 @@ from causalurn import (
     lemma1_check,
     monte_carlo,
     normality_check,
+    oracle,
     population_attributable_mse,
     population_tau_variance,
 )
@@ -84,6 +86,27 @@ class TestMonteCarlo:
         assert sum(r.probability for r in dist.records) == 1
         assert dist.kind == "monte-carlo"
         assert dist.draws == 777
+
+    def test_chunked_draws_equal_one_call(self, monkeypatch):
+        science = ScienceTable(3, 4, 1, 5)
+        whole = [monte_carlo(science, 6, draws=100, seed=s) for s in range(5)]
+        monkeypatch.setattr(oracle, "_MC_CHUNK", 7)
+        chunked = [monte_carlo(science, 6, draws=100, seed=s) for s in range(5)]
+        assert [d.records for d in chunked] == [d.records for d in whole]
+
+    def test_keys_beyond_int64(self):
+        # (n11 + 1)(n10 + 1)(n01 + 1) > 2^63, so the keys are tallied as
+        # Python ints; the tally must still equal the row-wise one.
+        science = ScienceTable(10**7, 10**7, 10**5, 5)
+        dist = monte_carlo(science, 5, draws=300, seed=3)
+        rng = np.random.default_rng(3)
+        rows, counts = np.unique(
+            rng.multivariate_hypergeometric([10**7, 10**7, 10**5, 5], 5, size=300),
+            axis=0, return_counts=True,
+        )
+        assert [(r.treated_types, r.weight) for r in dist.records] == [
+            (tuple(row.tolist()), count) for row, count in zip(rows, counts.tolist())
+        ]
 
     def test_mean_near_tau_at_example_scale(self):
         # 10^5 draws from the no-harm table behind the worked example.

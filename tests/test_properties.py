@@ -4,12 +4,15 @@ Populations run up to 90 units. The likelihood properties are checked
 against a brute-force computation from ``likelihood_exact`` over
 ``general_support``; the p-value properties against a ``Fraction``
 hypergeometric law built from ``math.comb``; ``hpd_window`` against a scan
-of every window.
+of every window. On science tables of up to 12 units the likelihood kernel
+and the oracle's integer moments are checked against the enumerated
+assignments, and the Monte Carlo tally against a row-wise ``np.unique``.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,13 +21,17 @@ from causalurn import (
     DiscreteDistribution,
     ObservedTable,
     Prior,
+    ScienceTable,
     a_posterior,
+    enumerate_assignments,
     general_support,
     hl_estimate,
     hpd_window,
     interval_A,
+    likelihood,
     likelihood_exact,
     mle,
+    monte_carlo,
     posterior_points,
     pvalue_exact,
     standardized_pvalues,
@@ -32,6 +39,7 @@ from causalurn import (
 )
 
 PROPERTY = settings(max_examples=30, deadline=None)
+ORACLE = settings(max_examples=100, deadline=None)
 
 
 @st.composite
@@ -178,3 +186,84 @@ def test_hpd_window_tie_rules_on_small_integer_weights(weights, level):
         mass=tuple(Fraction(w, total) for w in weights),
     )
     assert hpd_window(dist, level) == _brute_force_hpd(dist, level)
+
+
+@st.composite
+def sciences(draw, max_total=12):
+    """A science table with 2 <= N <= max_total."""
+    total = draw(st.integers(2, max_total))
+    n11 = draw(st.integers(0, total))
+    n10 = draw(st.integers(0, total - n11))
+    n01 = draw(st.integers(0, total - n11 - n10))
+    return ScienceTable(n11, n10, n01, total - n11 - n10 - n01)
+
+
+def _ways(science, types) -> int:
+    counts = (science.n11, science.n10, science.n01, science.n00)
+    return math.prod(math.comb(c, x) for c, x in zip(counts, types))
+
+
+@ORACLE
+@given(sciences())
+def test_kernel_numerator_is_the_oracle_way_count(science):
+    total = science.total
+    for n_treated in range(1, total):
+        ways = {}
+        for record in enumerate_assignments(science, n_treated).records:
+            ways[record.observed] = (
+                ways.get(record.observed, 0) + _ways(science, record.treated_types)
+            )
+        n_control = total - n_treated
+        for n11 in range(n_treated + 1):
+            for n01 in range(n_control + 1):
+                obs = ObservedTable(n11, n_treated - n11, n01, n_control - n01)
+                numerator = likelihood._numerator(
+                    obs, science.n11, science.n10, science.n01
+                )
+                assert numerator == ways.get(obs, 0)
+
+
+def _fraction_moments(dist, value):
+    """Mean and variance of value(record) from Fraction(ways, C(N, N1))."""
+    science = dist.science
+    denominator = math.comb(science.total, dist.n_treated)
+    weights = [
+        Fraction(_ways(science, r.treated_types), denominator) for r in dist.records
+    ]
+    mean = sum(w * value(r) for w, r in zip(weights, dist.records))
+    second = sum(w * value(r) ** 2 for w, r in zip(weights, dist.records))
+    return mean, second - mean * mean
+
+
+@ORACLE
+@given(sciences())
+def test_integer_moments_equal_the_fraction_reference(science):
+    for n_treated in range(1, science.total):
+        dist = enumerate_assignments(science, n_treated)
+        n_control = science.total - n_treated
+
+        def tau_hat(r):
+            return (Fraction(r.observed.n11, n_treated)
+                    - Fraction(r.observed.n01, n_control))
+
+        assert dist.tau_hat_moments() == _fraction_moments(dist, tau_hat)
+        assert dist.prediction_gap_moments() == _fraction_moments(
+            dist, lambda r: r.attributable - n_treated * tau_hat(r)
+        )
+
+
+@ORACLE
+@given(sciences(max_total=60), st.data(), st.integers(1, 5000), st.integers(0, 2**32))
+def test_monte_carlo_tally_equals_rowwise_unique(science, data, draws, seed):
+    n_treated = data.draw(st.integers(1, science.total - 1), label="N1")
+    dist = monte_carlo(science, n_treated, draws, seed)
+    rng = np.random.default_rng(seed)
+    colors = [science.n11, science.n10, science.n01, science.n00]
+    rows, counts = np.unique(
+        rng.multivariate_hypergeometric(colors, n_treated, size=draws),
+        axis=0, return_counts=True,
+    )
+    assert [(r.treated_types, r.weight, r.denominator) for r in dist.records] == [
+        (tuple(row.tolist()), count, draws)
+        for row, count in zip(rows, counts.tolist())
+    ]

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from causalurn import moments
+from causalurn import likelihood, moments, verify
+from causalurn.tables import ObservedTable
 from causalurn.verify import run_verification, science_tables_up_to
 
 
@@ -47,3 +48,42 @@ def test_report_lines_include_failures():
     lines = report.lines()
     assert any(line.startswith("FAIL") for line in lines)
     assert any("failure [" in line for line in lines)
+
+
+def test_detects_likelihood_off_by_one_on_one_cell(monkeypatch):
+    # Science (1, 1, 0, 1) with one treated unit reaches this table with
+    # probability 1/3; only this (table, point) pair is made wrong.
+    target = (ObservedTable(1, 0, 0, 2), 1, 1, 0)
+    original = likelihood._numerator
+
+    def mutated(obs, n11, n10, n01):
+        return original(obs, n11, n10, n01) + ((obs, n11, n10, n01) == target)
+
+    monkeypatch.setattr(likelihood, "_numerator", mutated)
+    report = run_verification(max_n=3, mc_draws=5000)
+    broken = {r.name: r for r in report.results}
+    lik = broken["likelihood equals assignment probability"]
+    assert (lik.failed, lik.ok) == (1, False)
+    assert broken["support matches positive probability"].ok
+    assert (
+        "  failure [likelihood equals assignment probability]: "
+        "science=ScienceTable(n11=1, n10=1, n01=0, n00=1) N1=1 "
+        "obs=ObservedTable(n11=1, n10=0, n01=0, n00=2): "
+        "likelihood != probability 1/3"
+    ) in report.lines()
+
+
+def test_detects_support_that_admits_everything(monkeypatch):
+    monkeypatch.setattr(verify, "in_general_support", lambda obs, point: True)
+    report = run_verification(max_n=3, mc_draws=5000)
+    broken = {r.name: r for r in report.results}
+    support = broken["support matches positive probability"]
+    assert not support.ok
+    assert support.failed > 0
+    assert broken["likelihood equals assignment probability"].ok
+    failures = [
+        line for line in report.lines()
+        if line.startswith("  failure [support matches positive probability]: ")
+    ]
+    assert len(failures) == min(support.failed, 5)
+    assert all("unreachable table inside the support" in line for line in failures)
