@@ -87,7 +87,8 @@ def interval_A(
 ) -> tuple[IntervalEstimate, tuple[int, ...]]:
     """Test-inversion interval for A plus the full retained value set.
 
-    Retains every s with p(s) > alpha and maps through A = n11 + n01 - s.
+    Retains every s with p(s) > alpha and maps through A = n11 + n01 - s,
+    comparing each integer numerator with alpha's exact rational value.
     The interval is the hull of the retained values, which need not be
     contiguous for this p-value ordering, hence the companion set. The
     point is the median of the Hodges-Lehmann set.
@@ -95,11 +96,10 @@ def interval_A(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     curve = _curve(obs)
-    denominator = math.comb(obs.total, obs.n_control)
+    num_a, den_a = alpha.as_integer_ratio()
+    threshold = num_a * math.comb(obs.total, obs.n_control)
     base = obs.n11 + obs.n01
-    retained = tuple(
-        sorted(base - s for s, num in curve.items() if Fraction(num, denominator) > alpha)
-    )
+    retained = tuple(sorted(base - s for s, num in curve.items() if num * den_a > threshold))
     estimate = IntervalEstimate(
         point=float(median(_hl_set(obs, curve))),
         lower=float(retained[0]),
@@ -144,9 +144,7 @@ def standardized_pvalues(obs: ObservedTable) -> DiscreteDistribution:
     plot-ready companion to the posterior of A and shares its support hull.
     """
     base = obs.n11 + obs.n01
-    numerators = [_pvalue_numerator(obs, base - a) for a in range(obs.n11 + 1)]
-    total = sum(numerators)
     return DiscreteDistribution(
         support=tuple(range(obs.n11 + 1)),
-        mass=tuple(Fraction(num, total) for num in numerators),
+        weights=tuple(_pvalue_numerator(obs, base - a) for a in range(obs.n11 + 1)),
     )

@@ -4,15 +4,17 @@ With the harmed count held fixed, the posterior over (n11, n10) under any
 prior is proportional to prior weight times the randomization likelihood,
 normalized over the finite support. Posteriors of derived quantities (the
 average effect, the attributable effect) are pushforwards of that point
-posterior. Every mass is an exact rational at every population size, built
-from the likelihood's integer numerators, so modes and highest-density
-windows never depend on float dust.
+posterior. Every distribution holds integer weights over their total, built
+from the likelihood's integer numerators, so modes and highest-density windows
+are decided on integers at every N; ``mass`` is their exact rational view.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Optional
 
 from .likelihood import _grid, _numerator
@@ -23,38 +25,41 @@ from .tables import (
     general_support,
 )
 
-_MASS_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Normalized probability mass on a strictly increasing finite support."""
+    """Nonnegative integer weights on a strictly increasing support; p = w / total."""
 
     support: tuple
-    mass: tuple
+    weights: tuple
 
     def __post_init__(self) -> None:
-        if len(self.support) != len(self.mass):
-            raise ValueError("support and mass must align")
+        if len(self.support) != len(self.weights):
+            raise ValueError("support and weights must align")
         if not self.support:
             raise ValueError("empty distribution")
         if any(b <= a for a, b in zip(self.support, self.support[1:])):
             raise ValueError("support must be strictly increasing")
-        if any(m < 0 for m in self.mass):
-            raise ValueError("masses must be nonnegative")
-        total = sum(self.mass)
-        if abs(float(total) - 1.0) > _MASS_TOLERANCE:
-            raise ValueError(f"masses sum to {float(total)}, not 1")
+        if any(not isinstance(w, int) or w < 0 for w in self.weights):
+            raise ValueError("weights must be nonnegative integers")
+        if not any(self.weights):
+            raise ValueError("weights must have a positive sum")
 
     def __len__(self) -> int:
         return len(self.support)
 
+    @property
+    def total(self) -> int:
+        return sum(self.weights)
+
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        total = self.total
+        return tuple(Fraction(w, total) for w in self.weights)
+
     def mode(self):
-        """Smallest support value attaining the maximum mass."""
-        best = max(self.mass)
-        for value, mass in zip(self.support, self.mass):
-            if mass == best:
-                return value
+        """Smallest support value attaining the maximum weight."""
+        return self.support[self.weights.index(max(self.weights))]
 
     def median(self):
         """Smallest support value whose cumulative mass reaches one half.
@@ -63,22 +68,10 @@ class DiscreteDistribution:
         summary: for the worked example it stays on the same grid value
         across the whole sensitivity sweep, which the mode does not.
         """
-        half = Fraction(1, 2)
-        cumulative = 0
-        for value, mass in zip(self.support, self.mass):
-            cumulative = cumulative + mass
-            if cumulative >= half:
+        total = self.total
+        for value, cumulative in zip(self.support, accumulate(self.weights)):
+            if 2 * cumulative >= total:
                 return value
-        return self.support[-1]
-
-    def mean(self):
-        return sum(v * m for v, m in zip(self.support, self.mass))
-
-    def mass_at(self, value):
-        for v, m in zip(self.support, self.mass):
-            if v == value:
-                return m
-        return 0
 
 
 @dataclass(frozen=True)
@@ -123,17 +116,19 @@ UNIFORM = Prior.uniform()
 
 def _weighted(
     obs: ObservedTable, n01: int, prior: Prior
-) -> Iterable[tuple[int, int, object]]:
+) -> Iterable[tuple[int, int, int]]:
     """``(n11, n10, prior weight x likelihood numerator)`` wherever positive.
 
-    A table prior is evaluated on its own weighted points only. Raises
-    InfeasibleError on an empty support and ValueError when the prior
-    annihilates all of it.
+    A table prior is evaluated on its own weighted points only, scaled to
+    integers by the lcm of its denominators. Raises InfeasibleError on an
+    empty support and ValueError when the prior annihilates all of it.
     """
     rows = _grid(obs, n01)
     if prior.kind == "table":
+        scale = math.lcm(*(w.denominator for w in prior.weights.values()))
         rows = [
-            (p.n11, p.n10, w * _numerator(obs, p.n11, p.n10, n01))
+            (p.n11, p.n10, w.numerator * (scale // w.denominator)
+             * _numerator(obs, p.n11, p.n10, n01))
             for p, w in prior.weights.items()
             if p.n01 == n01 and w > 0
         ]
@@ -148,29 +143,26 @@ def posterior_points(
 ) -> DiscreteDistribution:
     """Posterior over support points: prior times likelihood, normalized.
 
-    Masses are exact rationals at every population size; under the uniform
+    Weights are prior weight times likelihood numerator; under the uniform
     prior the posterior is exactly the normalized likelihood. Raises when
     the support is empty or the prior annihilates all of it.
     """
     weights = {(n11, n10): w for n11, n10, w in _weighted(obs, n01, prior)}
-    total = sum(weights.values())
     support = general_support(obs, n01)
-    mass = tuple(Fraction(weights.get((p.n11, p.n10), 0), total) for p in support)
-    return DiscreteDistribution(support=support, mass=mass)
+    return DiscreteDistribution(
+        support=support,
+        weights=tuple(weights.get((p.n11, p.n10), 0) for p in support),
+    )
 
 
 def _pushforward(rows, axis: int, fn: Callable) -> DiscreteDistribution:
-    # Weights are summed per grid coordinate first, so Fractions are built
-    # only for the pushforward's values. Its support is where mass lives.
+    # Weights are summed per grid coordinate; the support is where mass lives.
     sums: dict = {}
     for row in rows:
         key = row[axis]
         sums[key] = sums.get(key, 0) + row[2]
-    total = sum(sums.values())
-    pairs = sorted((fn(key), Fraction(weight, total)) for key, weight in sums.items())
-    return DiscreteDistribution(
-        support=tuple(v for v, _ in pairs), mass=tuple(m for _, m in pairs)
-    )
+    support, weights = zip(*sorted((fn(key), weight) for key, weight in sums.items()))
+    return DiscreteDistribution(support=support, weights=weights)
 
 
 def tau_posterior(
@@ -196,31 +188,33 @@ def hpd_window(dist: DiscreteDistribution, level: float) -> tuple:
 
     Among windows of minimal width the one with the larger mass wins; any
     remaining tie goes to the window most symmetric around the mode, then
-    to the leftmost. Returns (low value, high value, window mass).
+    to the leftmost. Returns (low value, high value, window mass). Window
+    weights are compared with the level's exact value: w * den >= num * total.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    size = len(dist.support)
-    best_mass = max(dist.mass)
-    mode_index = next(i for i, m in enumerate(dist.mass) if m == best_mass)
-    prefix = [0]
-    for mass in dist.mass:
-        prefix.append(prefix[-1] + mass)
+    num, den = level.as_integer_ratio()
+    weights = dist.weights
+    size = len(weights)
+    mode_index = weights.index(max(weights))
+    prefix = [0, *accumulate(weights)]
+    total = prefix[-1]
+    # The whole support holds total >= level * total, so some width succeeds.
+    need = num * total
     for width in range(1, size + 1):
         best = None
         for lo in range(size - width + 1):
-            window_mass = prefix[lo + width] - prefix[lo]
-            if window_mass >= level:
+            window = prefix[lo + width] - prefix[lo]
+            if window * den >= need:
                 asymmetry = abs(2 * lo + width - 1 - 2 * mode_index)
-                candidate = (-window_mass, asymmetry, lo)
+                candidate = (-window, asymmetry, lo)
                 if best is None or candidate < best:
                     best = candidate
         if best is not None:
             _, _, lo = best
             hi = lo + width - 1
-            return dist.support[lo], dist.support[hi], prefix[hi + 1] - prefix[lo]
-    # Mass never reached the level (float dust near level ~ 1): full hull.
-    return dist.support[0], dist.support[-1], prefix[-1]
+            window = prefix[hi + 1] - prefix[lo]
+            return dist.support[lo], dist.support[hi], Fraction(window, total)
 
 
 def hpd_interval(dist: DiscreteDistribution, level: float = 0.95) -> IntervalEstimate:

@@ -83,13 +83,16 @@ class AssignmentRecord:
 
 @dataclass(frozen=True)
 class AssignmentDistribution:
-    """Sampling distribution of the observed data for one science table."""
+    """Sampling distribution of the observed data for one science table.
+
+    Monte Carlo laws have denominator ``draws`` and ``n_assignments`` None.
+    """
 
     science: ScienceTable
     n_treated: int
     records: tuple[AssignmentRecord, ...]
     outcomes: dict
-    n_assignments: int
+    n_assignments: Optional[int]
     kind: str = "exact"
     draws: Optional[int] = None
     rng: Optional[str] = None
@@ -235,8 +238,7 @@ def monte_carlo(
     taken and tallied in fixed-size chunks, so memory does not grow with
     ``draws``; records come in lexicographic order of composition.
     """
-    total = science.total
-    if not 1 <= n_treated <= total - 1:
+    if not 1 <= n_treated <= science.total - 1:
         raise ValueError("n_treated must leave both arms nonempty")
     if draws < 1:
         raise ValueError("draws must be positive")
@@ -275,7 +277,7 @@ def monte_carlo(
         n_treated=n_treated,
         records=records,
         outcomes=_aggregate_outcomes(records, draws),
-        n_assignments=math.comb(total, n_treated),
+        n_assignments=None,
         kind="monte-carlo",
         draws=draws,
         rng=f"numpy.random.Generator(PCG64(seed={seed})), numpy {np.__version__}",

@@ -102,6 +102,7 @@ def run_verification(
     lemma = CheckResult("treated-sum moments (constants)")
     mc = CheckResult("monte carlo agrees with exact moments")
 
+    observed: dict = {}  # every observed table of an (N, N1), built once
     for science, n_treated in _designs(max_n):
         dist = oracle.enumerate_assignments(science, n_treated)
 
@@ -151,7 +152,9 @@ def run_verification(
                 lambda: f"{label()} obs={obs}: "
                 "reachable table outside the support region",
             )
-        for obs in _all_observed(n, n_treated):
+        if (n, n_treated) not in observed:
+            observed[n, n_treated] = tuple(_all_observed(n, n_treated))
+        for obs in observed[n, n_treated]:
             if obs not in ways:
                 support.record(
                     not in_general_support(obs, point)

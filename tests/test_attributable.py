@@ -102,6 +102,11 @@ class TestIntervalA:
         for s in range(obs.total + 1):
             assert (pvalue_exact(obs, s) > alpha) == (s in retained_s)
 
+    def test_alpha_is_compared_exactly(self):
+        # p(s = 1) is exactly 1/4 and only p > alpha keeps s; p(s = 0) = 1.
+        assert pvalue_exact(ObservedTable(1, 0, 0, 3), 1) == Fraction(1, 4)
+        assert interval_A(ObservedTable(1, 0, 0, 3), 0.25)[1] == (1,)
+
     def test_small_alpha_widens(self, pit):
         _, tight = interval_A(pit, 0.2)
         _, wide = interval_A(pit, 1e-9)

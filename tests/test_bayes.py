@@ -25,29 +25,36 @@ from causalurn import (
 class TestDiscreteDistribution:
     def test_rejects_misaligned_and_unsorted(self):
         with pytest.raises(ValueError):
-            DiscreteDistribution(support=(1, 2), mass=(1.0,))
+            DiscreteDistribution(support=(1, 2), weights=(1,))
         with pytest.raises(ValueError):
-            DiscreteDistribution(support=(2, 1), mass=(0.5, 0.5))
+            DiscreteDistribution(support=(2, 1), weights=(1, 1))
         with pytest.raises(ValueError):
-            DiscreteDistribution(support=(1, 1), mass=(0.5, 0.5))
+            DiscreteDistribution(support=(1, 1), weights=(1, 1))
 
-    def test_rejects_bad_mass(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution(support=(1, 2), mass=(0.8, 0.1))
-        with pytest.raises(ValueError):
-            DiscreteDistribution(support=(1, 2), mass=(1.2, -0.2))
+    def test_rejects_bad_weights(self):
+        # Negative, non-integer and all-zero weights.
+        bad = [(1, -1), (3, -2), (1, 0.5), (1.0, 1.0), (Fraction(1, 2), 1), (0, 0)]
+        for weights in bad:
+            with pytest.raises(ValueError):
+                DiscreteDistribution(support=(1, 2), weights=weights)
 
     def test_mode_prefers_smallest_on_tie(self):
-        dist = DiscreteDistribution(support=(1, 2, 3), mass=(0.4, 0.2, 0.4))
+        dist = DiscreteDistribution(support=(1, 2, 3), weights=(2, 1, 2))
         assert dist.mode() == 1
 
     def test_median_and_mean(self):
-        dist = DiscreteDistribution(
-            support=(0, 1, 2),
-            mass=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
-        )
+        dist = DiscreteDistribution(support=(0, 1, 2), weights=(1, 1, 2))
+        assert dist.total == 4
+        assert dist.mass == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
         assert dist.median() == 1
-        assert dist.mean() == Fraction(5, 4)
+        assert sum(v * m for v, m in zip(dist.support, dist.mass)) == Fraction(5, 4)
+
+    def test_scaling_the_weights_changes_nothing(self):
+        small = DiscreteDistribution(support=(0, 1, 2), weights=(1, 1, 2))
+        large = DiscreteDistribution(support=(0, 1, 2), weights=(7, 7, 14))
+        assert large.mass == small.mass
+        assert (large.mode(), large.median()) == (small.mode(), small.median())
+        assert hpd_window(large, 0.7) == hpd_window(small, 0.7)
 
 
 class TestPrior:
@@ -80,7 +87,8 @@ class TestPosteriorPoints:
         target = general_support(pit, 0)[100]
         prior = Prior.from_weights({target: 1})
         dist = posterior_points(pit, 0, prior)
-        assert dist.mass_at(target) == 1
+        assert dict(zip(dist.support, dist.mass))[target] == 1
+        assert sum(dist.mass) == 1
 
     def test_annihilating_prior_raises(self, pit):
         prior = Prior.from_weights({ParameterPoint(50, 1): 1})
@@ -150,7 +158,7 @@ class TestTauPosterior:
             Fraction(point.n10, pit.total) * mass
             for point, mass in zip(points.support, points.mass)
         )
-        assert dist.mean() == grid_sum
+        assert sum(v * m for v, m in zip(dist.support, dist.mass)) == grid_sum
 
 
 class TestAPosterior:
@@ -207,12 +215,26 @@ class TestHpd:
         assert (lo, hi) == (2, 16)
 
     def test_forced_two_point_window(self):
-        dist = DiscreteDistribution(support=(0, 1), mass=(0.5, 0.5))
+        dist = DiscreteDistribution(support=(0, 1), weights=(1, 1))
         assert hpd_window(dist, 0.6)[:2] == (0, 1)
 
     def test_high_level_returns_full_hull(self):
-        dist = DiscreteDistribution(support=(0, 1, 2), mass=(0.2, 0.5, 0.3))
+        dist = DiscreteDistribution(support=(0, 1, 2), weights=(2, 5, 3))
         assert hpd_window(dist, 0.9999)[:2] == (0, 2)
+
+    @pytest.mark.parametrize(
+        "level, window",
+        [
+            # Float 0.1 lies above 1/10, so one value is not enough.
+            (0.1, (0, 1, Fraction(1, 5))),
+            # Float 0.3 and 0.7 lie below 3/10 and 7/10.
+            (0.3, (0, 2, Fraction(3, 10))),
+            (0.7, (0, 6, Fraction(7, 10))),
+        ],
+    )
+    def test_level_is_compared_exactly(self, level, window):
+        dist = DiscreteDistribution(support=tuple(range(10)), weights=(1,) * 10)
+        assert hpd_window(dist, level) == window
 
     def test_interval_point_is_the_mode(self, pit):
         dist = a_posterior(pit, 0)

@@ -87,6 +87,13 @@ class TestMonteCarlo:
         assert dist.kind == "monte-carlo"
         assert dist.draws == 777
 
+    def test_large_population_skips_the_assignment_count(self):
+        # C(10^6, 3 * 10^5) would take seconds; the draws need none of it.
+        dist = monte_carlo(ScienceTable(250000, 250000, 250000, 250000), 300000, 10, 0)
+        assert dist.n_assignments is None
+        assert dist.denominator == 10
+        assert sum(r.weight for r in dist.records) == 10
+
     def test_chunked_draws_equal_one_call(self, monkeypatch):
         science = ScienceTable(3, 4, 1, 5)
         whole = [monte_carlo(science, 6, draws=100, seed=s) for s in range(5)]

@@ -180,10 +180,8 @@ def test_hpd_window_follows_its_rules(design, posterior, level):
 def test_hpd_window_tie_rules_on_small_integer_weights(weights, level):
     # Unimodal posteriors rarely put the mass and symmetry rules in
     # conflict; small integer weights make such ties common.
-    total = sum(weights)
     dist = DiscreteDistribution(
-        support=tuple(range(len(weights))),
-        mass=tuple(Fraction(w, total) for w in weights),
+        support=tuple(range(len(weights))), weights=tuple(weights)
     )
     assert hpd_window(dist, level) == _brute_force_hpd(dist, level)
 
