@@ -23,7 +23,6 @@ from .attributable import (
     hl_estimate,
     interval_A,
     neyman_predict,
-    pvalue,
     pvalue_exact,
     standardized_pvalues,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "population_attributable_mse",
     "population_tau_variance",
     "posterior_points",
-    "pvalue",
     "pvalue_exact",
     "sensitivity_sweep",
     "sensitivity_variance",

@@ -70,10 +70,6 @@ def pvalue_exact(obs: ObservedTable, s: int) -> Fraction:
     return Fraction(_pvalue_numerator(obs, s), math.comb(obs.total, obs.n_control))
 
 
-def pvalue(obs: ObservedTable, s: int) -> float:
-    return float(pvalue_exact(obs, s))
-
-
 def hl_estimate(obs: ObservedTable) -> tuple[int, ...]:
     """Attributable-effect values from the s values maximizing the p-value.
 

@@ -105,11 +105,6 @@ class Prior:
         table = {point: Fraction(w) for point, w in weights.items()}
         return cls(kind="table", weights=table)
 
-    def weight(self, point: ParameterPoint) -> Fraction:
-        if self.kind == "uniform":
-            return Fraction(1)
-        return self.weights.get(point, Fraction(0))
-
 
 UNIFORM = Prior.uniform()
 

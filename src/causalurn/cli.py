@@ -1,9 +1,17 @@
 """Command-line front end.
 
-Observed tables enter as four counts in the order
-``n11 n10 n01 n00`` (treated-success, treated-failure, control-success,
-control-failure). Human output uses 3 decimals; CSV and JSON carry 12
-significant digits and a versioned schema tag. Exit codes: 0 success,
+Observed tables enter as four counts in the order ``N11 N10 N01 N00``
+(treated-success, treated-failure, control-success, control-failure);
+``simulate`` takes a science table's four type counts in the same order.
+``causalurn <command> -h`` describes every command and option.
+
+Formats per command, the default first: ``estimate`` text or json,
+``sensitivity`` text, csv or json, ``posterior`` csv or json,
+``attributable`` text or json, ``simulate`` text or json, ``verify``
+text only. Human output uses 3 decimals. CSV and JSON carry 12 significant
+digits and the versioned schema tag ``causalurn.<command>.v1``: a CSV
+starts with it as a ``#`` comment, and a JSON document holds it under
+``schema`` beside an ``input`` echo of the request. Exit codes: 0 success,
 1 usage error, 2 infeasible request, 3 verification failure, 141 output
 closed by its reader (as in ``causalurn ... | head``; 128 + SIGPIPE, the
 code a shell reports for a process the signal ends). A closed output
@@ -36,7 +44,7 @@ EXIT_VERIFY = 3
 EXIT_BROKEN_PIPE = 141
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -53,6 +61,15 @@ def _fmt(value) -> str:
     return f"{float(value):.3f}"
 
 
+def _cell(value) -> str:
+    """One CSV cell: empty for None, true/false, an int as is, else 12 digits."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, int)):
+        return str(value).lower()  # True -> "true"; digits have no case
+    return f"{float(value):.12g}"
+
+
 def _interval_json(estimate: IntervalEstimate) -> dict:
     return {
         "method": estimate.method,
@@ -64,96 +81,94 @@ def _interval_json(estimate: IntervalEstimate) -> dict:
     }
 
 
-def _observed(counts) -> ObservedTable:
-    try:
-        return ObservedTable(*counts)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _science(counts) -> ScienceTable:
-    try:
-        return ScienceTable(*counts)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
-
-
-# ---------------------------------------------------------------- estimate
-
-
-def _estimates(obs: ObservedTable, method: str, n01: int, level: float):
-    t = moments.tau_hat(obs)
-    rows = []
-    if method in ("neyman", "all"):
-        rows.append(
-            moments.confidence_interval(
-                t, moments.neyman_variance(obs), level, method="neyman"
-            )
-        )
-    if method in ("neyman-classic", "all"):
-        rows.append(
-            moments.confidence_interval(
-                t, moments.classic_neyman_variance(obs), level,
-                method="neyman-classic",
-            )
-        )
-    if method in ("improved", "all"):
-        rows.append(
-            moments.confidence_interval(
-                t, moments.improved_variance(obs), level, method="improved"
-            )
-        )
-    if method in ("sensitivity", "all"):
-        rows.append(
-            moments.confidence_interval(
-                t, moments.sensitivity_variance(obs, n01), level,
-                method="sensitivity",
-            )
-        )
-    return rows
-
-
-def cmd_estimate(args) -> int:
-    obs = _observed(args.counts)
-    rows = _estimates(obs, args.method, args.n01, args.level)
+def _emit(args, echo: dict, fields: dict, csv=None, text=None) -> int:
+    """Print a result in ``args.format``: JSON ``fields`` after the schema tag
+    and the ``input`` echo, or the CSV header and rows of cells that ``csv()``
+    returns, or the lines of ``text()``. Only the requested renderer runs.
+    """
+    schema = f"causalurn.{args.command}.v1"
     if args.format == "json":
-        payload = {
-            "schema": "causalurn.estimate.v1",
-            "input": {
-                "table": list(args.counts),
-                "method": args.method,
-                "n01": args.n01,
-                "level": args.level,
-            },
-            "tau_hat": _machine(moments.tau_hat(obs)),
-            "estimates": [_interval_json(row) for row in rows],
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"tau-hat: {_fmt(moments.tau_hat(obs))}")
-    for row in rows:
-        label = row.method if row.method != "sensitivity" else f"sensitivity(n01={args.n01})"
-        print(
-            f"{label:<22} {_fmt(row.point)}  "
-            f"[{_fmt(row.lower)}, {_fmt(row.upper)}]  length {_fmt(row.length)}"
-        )
+        print(json.dumps({"schema": schema, "input": echo, **fields}, indent=2))
+    elif args.format == "csv":
+        header, rows = csv()
+        print("\n".join([f"# {schema}", header, *(",".join(map(_cell, row)) for row in rows)]))
+    else:
+        print("\n".join(text()))
     return EXIT_OK
 
 
-# ------------------------------------------------------------- sensitivity
+def _table(kind, args):
+    """The ObservedTable or ScienceTable named by the four positional counts."""
+    try:
+        return kind(*args.counts)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _check_draws_and_seed(args) -> None:
+    if args.draws < 1:
+        raise UsageError("--draws must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
+
+
+# The variance of tau-hat behind each method, in the order "all" reports.
+_VARIANCES = {
+    "neyman": lambda obs, n01: moments.neyman_variance(obs),
+    "neyman-classic": lambda obs, n01: moments.classic_neyman_variance(obs),
+    "improved": lambda obs, n01: moments.improved_variance(obs),
+    "sensitivity": lambda obs, n01: moments.sensitivity_variance(obs, n01),
+}
+
+
+def cmd_estimate(args) -> int:
+    obs = _table(ObservedTable, args)
+    t = moments.tau_hat(obs)
+    rows = [
+        moments.confidence_interval(t, variance(obs, args.n01), args.level, method=name)
+        for name, variance in _VARIANCES.items()
+        if args.method in (name, "all")
+    ]
+    labels = {"sensitivity": f"sensitivity(n01={args.n01})"}
+    return _emit(
+        args, {"table": args.counts, "method": args.method, "n01": args.n01, "level": args.level},
+        {"tau_hat": _machine(t), "estimates": [_interval_json(row) for row in rows]},
+        text=lambda: [f"tau-hat: {_fmt(t)}"] + [
+            f"{labels.get(row.method, row.method):<22} {_fmt(row.point)}  "
+            f"[{_fmt(row.lower)}, {_fmt(row.upper)}]  length {_fmt(row.length)}"
+            for row in rows
+        ],
+    )
 
 
 def _bayes_row(obs: ObservedTable, n01: int, level: float):
-    # The reported Bayes point is the posterior median; see README.
+    """Posterior median (the reported Bayes point; see README), mode and HPD
+    interval of tau; three Nones when the harmed count is infeasible."""
     try:
         dist = bayes.tau_posterior(obs, n01)
     except (InfeasibleError, ValueError):
-        return None
+        return None, None, None
     return dist.median(), dist.mode(), bayes.hpd_interval(dist, level)
 
 
+def _ends(estimate: Optional[IntervalEstimate]) -> tuple:
+    if estimate is None:
+        return None, None, None
+    return estimate.lower, estimate.upper, estimate.length
+
+
+def _columns(point: str, estimate: Optional[IntervalEstimate]) -> str:
+    """Point, interval and length columns of one sensitivity text row."""
+    if estimate is None:
+        return f"{point:>6}  {'infeasible':>16}  {'':>6}"
+    return (
+        f"{point:>6}  [{_fmt(estimate.lower)}, {_fmt(estimate.upper)}]  "
+        f"{_fmt(estimate.length):>6}"
+    )
+
+
 def cmd_sensitivity(args) -> int:
-    obs = _observed(args.counts)
+    obs = _table(ObservedTable, args)
     if args.n01_max == "auto":
         _, hi = moments.n01_bounds(obs, "nonneg-correlation-and-effect")
     else:
@@ -164,85 +179,41 @@ def cmd_sensitivity(args) -> int:
         if hi < 0:
             raise UsageError("--n01-max must be nonnegative")
     curve = moments.sensitivity_sweep(obs, range(hi + 1), args.level)
-    rows = []
-    for row in curve.rows:
-        posterior = _bayes_row(obs, row.n01, args.level)
-        rows.append((row, posterior))
-    if args.format == "json":
-        payload = {
-            "schema": "causalurn.sensitivity.v1",
-            "input": {
-                "table": list(args.counts),
-                "n01_max": hi,
-                "level": args.level,
-            },
-            "rows": [],
-        }
-        for row, posterior in rows:
-            entry = {"n01": row.n01, "point": _machine(row.point), "feasible": row.feasible}
-            if row.feasible:
-                entry["variance"] = _machine(row.variance)
-                entry["moment"] = _interval_json(row.interval)
-            else:
-                entry["note"] = row.note
-            if posterior is not None:
-                med, mode, hpd = posterior
-                entry["bayes"] = _interval_json(hpd)
-                entry["bayes"]["point"] = _machine(med)
-                entry["bayes"]["mode"] = _machine(mode)
-            payload["rows"].append(entry)
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    if args.format == "csv":
-        print("# causalurn.sensitivity.v1")
-        print(
-            "n01,point,variance,lower,upper,length,"
-            "bayes_point,bayes_lower,bayes_upper,bayes_length,feasible"
-        )
-        for row, posterior in rows:
-            moment = (
-                [f"{row.variance:.12g}", f"{row.interval.lower:.12g}",
-                 f"{row.interval.upper:.12g}", f"{row.interval.length:.12g}"]
-                if row.feasible else ["", "", "", ""]
-            )
-            if posterior is not None:
-                med, _, hpd = posterior
-                post = [f"{float(med):.12g}", f"{hpd.lower:.12g}",
-                        f"{hpd.upper:.12g}", f"{hpd.length:.12g}"]
-            else:
-                post = ["", "", "", ""]
-            print(",".join(
-                [str(row.n01), f"{row.point:.12g}"] + moment + post + [str(row.feasible).lower()]
-            ))
-        return EXIT_OK
-    print(f"sensitivity sweep, n01 from 0 to {hi} (level {args.level:g})")
-    header = (
-        f"{'n01':>4}  {'point':>6}  {'interval':>16}  {'length':>6}  "
-        f"{'bayes':>6}  {'bayes hpd':>16}  {'length':>6}"
-    )
-    print(header)
-    for row, posterior in rows:
+    rows = [(row, *_bayes_row(obs, row.n01, args.level)) for row in curve.rows]
+    entries = []
+    for row, med, mode, hpd in rows:
+        entry = {"n01": row.n01, "point": _machine(row.point), "feasible": row.feasible}
         if row.feasible:
-            mid = (
-                f"{_fmt(row.point):>6}  "
-                f"[{_fmt(row.interval.lower)}, {_fmt(row.interval.upper)}]  "
-                f"{_fmt(row.interval.length):>6}"
-            )
+            entry["variance"] = _machine(row.variance)
+            entry["moment"] = _interval_json(row.interval)
         else:
-            mid = f"{_fmt(row.point):>6}  {'infeasible':>16}  {'':>6}"
-        if posterior is not None:
-            med, _, hpd = posterior
-            tail = (
-                f"  {_fmt(med):>6}  [{_fmt(hpd.lower)}, {_fmt(hpd.upper)}]  "
-                f"{_fmt(hpd.length):>6}"
-            )
-        else:
-            tail = f"  {'':>6}  {'infeasible':>16}  {'':>6}"
-        print(f"{row.n01:>4}  {mid}{tail}")
-    return EXIT_OK
-
-
-# --------------------------------------------------------------- posterior
+            entry["note"] = row.note
+        if hpd is not None:
+            entry["bayes"] = {
+                **_interval_json(hpd), "point": _machine(med), "mode": _machine(mode),
+            }
+        entries.append(entry)
+    return _emit(
+        args, {"table": args.counts, "n01_max": hi, "level": args.level}, {"rows": entries},
+        csv=lambda: (
+            "n01,point,variance,lower,upper,length,"
+            "bayes_point,bayes_lower,bayes_upper,bayes_length,feasible",
+            [
+                (row.n01, row.point, row.variance, *_ends(row.interval),
+                 med, *_ends(hpd), row.feasible)
+                for row, med, _, hpd in rows
+            ],
+        ),
+        text=lambda: [
+            f"sensitivity sweep, n01 from 0 to {hi} (level {args.level:g})",
+            f"{'n01':>4}  {'point':>6}  {'interval':>16}  {'length':>6}  "
+            f"{'bayes':>6}  {'bayes hpd':>16}  {'length':>6}",
+        ] + [
+            f"{row.n01:>4}  {_columns(_fmt(row.point), row.interval)}  "
+            f"{_columns('' if med is None else _fmt(med), hpd)}"
+            for row, med, _, hpd in rows
+        ],
+    )
 
 
 def _load_prior(path: Optional[str], n01: int) -> bayes.Prior:
@@ -284,100 +255,82 @@ def _load_prior(path: Optional[str], n01: int) -> bayes.Prior:
         weights[point] = weights.get(point, Fraction(0)) + Fraction(weight)
     if offenders:
         raise UsageError("malformed prior entries:\n" + "\n".join(offenders))
-    if not weights or not any(weights.values()):
+    if not any(weights.values()):
         raise UsageError("prior file assigns no positive weight")
     return bayes.Prior.from_weights(weights)
 
 
 def cmd_posterior(args) -> int:
-    obs = _observed(args.counts)
+    obs = _table(ObservedTable, args)
     prior = _load_prior(args.prior_file, args.n01)
-    if args.target == "tau":
-        dist = bayes.tau_posterior(obs, args.n01, prior)
-    else:
-        dist = bayes.a_posterior(obs, args.n01, prior)
+    posterior = bayes.tau_posterior if args.target == "tau" else bayes.a_posterior
+    dist = posterior(obs, args.n01, prior)
     values = [_machine(v) for v in dist.support]
     masses = [_machine(m) for m in dist.mass]
-    if args.format == "json":
-        payload = {
-            "schema": "causalurn.posterior.v1",
-            "input": {
-                "table": list(args.counts),
-                "target": args.target,
-                "n01": args.n01,
-                "prior_file": args.prior_file,
-            },
-            "support": values,
-            "mass": masses,
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print("# causalurn.posterior.v1")
-    print("value,mass")
-    for value, mass in zip(values, masses):
-        print(f"{value:.12g},{mass:.12g}")
-    return EXIT_OK
-
-
-# ------------------------------------------------------------ attributable
+    return _emit(
+        args,
+        {"table": args.counts, "target": args.target, "n01": args.n01,
+         "prior_file": args.prior_file},
+        {"support": values, "mass": masses},
+        csv=lambda: ("value,mass", zip(values, masses)),
+    )
 
 
 def cmd_attributable(args) -> int:
-    obs = _observed(args.counts)
+    obs = _table(ObservedTable, args)
     hl = attributable.hl_estimate(obs)
     estimate, retained = attributable.interval_A(obs, args.alpha)
     prediction = attributable.neyman_predict(
         obs, args.level, compat_paper_mse=args.compat_paper_mse
     )
     curve = attributable.standardized_pvalues(obs) if args.curve else None
-    if args.format == "json":
-        payload = {
-            "schema": "causalurn.attributable.v1",
-            "input": {
-                "table": list(args.counts),
-                "alpha": args.alpha,
-                "level": args.level,
-                "compat_paper_mse": args.compat_paper_mse,
-            },
-            "hl_estimate": list(hl),
-            "inversion": _interval_json(estimate),
-            "retained": list(retained),
-            "prediction": _interval_json(prediction),
-        }
-        if curve is not None:
-            payload["standardized_pvalues"] = {
-                "support": [int(v) for v in curve.support],
-                "mass": [_machine(m) for m in curve.mass],
-            }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"HL estimate of A: {{{', '.join(str(v) for v in hl)}}}")
-    print(
-        f"{100 * (1 - args.alpha):g}% inversion interval for A: "
-        f"[{retained[0]}, {retained[-1]}]"
-    )
-    contiguous = retained == tuple(range(retained[0], retained[-1] + 1))
-    if not contiguous:
-        print(f"  retained values are not contiguous: {list(retained)}")
-    mse_tag = "treated-arm rate (compat)" if args.compat_paper_mse else "control-arm rate"
-    print(
-        f"prediction: {_fmt(prediction.point)}  "
-        f"[{_fmt(prediction.lower)}, {_fmt(prediction.upper)}]  "
-        f"({100 * args.level:g}%, mse from {mse_tag})"
-    )
+
+    fields = {
+        "hl_estimate": list(hl),
+        "inversion": _interval_json(estimate),
+        "retained": list(retained),
+        "prediction": _interval_json(prediction),
+    }
     if curve is not None:
-        print("standardized p-values (A, mass):")
-        for value, mass in zip(curve.support, curve.mass):
-            print(f"  {value:>4}  {float(mass):.12g}")
-    return EXIT_OK
+        fields["standardized_pvalues"] = {
+            "support": [int(v) for v in curve.support],
+            "mass": [_machine(m) for m in curve.mass],
+        }
 
+    def text():
+        lines = [
+            f"HL estimate of A: {{{', '.join(str(v) for v in hl)}}}",
+            f"{100 * (1 - args.alpha):g}% inversion interval for A: "
+            f"[{retained[0]}, {retained[-1]}]",
+        ]
+        if retained != tuple(range(retained[0], retained[-1] + 1)):
+            lines.append(f"  retained values are not contiguous: {list(retained)}")
+        mse_tag = "treated-arm rate (compat)" if args.compat_paper_mse else "control-arm rate"
+        lines.append(
+            f"prediction: {_fmt(prediction.point)}  "
+            f"[{_fmt(prediction.lower)}, {_fmt(prediction.upper)}]  "
+            f"({100 * args.level:g}%, mse from {mse_tag})"
+        )
+        if curve is not None:
+            lines.append("standardized p-values (A, mass):")
+            lines += [
+                f"  {value:>4}  {float(mass):.12g}"
+                for value, mass in zip(curve.support, curve.mass)
+            ]
+        return lines
 
-# ----------------------------------------------------------------- verify
+    return _emit(
+        args,
+        {"table": args.counts, "alpha": args.alpha, "level": args.level,
+         "compat_paper_mse": args.compat_paper_mse},
+        fields, text=text,
+    )
 
 
 def cmd_verify(args) -> int:
     if args.max_n < 2:
         raise UsageError("--max-n must be at least 2; smaller populations have no designs")
+    _check_draws_and_seed(args)
     report = verify.run_verification(
         max_n=args.max_n, seed=args.seed, mc_draws=args.draws
     )
@@ -389,27 +342,20 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY
 
 
-# --------------------------------------------------------------- simulate
-
-
 def cmd_simulate(args) -> int:
-    science = _science(args.counts)
+    science = _table(ScienceTable, args)
     if not 1 <= args.n1 <= science.total - 1:
         raise UsageError("--n1 must leave both arms nonempty")
+    _check_draws_and_seed(args)
     dist = oracle.monte_carlo(science, args.n1, args.draws, args.seed)
     mean, variance = dist.tau_hat_moments()
     gap_mean, gap_var = dist.prediction_gap_moments()
     exact_var = moments.population_tau_variance(science, args.n1)
     exact_mse = moments.population_attributable_mse(science, args.n1)
-    if args.format == "json":
-        payload = {
-            "schema": "causalurn.simulate.v1",
-            "input": {
-                "science": list(args.counts),
-                "n1": args.n1,
-                "draws": args.draws,
-                "seed": args.seed,
-            },
+    return _emit(
+        args,
+        {"science": args.counts, "n1": args.n1, "draws": args.draws, "seed": args.seed},
+        {
             "rng": dist.rng,
             "tau": _machine(science.tau),
             "tau_hat_mean": _machine(mean),
@@ -418,18 +364,21 @@ def cmd_simulate(args) -> int:
             "prediction_gap_mean": _machine(gap_mean),
             "prediction_gap_variance": _machine(gap_var),
             "prediction_gap_variance_exact": _machine(exact_mse),
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"{args.draws} draws, seed {args.seed} ({dist.rng})")
-    print(f"tau:                    {_fmt(science.tau)}")
-    print(f"mean tau-hat:           {_fmt(mean)}")
-    print(f"var tau-hat:            {float(variance):.6f}  (exact {float(exact_var):.6f})")
-    print(f"var(A - N1 tau-hat):    {float(gap_var):.6f}  (exact {float(exact_mse):.6f})")
-    return EXIT_OK
+        },
+        text=lambda: [
+            f"{args.draws} draws, seed {args.seed} ({dist.rng})",
+            f"tau:                    {_fmt(science.tau)}",
+            f"mean tau-hat:           {_fmt(mean)}",
+            f"var tau-hat:            {float(variance):.6f}  (exact {float(exact_var):.6f})",
+            f"var(A - N1 tau-hat):    {float(gap_var):.6f}  (exact {float(exact_mse):.6f})",
+        ],
+    )
 
 
-# ------------------------------------------------------------------ wiring
+# What the four positional counts count: observed cells, or science-table types.
+_OBSERVED = ("treated successes", "treated failures", "control successes", "control failures")
+_SCIENCE = tuple(f"units responding under {arms}" for arms in
+                 ("both arms", "treatment only", "control only", "neither arm"))
 
 
 def build_parser() -> _Parser:
@@ -442,46 +391,43 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_table(p):
-        p.add_argument(
-            "counts", type=int, nargs=4,
-            metavar=("N11", "N10", "N01", "N00"),
-            help="observed counts: treated-success treated-failure "
-                 "control-success control-failure",
-        )
+    def command(name, func, summary, counts=(), formats=()):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        # Four positionals appending to one list: argparse cannot render the
+        # tuple metavar of a single nargs=4 positional in help or errors.
+        for metavar, text in zip(("N11", "N10", "N01", "N00"), counts):
+            p.add_argument("counts", metavar=metavar, type=int, action="append", help=text)
+        if formats:
+            p.add_argument("--format", default=formats[0], choices=formats)
+        return p
 
-    p = sub.add_parser("estimate", help="point and interval estimates of the effect")
-    add_table(p)
+    p = command("estimate", cmd_estimate, "point and interval estimates of the effect",
+                _OBSERVED, ("text", "json"))
     p.add_argument(
         "--method", default="improved",
         choices=("improved", "neyman", "neyman-classic", "sensitivity", "all"),
     )
     p.add_argument("--n01", type=int, default=0, help="assumed number of harmed units")
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--format", default="text", choices=("text", "json"))
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("sensitivity", help="sweep the assumed number of harmed units")
-    add_table(p)
+    p = command("sensitivity", cmd_sensitivity, "sweep the assumed number of harmed units",
+                _OBSERVED, ("text", "csv", "json"))
     p.add_argument(
         "--n01-max", default="auto",
         help="largest harmed count to scan, or 'auto' for the plug-in bound",
     )
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--format", default="text", choices=("text", "csv", "json"))
-    p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("posterior", help="posterior curve of the effect or of A")
-    add_table(p)
+    p = command("posterior", cmd_posterior, "posterior curve of the effect or of A",
+                _OBSERVED, ("csv", "json"))
     p.add_argument("--target", default="tau", choices=("tau", "A"))
     p.add_argument("--n01", type=int, default=0)
     p.add_argument("--prior-file", default=None,
                    help='JSON {"points": [{"n11":..,"n10":..,"weight":..}, ...]}')
-    p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.set_defaults(func=cmd_posterior)
 
-    p = sub.add_parser("attributable", help="inference for the attributable effect")
-    add_table(p)
+    p = command("attributable", cmd_attributable, "inference for the attributable effect",
+                _OBSERVED, ("text", "json"))
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--level", type=float, default=0.95,
                    help="level for the prediction interval")
@@ -489,28 +435,18 @@ def build_parser() -> _Parser:
                    help="plug the treated-arm rate into the prediction MSE")
     p.add_argument("--curve", action="store_true",
                    help="also print the standardized p-value curve")
-    p.add_argument("--format", default="text", choices=("text", "json"))
-    p.set_defaults(func=cmd_attributable)
 
-    p = sub.add_parser("verify", help="run the oracle identity suite")
+    p = command("verify", cmd_verify, "run the oracle identity suite")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--draws", type=int, default=20_000,
                    help="draws for the Monte Carlo subset")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="Monte Carlo draws from a science table")
-    p.add_argument(
-        "counts", type=int, nargs=4,
-        metavar=("N11", "N10", "N01", "N00"),
-        help="science-table counts by potential-outcome type "
-             "(both, treatment-only, control-only, neither)",
-    )
+    p = command("simulate", cmd_simulate, "Monte Carlo draws from a science table",
+                _SCIENCE, ("text", "json"))
     p.add_argument("--n1", type=int, required=True, help="treatment arm size")
     p.add_argument("--draws", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", default="text", choices=("text", "json"))
-    p.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -548,15 +484,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         _discard_stdout()
         return EXIT_BROKEN_PIPE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (InfeasibleError, oracle.EnumerationCapError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValueError as exc:
-        # Contract violations from library calls (negative counts, bad
-        # levels) are usage errors at the command line.
+        # UsageError, and contract violations from library calls (negative
+        # counts, bad levels), which are usage errors at the command line.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

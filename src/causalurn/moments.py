@@ -211,19 +211,25 @@ def sensitivity_sweep(
 
 
 def population_tau_variance(science: ScienceTable, n_treated: int) -> Fraction:
-    """Exact randomization variance of the rate difference, any science table."""
+    """Exact randomization variance of the rate difference, any science table.
+
+    N / (N - 1) times p1 (1 - p1) / N1 + p0 (1 - p0) / N0 - tau (1 - tau) / N
+    - 2 n01 / N^2, put over the one integer denominator N^2 (N - 1) N1 N0.
+    """
     total = science.total
     if not 1 <= n_treated <= total - 1:
         raise ValueError("n_treated must leave both arms nonempty")
     n_control = total - n_treated
-    p1, p0, tau = science.p1, science.p0, science.tau
-    inner = (
-        p1 * (1 - p1) / n_treated
-        + p0 * (1 - p0) / n_control
-        - tau * (1 - tau) / total
-        - Fraction(2 * science.n01, total * total)
+    y1 = science.n11 + science.n10  # units succeeding under treatment: N p1
+    y0 = science.n11 + science.n01  # under control: N p0
+    diff = science.n10 - science.n01  # N tau
+    numerator = (
+        y1 * (total - y1) * total * n_control
+        + y0 * (total - y0) * total * n_treated
+        - diff * (total - diff) * n_treated * n_control
+        - 2 * science.n01 * total * n_treated * n_control
     )
-    return Fraction(total, total - 1) * inner
+    return Fraction(numerator, total * total * (total - 1) * n_treated * n_control)
 
 
 def population_attributable_mse(science: ScienceTable, n_treated: int) -> Fraction:
@@ -232,5 +238,6 @@ def population_attributable_mse(science: ScienceTable, n_treated: int) -> Fracti
     if not 1 <= n_treated <= total - 1:
         raise ValueError("n_treated must leave both arms nonempty")
     n_control = total - n_treated
-    p0 = science.p0
-    return Fraction(total * total * n_treated, n_control * (total - 1)) * p0 * (1 - p0)
+    # N^2 N1 p0 (1 - p0) / (N0 (N - 1)) with p0 = y0 / N.
+    y0 = science.n11 + science.n01
+    return Fraction(n_treated * y0 * (total - y0), n_control * (total - 1))

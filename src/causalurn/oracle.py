@@ -91,7 +91,6 @@ class AssignmentDistribution:
     science: ScienceTable
     n_treated: int
     records: tuple[AssignmentRecord, ...]
-    outcomes: dict
     n_assignments: Optional[int]
     kind: str = "exact"
     draws: Optional[int] = None
@@ -105,6 +104,15 @@ class AssignmentDistribution:
     def denominator(self) -> int:
         """The total of the record weights: C(N, N1), or the draws."""
         return self.n_assignments if self.draws is None else self.draws
+
+    @property
+    def outcomes(self) -> dict:
+        """Probability of each observed table, in first-seen order; built on read."""
+        total = self.denominator
+        return {
+            obs: Fraction(weight, total)
+            for obs, weight in _outcome_weights(self.records).items()
+        }
 
     def expectation(self, fn: Callable[[AssignmentRecord], object]) -> Fraction:
         weighted = sum(record.weight * fn(record) for record in self.records)
@@ -173,13 +181,6 @@ def _outcome_weights(records: Iterable[AssignmentRecord]) -> Counter:
     return weights
 
 
-def _aggregate_outcomes(records: tuple, denominator: int) -> dict:
-    return {
-        obs: Fraction(weight, denominator)
-        for obs, weight in _outcome_weights(records).items()
-    }
-
-
 def enumerate_assignments(
     science: ScienceTable, n_treated: int, cap: Optional[int] = None
 ) -> AssignmentDistribution:
@@ -223,7 +224,6 @@ def enumerate_assignments(
         science=science,
         n_treated=n_treated,
         records=records,
-        outcomes=_aggregate_outcomes(records, n_assignments),
         n_assignments=n_assignments,
     )
 
@@ -276,7 +276,6 @@ def monte_carlo(
         science=science,
         n_treated=n_treated,
         records=records,
-        outcomes=_aggregate_outcomes(records, draws),
         n_assignments=None,
         kind="monte-carlo",
         draws=draws,

@@ -13,7 +13,6 @@ from causalurn import (
     hl_estimate,
     interval_A,
     neyman_predict,
-    pvalue,
     pvalue_exact,
     standardized_pvalues,
 )
@@ -22,7 +21,7 @@ from causalurn import (
 class TestPvalue:
     def test_degenerate_law(self):
         obs = ObservedTable(1, 1, 0, 2)
-        assert pvalue(obs, 0) == 1.0
+        assert float(pvalue_exact(obs, 0)) == 1.0
 
     def test_observed_outside_support_gives_zero(self, pit):
         # With s = 53 every unit responds under control, so observing only
@@ -163,6 +162,6 @@ class TestStandardizedPvalues:
 def test_inference_never_takes_a_harm_parameter():
     # The attributable-effect procedures are identical with or without the
     # no-harm assumption; by construction no function accepts a harmed count.
-    for fn in (pvalue, pvalue_exact, hl_estimate, interval_A, neyman_predict,
+    for fn in (pvalue_exact, hl_estimate, interval_A, neyman_predict,
                standardized_pvalues):
         assert "n01" not in inspect.signature(fn).parameters

@@ -59,12 +59,14 @@ class TestDiscreteDistribution:
 
 class TestPrior:
     def test_uniform_weight(self):
-        assert UNIFORM.weight(ParameterPoint(3, 4)) == 1
+        assert UNIFORM.kind == "uniform"
+        assert UNIFORM.weights is None
 
     def test_table_weights(self):
         prior = Prior.from_weights({ParameterPoint(1, 2): 2, ParameterPoint(0, 0): 0})
-        assert prior.weight(ParameterPoint(1, 2)) == 2
-        assert prior.weight(ParameterPoint(9, 9)) == 0
+        assert prior.weights == {ParameterPoint(1, 2): 2, ParameterPoint(0, 0): 0}
+        assert all(isinstance(w, Fraction) for w in prior.weights.values())
+        assert ParameterPoint(9, 9) not in prior.weights
 
     def test_rejects_empty_or_negative(self):
         with pytest.raises(ValueError):

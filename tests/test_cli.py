@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 import causalurn
@@ -19,6 +20,185 @@ from causalurn.cli import (
 )
 
 PIT = ["18", "14", "5", "16"]
+SUBCOMMANDS = ("estimate", "sensitivity", "posterior", "attributable", "verify", "simulate")
+COUNTED = ("estimate", "sensitivity", "posterior", "attributable", "simulate")
+
+# Outputs recorded before the CLI's renderers were merged; each must stay
+# byte for byte. NUMPY_VERSION stands for the installed numpy's version.
+GOLDEN_TEXT = {
+    "estimate 18 14 5 16 --method all": (
+        "tau-hat: 0.324",
+        "neyman                 0.324  [0.072, 0.577]  length 0.506",
+        "neyman-classic         0.324  [0.069, 0.580]  length 0.511",
+        "improved               0.324  [0.106, 0.543]  length 0.437",
+        "sensitivity(n01=0)     0.324  [0.106, 0.543]  length 0.437",
+    ),
+    "estimate 2 3 1 4 --method all --n01 1 --level 0.9": (
+        "tau-hat: 0.200",
+        "neyman                 0.200  [-0.290, 0.690]  length 0.981",
+        "neyman-classic         0.200  [-0.320, 0.720]  length 1.040",
+        "improved               0.200  [-0.239, 0.639]  length 0.877",
+        "sensitivity(n01=1)     0.200  [-0.164, 0.564]  length 0.727",
+    ),
+    "sensitivity 18 14 5 16 --n01-max 6": (
+        "sensitivity sweep, n01 from 0 to 6 (level 0.95)",
+        " n01   point          interval  length   bayes         bayes hpd  length",
+        "   0   0.324  [0.106, 0.543]   0.437   0.302  [0.075, 0.491]   0.415",
+        "   1   0.324  [0.112, 0.536]   0.424   0.302  [0.094, 0.491]   0.396",
+        "   2   0.324  [0.119, 0.530]   0.411   0.302  [0.094, 0.491]   0.396",
+        "   3   0.324  [0.126, 0.523]   0.397   0.302  [0.094, 0.472]   0.377",
+        "   4   0.324  [0.133, 0.516]   0.383   0.302  [0.094, 0.472]   0.377",
+        "   5   0.324  [0.141, 0.508]   0.368   0.302  [0.113, 0.472]   0.358",
+        "   6   0.324  [0.148, 0.501]   0.352   0.302  [0.113, 0.453]   0.340",
+    ),
+    "sensitivity 2 3 1 4 --n01-max 4": (
+        "sensitivity sweep, n01 from 0 to 4 (level 0.95)",
+        " n01   point          interval  length   bayes         bayes hpd  length",
+        "   0   0.200  [-0.323, 0.723]   1.045   0.200  [0.000, 0.500]   0.500",
+        "   1   0.200  [-0.233, 0.633]   0.867   0.200  [-0.100, 0.400]   0.500",
+        "   2   0.200  [-0.120, 0.520]   0.640   0.100  [-0.200, 0.400]   0.600",
+        "   3   0.200  [0.069, 0.331]   0.261   0.100  [-0.200, 0.300]   0.500",
+        "   4   0.200        infeasible           0.100  [-0.300, 0.200]   0.500",
+    ),
+    "sensitivity 1 0 3 2 --n01-max 4": (
+        "sensitivity sweep, n01 from 0 to 4 (level 0.95)",
+        " n01   point          interval  length   bayes         bayes hpd  length",
+        "   0   0.400  [0.208, 0.592]   0.384   0.167  [0.000, 0.500]   0.500",
+        "   1   0.400        infeasible           0.167  [-0.167, 0.333]   0.500",
+        "   2   0.400        infeasible           0.000  [-0.333, 0.167]   0.500",
+        "   3   0.400        infeasible          -0.167  [-0.500, 0.000]   0.500",
+        "   4   0.400        infeasible                        infeasible        ",
+    ),
+    "attributable 18 14 5 16": (
+        "HL estimate of A: {9, 10, 11}",
+        "95% inversion interval for A: [2, 16]",
+        "prediction: 10.381  [2.807, 17.955]  (95%, mse from control-arm rate)",
+    ),
+    "attributable 18 14 5 16 --curve": (
+        "HL estimate of A: {9, 10, 11}",
+        "95% inversion interval for A: [2, 16]",
+        "prediction: 10.381  [2.807, 17.955]  (95%, mse from control-arm rate)",
+        "standardized p-values (A, mass):",
+        "     0  0.00342608096296",
+        "     1  0.00638014556688",
+        "     2  0.0114644441957",
+        "     3  0.0197430056677",
+        "     4  0.021224834508",
+        "     5  0.0332252255893",
+        "     6  0.0502767514531",
+        "     7  0.0731030690109",
+        "     8  0.101570189807",
+        "     9  0.134265587613",
+        "    10  0.134265587613",
+        "    11  0.134265587613",
+        "    12  0.0987814647004",
+        "    13  0.0660958176815",
+        "    14  0.0612350166951",
+        "    15  0.0322622578273",
+        "    16  0.0133371721045",
+        "    17  0.00412568112882",
+        "    18  0.000952080260497",
+    ),
+    "attributable 2 3 1 4 --compat-paper-mse --alpha 0.2 --level 0.9": (
+        "HL estimate of A: {0, 1, 2}",
+        "80% inversion interval for A: [-2, 2]",
+        "prediction: 1.000  [-1.686, 3.686]  (90%, mse from treated-arm rate (compat))",
+    ),
+    "attributable 1 0 3 2 --curve --compat-paper-mse": (
+        "HL estimate of A: {0, 1}",
+        "95% inversion interval for A: [0, 1]",
+        "prediction: 0.400  [0.400, 0.400]  (95%, mse from treated-arm rate (compat))",
+        "standardized p-values (A, mass):",
+        "     0  0.5",
+        "     1  0.5",
+    ),
+    "attributable 17 13 0 13 --alpha 0.3": (
+        "HL estimate of A: {15, 16, 17}",
+        "70% inversion interval for A: [12, 17]",
+        "  retained values are not contiguous: [12, 14, 15, 16, 17]",
+        "prediction: 17.000  [17.000, 17.000]  (95%, mse from control-arm rate)",
+    ),
+    "simulate 2 3 1 4 --n1 5 --draws 2000 --seed 3": (
+        "2000 draws, seed 3 (numpy.random.Generator(PCG64(seed=3)), numpy NUMPY_VERSION)",
+        "tau:                    0.200",
+        "mean tau-hat:           0.200",
+        "var tau-hat:            0.063660  (exact 0.062222)",
+        "var(A - N1 tau-hat):    2.351711  (exact 2.333333)",
+    ),
+    "simulate 13 10 0 30 --n1 32 --draws 5000 --seed 11": (
+        "5000 draws, seed 11 (numpy.random.Generator(PCG64(seed=11)), numpy NUMPY_VERSION)",
+        "tau:                    0.189",
+        "mean tau-hat:           0.189",
+        "var tau-hat:            0.013805  (exact 0.013865)",
+        "var(A - N1 tau-hat):    15.058890  (exact 15.238095)",
+    ),
+}
+
+GOLDEN_JSON = {
+    "attributable 18 14 5 16 --format json": (
+        {"schema": "causalurn.attributable.v1",
+         "input": {"table": [18, 14, 5, 16],
+                   "alpha": 0.05,
+                   "level": 0.95,
+                   "compat_paper_mse": False},
+         "hl_estimate": [9, 10, 11],
+         "inversion": {"method": "exact-inversion",
+                       "point": 10.0,
+                       "lower": 2.0,
+                       "upper": 16.0,
+                       "length": 14.0,
+                       "level": 0.95},
+         "retained": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+         "prediction": {"method": "prediction",
+                        "point": 10.380952381,
+                        "lower": 2.80716115711,
+                        "upper": 17.9547436048,
+                        "length": 15.1475824477,
+                        "level": 0.95}}
+    ),
+    "attributable 2 3 1 4 --format json": (
+        {"schema": "causalurn.attributable.v1",
+         "input": {"table": [2, 3, 1, 4],
+                   "alpha": 0.05,
+                   "level": 0.95,
+                   "compat_paper_mse": False},
+         "hl_estimate": [0, 1, 2],
+         "inversion": {"method": "exact-inversion",
+                       "point": 1.0,
+                       "lower": -2.0,
+                       "upper": 2.0,
+                       "length": 4.0,
+                       "level": 0.95},
+         "retained": [-2, -1, 0, 1, 2],
+         "prediction": {"method": "prediction",
+                        "point": 1.0,
+                        "lower": -1.61328531272,
+                        "upper": 3.61328531272,
+                        "length": 5.22657062544,
+                        "level": 0.95}}
+    ),
+    "attributable 17 13 0 13 --alpha 0.3 --format json": (
+        {"schema": "causalurn.attributable.v1",
+         "input": {"table": [17, 13, 0, 13],
+                   "alpha": 0.3,
+                   "level": 0.95,
+                   "compat_paper_mse": False},
+         "hl_estimate": [15, 16, 17],
+         "inversion": {"method": "exact-inversion",
+                       "point": 16.0,
+                       "lower": 12.0,
+                       "upper": 17.0,
+                       "length": 5.0,
+                       "level": 0.7},
+         "retained": [12, 14, 15, 16, 17],
+         "prediction": {"method": "prediction",
+                        "point": 17.0,
+                        "lower": 17.0,
+                        "upper": 17.0,
+                        "length": 0.0,
+                        "level": 0.95}}
+    ),
+}
 
 
 def run(capsys, *argv):
@@ -304,6 +484,62 @@ class TestSimulate:
     def test_arm_validation(self, capsys):
         code, _, _ = run(capsys, "simulate", "1", "1", "0", "1", "--n1", "3")
         assert code == EXIT_USAGE
+
+
+class TestGolden:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_TEXT))
+    def test_text(self, capsys, command):
+        expected = "\n".join(GOLDEN_TEXT[command]) + "\n"
+        expected = expected.replace("NUMPY_VERSION", numpy.__version__)
+        assert run(capsys, *command.split()) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_JSON))
+    def test_json(self, capsys, command):
+        expected = json.dumps(GOLDEN_JSON[command], indent=2) + "\n"
+        assert run(capsys, *command.split()) == (EXIT_OK, expected, "")
+
+
+class TestUsage:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == EXIT_OK
+        assert out.startswith(f"usage: causalurn {command}")
+        if command in COUNTED:
+            assert "N11 N10 N01 N00" in out
+
+    @pytest.mark.parametrize("command", COUNTED)
+    @pytest.mark.parametrize("given", [0, 2, 3])
+    def test_missing_counts_exit_1(self, capsys, command, given):
+        argv = [command, *PIT[:given]]
+        if command == "simulate":
+            argv += ["--n1", "3"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: the following arguments are required: ")
+        assert "N00" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--draws", "0", "error: --draws must be positive\n"),
+        ("--draws", "-5", "error: --draws must be positive\n"),
+        ("--seed", "-1", "error: --seed must be nonnegative\n"),
+    ], ids=["draws-0", "draws-negative", "seed-negative"])
+    @pytest.mark.parametrize("command", [
+        ["verify", "--max-n", "9"],
+        ["simulate", *PIT, "--n1", "3"],
+    ], ids=["verify", "simulate"])
+    def test_draws_and_seed_checked_before_work(self, capsys, monkeypatch,
+                                                command, flag, value, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        monkeypatch.setattr("causalurn.cli.verify.run_verification", no_work)
+        monkeypatch.setattr("causalurn.cli.oracle.monte_carlo", no_work)
+        assert run(capsys, *command, flag, value) == (EXIT_USAGE, "", message)
 
 
 class TestClosedOutput:

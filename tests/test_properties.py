@@ -7,6 +7,8 @@ hypergeometric law built from ``math.comb``; ``hpd_window`` against a scan
 of every window. On science tables of up to 12 units the likelihood kernel
 and the oracle's integer moments are checked against the enumerated
 assignments, and the Monte Carlo tally against a row-wise ``np.unique``.
+The closed-form population variances are checked against the ``Fraction``
+formulas they replaced, on science tables of up to 400 units.
 """
 
 import math
@@ -32,6 +34,8 @@ from causalurn import (
     likelihood_exact,
     mle,
     monte_carlo,
+    population_attributable_mse,
+    population_tau_variance,
     posterior_points,
     pvalue_exact,
     standardized_pvalues,
@@ -248,6 +252,36 @@ def test_integer_moments_equal_the_fraction_reference(science):
         assert dist.prediction_gap_moments() == _fraction_moments(
             dist, lambda r: r.attributable - n_treated * tau_hat(r)
         )
+
+
+def _reference_tau_variance(science, n_treated):
+    """The Fraction chain the integer closed form replaced."""
+    total, n_control = science.total, science.total - n_treated
+    p1, p0, tau = science.p1, science.p0, science.tau
+    inner = (
+        p1 * (1 - p1) / n_treated
+        + p0 * (1 - p0) / n_control
+        - tau * (1 - tau) / total
+        - Fraction(2 * science.n01, total * total)
+    )
+    return Fraction(total, total - 1) * inner
+
+
+def _reference_attributable_mse(science, n_treated):
+    total, p0 = science.total, science.p0
+    return Fraction(total * total * n_treated, (total - n_treated) * (total - 1)) * p0 * (1 - p0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sciences(max_total=400), st.data())
+def test_population_moments_equal_the_fraction_reference(science, data):
+    n_treated = data.draw(st.integers(1, science.total - 1), label="N1")
+    assert population_tau_variance(science, n_treated) == _reference_tau_variance(
+        science, n_treated
+    )
+    assert population_attributable_mse(science, n_treated) == _reference_attributable_mse(
+        science, n_treated
+    )
 
 
 @ORACLE
