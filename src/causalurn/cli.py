@@ -48,9 +48,16 @@ class UsageError(ValueError):
     pass
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exit(2)
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):  # after -h: main returns, no sys.exit(0)
+        raise _HelpShown
 
 
 def _machine(value) -> float:
@@ -481,6 +488,8 @@ def main(argv=None) -> int:
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()
         return code
+    except _HelpShown:
+        return EXIT_OK
     except BrokenPipeError:
         _discard_stdout()
         return EXIT_BROKEN_PIPE

@@ -30,7 +30,10 @@ def normal_quantile(level: float) -> float:
     """Two-sided standard normal quantile for a central interval."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    return NormalDist().inv_cdf((1.0 + level) / 2.0)
+    upper = (1.0 + level) / 2.0
+    if upper == 1.0:  # level within 1e-16 of 1: the quantile would be infinite
+        raise ValueError(f"level {level} is too close to 1 for a normal quantile")
+    return NormalDist().inv_cdf(upper)
 
 
 def tau_hat(obs: ObservedTable) -> Fraction:

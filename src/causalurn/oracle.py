@@ -6,10 +6,11 @@ of each unit type into the treatment arm produce identical observed data,
 so enumeration runs over type compositions (at most (N1+1)^3 cells)
 weighted by multivariate hypergeometric counts instead of over all
 C(N, N1) raw assignments. Each composition carries its integer way count,
-and every probability is that count over the one shared denominator
-C(N, N1), so moments are exact integer sums divided once. A seeded Monte
-Carlo stand-in covers populations beyond the enumeration cap; its weights
-are draw counts over the number of draws.
+and every probability is that count over the distribution's one
+``denominator``, C(N, N1), so moments are exact integer sums divided once.
+A seeded Monte Carlo stand-in covers populations beyond the enumeration
+cap; its weights are draw counts, its denominator the number of draws, and
+it is the one sampler here: ``normality_check`` studentizes its tally.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .moments import population_tau_variance
+from .moments import improved_variance, population_tau_variance, tau_hat
 from .tables import ObservedTable, ScienceTable
 
 ENUM_CAP_ENV = "CAUSALURN_ENUM_CAP"
@@ -60,50 +61,35 @@ class AssignmentRecord:
     ``treated_types`` counts, per potential-outcome type (11, 10, 01, 00),
     how many units of that type were assigned to treatment. ``weight`` is
     the number of assignments (or Monte Carlo draws) with this composition,
-    out of ``denominator``, which every record of a distribution shares.
-    The attributable effect is treated helped minus treated harmed; it
-    varies across compositions that share an observed table.
+    out of the ``denominator`` of its distribution. The attributable effect
+    is treated helped minus treated harmed; it varies across compositions
+    that share an observed table.
     """
 
     observed: ObservedTable
     treated_types: tuple[int, int, int, int]
     weight: int
-    denominator: int
     attributable: int
-
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(self.weight, self.denominator)
-
-    @property
-    def tau_hat(self) -> Fraction:
-        obs = self.observed
-        return Fraction(obs.n11, obs.n_treated) - Fraction(obs.n01, obs.n_control)
 
 
 @dataclass(frozen=True)
 class AssignmentDistribution:
     """Sampling distribution of the observed data for one science table.
 
-    Monte Carlo laws have denominator ``draws`` and ``n_assignments`` None.
+    ``denominator`` is the total of the record weights: C(N, N1) for an
+    enumerated law, the number of draws for a Monte Carlo one, which also
+    names its generator in ``rng`` (None when enumerated).
     """
 
     science: ScienceTable
     n_treated: int
     records: tuple[AssignmentRecord, ...]
-    n_assignments: Optional[int]
-    kind: str = "exact"
-    draws: Optional[int] = None
+    denominator: int
     rng: Optional[str] = None
 
     @property
     def n_control(self) -> int:
         return self.science.total - self.n_treated
-
-    @property
-    def denominator(self) -> int:
-        """The total of the record weights: C(N, N1), or the draws."""
-        return self.n_assignments if self.draws is None else self.draws
 
     @property
     def outcomes(self) -> dict:
@@ -154,8 +140,7 @@ class AssignmentDistribution:
 
 
 def _record(
-    science: ScienceTable, n_treated: int, types: tuple[int, int, int, int],
-    weight: int, denominator: int,
+    science: ScienceTable, types: tuple[int, int, int, int], weight: int
 ) -> AssignmentRecord:
     x11, x10, x01, x00 = types
     observed = ObservedTable(
@@ -168,7 +153,6 @@ def _record(
         observed=observed,
         treated_types=types,
         weight=weight,
-        denominator=denominator,
         attributable=x10 - x01,
     )
 
@@ -181,11 +165,8 @@ def _outcome_weights(records: Iterable[AssignmentRecord]) -> Counter:
     return weights
 
 
-def enumerate_assignments(
-    science: ScienceTable, n_treated: int, cap: Optional[int] = None
-) -> AssignmentDistribution:
-    """Exact sampling distribution over all C(N, N1) assignments."""
-    total = science.total
+def _assignment_count(total: int, n_treated: int, cap: Optional[int]) -> int:
+    """C(N, N1), after checking both arms are nonempty and it is within the cap."""
     if not 1 <= n_treated <= total - 1:
         raise ValueError("n_treated must leave both arms nonempty")
     n_assignments = math.comb(total, n_treated)
@@ -195,6 +176,14 @@ def enumerate_assignments(
             f"C({total}, {n_treated}) = {n_assignments} exceeds the cap {limit}; "
             "use monte_carlo instead"
         )
+    return n_assignments
+
+
+def enumerate_assignments(
+    science: ScienceTable, n_treated: int, cap: Optional[int] = None
+) -> AssignmentDistribution:
+    """Exact sampling distribution over all C(N, N1) assignments."""
+    n_assignments = _assignment_count(science.total, n_treated, cap)
     records = []
     for x11 in range(min(science.n11, n_treated) + 1):
         for x10 in range(min(science.n10, n_treated - x11) + 1):
@@ -208,24 +197,14 @@ def enumerate_assignments(
                     * math.comb(science.n01, x01)
                     * math.comb(science.n00, x00)
                 )
-                records.append(
-                    _record(
-                        science, n_treated, (x11, x10, x01, x00),
-                        ways, n_assignments,
-                    )
-                )
+                records.append(_record(science, (x11, x10, x01, x00), ways))
     records = tuple(records)
     total_ways = sum(r.weight for r in records)
     if total_ways != n_assignments:
         raise AssertionError(
             f"composition probabilities sum to {Fraction(total_ways, n_assignments)}"
         )
-    return AssignmentDistribution(
-        science=science,
-        n_treated=n_treated,
-        records=records,
-        n_assignments=n_assignments,
-    )
+    return AssignmentDistribution(science, n_treated, records, n_assignments)
 
 
 def monte_carlo(
@@ -266,19 +245,10 @@ def monte_carlo(
         head, x01 = divmod(key, r01)
         x11, x10 = divmod(head, r10)
         records.append(
-            _record(
-                science, n_treated, (x11, x10, x01, n_treated - x11 - x10 - x01),
-                tally[key], draws,
-            )
+            _record(science, (x11, x10, x01, n_treated - x11 - x10 - x01), tally[key])
         )
-    records = tuple(records)
     return AssignmentDistribution(
-        science=science,
-        n_treated=n_treated,
-        records=records,
-        n_assignments=None,
-        kind="monte-carlo",
-        draws=draws,
+        science, n_treated, tuple(records), draws,
         rng=f"numpy.random.Generator(PCG64(seed={seed})), numpy {np.__version__}",
     )
 
@@ -302,14 +272,7 @@ def lemma1_check(
     total = len(values)
     if total < 2:
         raise ValueError("need at least 2 constants")
-    if not 1 <= n_treated <= total - 1:
-        raise ValueError("n_treated must leave both arms nonempty")
-    n_assignments = math.comb(total, n_treated)
-    limit = enumeration_cap() if cap is None else cap
-    if n_assignments > limit:
-        raise EnumerationCapError(
-            f"C({total}, {n_treated}) = {n_assignments} exceeds the cap {limit}"
-        )
+    n_assignments = _assignment_count(total, n_treated, cap)
     sums = [
         sum(combo) for combo in itertools.combinations(values, n_treated)
     ]
@@ -332,7 +295,8 @@ class NormalityReport:
 
     Report-only: the underlying claim is asymptotic, so no hard threshold
     is attached. ``excluded`` counts draws whose plug-in variance was zero
-    and could not be studentized.
+    and could not be studentized; when every draw is excluded the report
+    is skipped, like a degenerate science table.
     """
 
     science: ScienceTable
@@ -349,39 +313,41 @@ class NormalityReport:
 def normality_check(
     science: ScienceTable, n_treated: int, draws: int, seed: int
 ) -> NormalityReport:
-    """Kolmogorov-Smirnov distance of (tau_hat - tau)/sqrt(V_hat) from N(0,1)."""
+    """Kolmogorov-Smirnov distance of (tau_hat - tau)/sqrt(V_hat) from N(0,1).
+
+    The draws come from :func:`monte_carlo`; each distinct observed table
+    is studentized once and counts as many times as it was drawn.
+    """
     if draws < 10**4:
         raise ValueError("need at least 10^4 draws for a stable distance")
-    total = science.total
     if population_tau_variance(science, n_treated) == 0:
         return NormalityReport(
             science=science, n_treated=n_treated, draws=draws, seed=seed,
             skipped=True, reason="degenerate science table: estimator variance is 0",
         )
-    rng = np.random.default_rng(seed)
-    colors = [science.n11, science.n10, science.n01, science.n00]
-    samples = rng.multivariate_hypergeometric(colors, n_treated, size=draws)
-    n_control = total - n_treated
-    n11_obs = samples[:, 0] + samples[:, 1]
-    n01_obs = (science.n11 - samples[:, 0]) + (science.n01 - samples[:, 2])
-    p1 = n11_obs / n_treated
-    p0 = n01_obs / n_control
-    t_hat = p1 - p0
-    v_hat = (total / (total - 1)) * (
-        p1 * (1 - p1) / n_treated
-        + p0 * (1 - p0) / n_control
-        - t_hat * (1 - t_hat) / total
-    )
-    usable = v_hat > 0
-    z = np.sort((t_hat[usable] - float(science.tau)) / np.sqrt(v_hat[usable]))
+    dist = monte_carlo(science, n_treated, draws, seed)
+    tau = float(science.tau)
+    studentized = []  # (z, number of draws)
+    for obs, weight in _outcome_weights(dist.records).items():
+        variance = improved_variance(obs)
+        if variance > 0:
+            z = (float(tau_hat(obs)) - tau) / math.sqrt(variance)
+            studentized.append((z, weight))
+    usable = sum(weight for _, weight in studentized)
+    if not usable:
+        return NormalityReport(
+            science=science, n_treated=n_treated, draws=draws, seed=seed,
+            skipped=True, excluded=draws, rng=dist.rng,
+            reason="no draw has a positive plug-in variance",
+        )
+    # The empirical CDF steps from below / usable to above / usable at z.
     cdf = NormalDist().cdf
-    n = len(z)
-    distance = max(
-        max((i + 1) / n - cdf(v), cdf(v) - i / n) for i, v in enumerate(z.tolist())
-    )
+    distance = below = 0
+    for z, weight in sorted(studentized):
+        above = below + weight
+        distance = max(distance, above / usable - cdf(z), cdf(z) - below / usable)
+        below = above
     return NormalityReport(
         science=science, n_treated=n_treated, draws=draws, seed=seed,
-        skipped=False, ks_statistic=float(distance),
-        excluded=int(draws - n),
-        rng=f"numpy.random.Generator(PCG64(seed={seed})), numpy {np.__version__}",
+        skipped=False, ks_statistic=distance, excluded=draws - usable, rng=dist.rng,
     )

@@ -136,15 +136,6 @@ class ParameterPoint:
         for name in ("n11", "n10", "n01"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
 
-    def to_science(self, total: int) -> ScienceTable:
-        """Materialize the full science table for a population of ``total``."""
-        n00 = total - self.n11 - self.n10 - self.n01
-        if n00 < 0:
-            raise InfeasibleError(
-                f"point {self} does not fit in a population of {total}"
-            )
-        return ScienceTable(self.n11, self.n10, self.n01, n00)
-
 
 INTERVAL_METHODS = (
     "neyman",
@@ -189,14 +180,29 @@ def monotone_support(obs: ObservedTable) -> tuple[ParameterPoint, ...]:
 
     The region is ``n01_obs <= n11 <= n11_obs + n01_obs <= n10 + n11
     <= N - n10_obs`` and always contains exactly
-    ``(n11_obs + 1) * (n00_obs + 1)`` points.
+    ``(n11_obs + 1) * (n00_obs + 1)`` points: the general support at
+    ``n01 = 0``.
     """
+    return general_support(obs, 0)
+
+
+def _n11_range(obs: ObservedTable, n01: int) -> range:
+    # The support's n11 values given n01 harmed units; empty when n01 is
+    # infeasible, which happens exactly when n01 > n10_obs + n01_obs.
+    if n01 > obs.n10 + obs.n01:
+        return range(0)
+    hi = min(obs.n01 + obs.n11, obs.total - obs.n00 - n01)
+    return range(max(0, obs.n01 - n01), hi + 1)
+
+
+def _n10_range(obs: ObservedTable, n01: int, n11: int) -> range:
+    # The support's n10 values in row n11: the row sum n10 + n11 runs from
+    # max(n11_obs + n01_obs - n01, n11_obs) to N - n10_obs, n10 is at most
+    # N - n01_obs - n10_obs, and n00 = N - n11 - n10 - n01 is nonnegative.
     total = obs.total
-    points = []
-    for n11 in range(obs.n01, obs.n01 + obs.n11 + 1):
-        for row_sum in range(obs.n11 + obs.n01, total - obs.n10 + 1):
-            points.append(ParameterPoint(n11=n11, n10=row_sum - n11, n01=0))
-    return tuple(points)
+    lo = max(0, obs.n11 + obs.n01 - n01 - n11, obs.n11 - n11)
+    hi = min(total - obs.n01 - obs.n10, total - obs.n10 - n11, total - n01 - n11)
+    return range(lo, hi + 1)
 
 
 def support_rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
@@ -206,20 +212,7 @@ def support_rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
     units, and no other point does. Empty when ``n01`` is infeasible.
     """
     n01 = _count(n01, "n01")
-    if n01 > obs.n10 + obs.n01:
-        return []
-    total = obs.total
-    n11_lo = max(0, obs.n01 - n01)
-    n11_hi = min(obs.n01 + obs.n11, total - obs.n00 - n01)
-    sum_lo = max(obs.n11 + obs.n01 - n01, obs.n11)
-    sum_hi = total - obs.n10
-    n10_cap = total - obs.n01 - obs.n10
-    rows = []
-    for n11 in range(n11_lo, n11_hi + 1):
-        lo = max(0, sum_lo - n11)
-        hi = min(n10_cap, sum_hi - n11, total - n01 - n11)
-        rows.append((n11, range(lo, hi + 1)))
-    return rows
+    return [(n11, _n10_range(obs, n01, n11)) for n11 in _n11_range(obs, n01)]
 
 
 def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
@@ -227,7 +220,7 @@ def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
 
     Returns the empty tuple when ``n01`` is infeasible for this data, which
     happens exactly when ``n01 > n10_obs + n01_obs``; sensitivity sweeps can
-    then skip the value gracefully. At ``n01 = 0`` the result equals
+    then skip the value gracefully. At ``n01 = 0`` this is
     :func:`monotone_support`.
     """
     return tuple(
@@ -239,17 +232,5 @@ def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
 
 def in_general_support(obs: ObservedTable, point: ParameterPoint) -> bool:
     """O(1) membership test equivalent to ``point in general_support(...)``."""
-    total = obs.total
-    n01 = point.n01
-    if n01 > obs.n10 + obs.n01:
-        return False
-    if point.n11 + point.n10 + n01 > total:
-        return False
-    if not max(0, obs.n01 - n01) <= point.n11 <= min(
-        obs.n01 + obs.n11, total - obs.n00 - n01
-    ):
-        return False
-    if point.n10 > total - obs.n01 - obs.n10:
-        return False
-    row_sum = point.n10 + point.n11
-    return max(obs.n11 + obs.n01 - n01, obs.n11) <= row_sum <= total - obs.n10
+    n01, n11 = point.n01, point.n11
+    return n11 in _n11_range(obs, n01) and point.n10 in _n10_range(obs, n01, n11)

@@ -145,7 +145,7 @@ def run_verification(
             lik.record(
                 likelihood._numerator(obs, p11, p10, p01) == weight,
                 lambda: f"{label()} obs={obs}: likelihood != probability "
-                f"{Fraction(weight, dist.n_assignments)}",
+                f"{Fraction(weight, dist.denominator)}",
             )
             support.record(
                 in_general_support(obs, point),

@@ -11,6 +11,7 @@ from causalurn import (
     ObservedTable,
     ParameterPoint,
     Prior,
+    ScienceTable,
     a_posterior,
     enumerate_assignments,
     general_support,
@@ -108,7 +109,9 @@ class TestPosteriorPoints:
         dist = posterior_points(obs, n01)
         oracle_masses = {}
         for point in general_support(obs, n01):
-            assignments = enumerate_assignments(point.to_science(obs.total), 3)
+            n00 = obs.total - point.n11 - point.n10 - point.n01
+            science = ScienceTable(point.n11, point.n10, point.n01, n00)
+            assignments = enumerate_assignments(science, 3)
             oracle_masses[point] = assignments.outcomes.get(obs, Fraction(0))
         total = sum(oracle_masses.values())
         for point, mass in zip(dist.support, dist.mass):

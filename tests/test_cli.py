@@ -502,13 +502,27 @@ class TestGolden:
 class TestUsage:
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_help_exits_0(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "-h"])
+        assert main([command, "-h"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert exc.value.code == EXIT_OK
         assert out.startswith(f"usage: causalurn {command}")
         if command in COUNTED:
             assert "N11 N10 N01 N00" in out
+
+    def test_top_level_help_exits_0(self, capsys):
+        assert main(["-h"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: causalurn")
+        assert all(command in captured.out for command in SUBCOMMANDS)
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command", ["estimate", "sensitivity", "attributable"])
+    def test_level_rounding_to_one_exit_1(self, capsys, command):
+        # Inside (0, 1), but (1 + level) / 2 rounds to 1.0 in double precision.
+        code, out, err = run(capsys, command, *PIT, "--level", "0.9999999999999999")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: level 0.9999999999999999")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", COUNTED)
     @pytest.mark.parametrize("given", [0, 2, 3])

@@ -152,10 +152,14 @@ class TestConfidenceInterval:
 
     def test_quantile_accuracy(self):
         assert normal_quantile(0.95) == pytest.approx(1.959963984540054, abs=1e-9)
+        assert normal_quantile(0.999999999999999) > 7
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
             confidence_interval(0.0, 1.0, 1.0)
+        # Inside (0, 1), but (1 + level) / 2 rounds to 1.0.
+        with pytest.raises(ValueError, match="level 0.9999999999999999"):
+            confidence_interval(0.0, 1.0, 0.9999999999999999)
         with pytest.raises(ValueError):
             confidence_interval(0.0, -1.0, 0.95)
 

@@ -39,11 +39,12 @@ class TestEnumerate:
     def test_probabilities_sum_to_one_exactly(self):
         dist = enumerate_assignments(ScienceTable(2, 3, 1, 2), 4)
         assert sum(dist.outcomes.values()) == 1
-        assert sum(r.probability for r in dist.records) == 1
+        assert sum(r.weight for r in dist.records) == dist.denominator
 
     def test_assignment_count(self):
         dist = enumerate_assignments(ScienceTable(2, 3, 1, 2), 4)
-        assert dist.n_assignments == math.comb(8, 4)
+        assert dist.denominator == math.comb(8, 4)
+        assert dist.rng is None
 
     def test_cap_exceeded_instructs_monte_carlo(self):
         with pytest.raises(EnumerationCapError, match="monte_carlo"):
@@ -83,14 +84,14 @@ class TestMonteCarlo:
 
     def test_frequencies_sum_to_one(self):
         dist = monte_carlo(ScienceTable(3, 4, 1, 5), 6, draws=777, seed=5)
-        assert sum(r.probability for r in dist.records) == 1
-        assert dist.kind == "monte-carlo"
-        assert dist.draws == 777
+        assert dist.denominator == 777
+        assert sum(r.weight for r in dist.records) == 777
+        assert sum(dist.outcomes.values()) == 1
+        assert dist.rng.startswith("numpy.random.Generator(PCG64(seed=5))")
 
     def test_large_population_skips_the_assignment_count(self):
         # C(10^6, 3 * 10^5) would take seconds; the draws need none of it.
         dist = monte_carlo(ScienceTable(250000, 250000, 250000, 250000), 300000, 10, 0)
-        assert dist.n_assignments is None
         assert dist.denominator == 10
         assert sum(r.weight for r in dist.records) == 10
 
@@ -170,6 +171,29 @@ class TestNormalityCheck:
         small = normality_check(ScienceTable(10, 10, 0, 20), 20, draws=20_000, seed=7)
         large = normality_check(ScienceTable(100, 100, 0, 200), 200, draws=20_000, seed=7)
         assert large.ks_statistic < small.ks_statistic
+
+    def test_distances_match_the_numpy_studentization(self):
+        # Values from studentizing every draw in numpy floats, before the
+        # draws were tallied by monte_carlo and studentized once per table.
+        for science, n_treated, draws, distance, excluded in [
+            (ScienceTable(10, 10, 0, 20), 20, 20_000, 0.07625612901770273, 0),
+            (ScienceTable(100, 100, 0, 200), 200, 20_000, 0.028049009601965436, 0),
+            (ScienceTable(0, 3, 0, 9), 6, 12_345, 0.26979835628649607, 1139),
+            (ScienceTable(20, 15, 5, 60), 50, 150_000, 0.05001486684714068, 0),
+        ]:
+            report = normality_check(science, n_treated, draws, seed=7)
+            assert report.ks_statistic == pytest.approx(distance, abs=1e-12)
+            assert report.excluded == excluded
+            assert report.rng.startswith("numpy.random.Generator(PCG64(seed=7))")
+
+    def test_no_positive_plug_in_variance_is_skipped(self):
+        # Each arm holds one unit, so both observed rates are 0 or 1 and
+        # V_hat is 0 on every draw.
+        report = normality_check(ScienceTable(0, 1, 0, 1), 1, draws=10_000, seed=0)
+        assert report.skipped
+        assert report.ks_statistic is None
+        assert report.excluded == 10_000
+        assert "positive plug-in variance" in report.reason
 
     def test_requires_enough_draws(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,12 @@ Populations run up to 90 units. The likelihood properties are checked
 against a brute-force computation from ``likelihood_exact`` over
 ``general_support``; the p-value properties against a ``Fraction``
 hypergeometric law built from ``math.comb``; ``hpd_window`` against a scan
-of every window. On science tables of up to 12 units the likelihood kernel
-and the oracle's integer moments are checked against the enumerated
-assignments, and the Monte Carlo tally against a row-wise ``np.unique``.
+of every window. On tables of up to 20 units the support and its
+membership predicate are checked against every grid point's likelihood
+numerator. On science tables of up to 12 units the likelihood kernel, the
+oracle's integer moments and the moment cell estimates are checked against
+the enumerated assignments, and the Monte Carlo tally against a row-wise
+``np.unique``.
 The closed-form population variances are checked against the ``Fraction``
 formulas they replaced, on science tables of up to 400 units.
 """
@@ -22,6 +25,7 @@ from causalurn import (
     UNIFORM,
     DiscreteDistribution,
     ObservedTable,
+    ParameterPoint,
     Prior,
     ScienceTable,
     a_posterior,
@@ -29,10 +33,12 @@ from causalurn import (
     general_support,
     hl_estimate,
     hpd_window,
+    in_general_support,
     interval_A,
     likelihood,
     likelihood_exact,
     mle,
+    moment_cells,
     monte_carlo,
     population_attributable_mse,
     population_tau_variance,
@@ -47,9 +53,9 @@ ORACLE = settings(max_examples=100, deadline=None)
 
 
 @st.composite
-def tables(draw, min_total=2):
-    """An observed table with min_total <= N <= 90."""
-    total = draw(st.integers(min_total, 90))
+def tables(draw, min_total=2, max_total=90):
+    """An observed table with min_total <= N <= max_total."""
+    total = draw(st.integers(min_total, max_total))
     n_treated = draw(st.integers(1, total - 1))
     n11 = draw(st.integers(0, n_treated))
     n01 = draw(st.integers(0, total - n_treated))
@@ -70,6 +76,24 @@ def _pushforward(dist, fn) -> dict:
         if mass:
             sums[fn(point)] = sums.get(fn(point), 0) + mass
     return sums
+
+
+@PROPERTY
+@given(tables(max_total=20))
+def test_support_is_the_positive_likelihood_grid(obs):
+    # Every (n11, n10) in [0, N]^2, at every n01 up to one past the largest
+    # feasible value: the support, its rows and the membership predicate
+    # all name exactly the points with a positive likelihood numerator.
+    total = obs.total
+    for n01 in range(obs.n10 + obs.n01 + 2):
+        positive = []
+        for n11 in range(total + 1):
+            for n10 in range(total + 1):
+                inside = likelihood._numerator(obs, n11, n10, n01) > 0
+                assert in_general_support(obs, ParameterPoint(n11, n10, n01)) == inside
+                if inside:
+                    positive.append((n11, n10))
+        assert [(p.n11, p.n10) for p in general_support(obs, n01)] == positive
 
 
 @PROPERTY
@@ -239,6 +263,21 @@ def _fraction_moments(dist, value):
 
 @ORACLE
 @given(sciences())
+def test_moment_cells_are_unbiased_over_the_assignments(science):
+    # Averaged over every assignment, the cell estimates given the true
+    # harmed count recover the science table's other three cells.
+    for n_treated in range(1, science.total):
+        dist = enumerate_assignments(science, n_treated)
+        sums = [0, 0, 0]
+        for record in dist.records:
+            cells = moment_cells(record.observed, science.n01)
+            sums = [s + record.weight * c for s, c in zip(sums, cells)]
+        means = tuple(s / dist.denominator for s in sums)
+        assert means == (science.n11, science.n00, science.n10)
+
+
+@ORACLE
+@given(sciences())
 def test_integer_moments_equal_the_fraction_reference(science):
     for n_treated in range(1, science.total):
         dist = enumerate_assignments(science, n_treated)
@@ -295,7 +334,7 @@ def test_monte_carlo_tally_equals_rowwise_unique(science, data, draws, seed):
         rng.multivariate_hypergeometric(colors, n_treated, size=draws),
         axis=0, return_counts=True,
     )
-    assert [(r.treated_types, r.weight, r.denominator) for r in dist.records] == [
-        (tuple(row.tolist()), count, draws)
-        for row, count in zip(rows, counts.tolist())
+    assert dist.denominator == draws
+    assert [(r.treated_types, r.weight) for r in dist.records] == [
+        (tuple(row.tolist()), count) for row, count in zip(rows, counts.tolist())
     ]

@@ -76,12 +76,6 @@ class TestParameterPoint:
             ParameterPoint(2, 0),
         ]
 
-    def test_to_science(self):
-        point = ParameterPoint(n11=1, n10=2, n01=1)
-        assert point.to_science(5) == ScienceTable(1, 2, 1, 1)
-        with pytest.raises(ValueError):
-            point.to_science(3)
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ParameterPoint(n11=-1, n10=0)
@@ -164,10 +158,10 @@ class TestGeneralSupport:
             for sci_n10 in range(4 - sci_n11):
                 if sci_n11 + sci_n10 + n01 > 3:
                     continue
-                point = ParameterPoint(sci_n11, sci_n10, n01)
-                dist = enumerate_assignments(point.to_science(3), 1)
+                science = ScienceTable(sci_n11, sci_n10, n01, 3 - sci_n11 - sci_n10 - n01)
+                dist = enumerate_assignments(science, 1)
                 if dist.outcomes.get(obs, 0) > 0:
-                    reachable.add(point)
+                    reachable.add(science.parameter_point)
         assert set(general_support(obs, n01)) == reachable
 
     def test_membership_predicate_agrees(self, pit):
