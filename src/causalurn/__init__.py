@@ -20,9 +20,11 @@ from .bayes import (
     tau_posterior,
 )
 from .attributable import (
+    PValueCurve,
     hl_estimate,
     interval_A,
     neyman_predict,
+    pvalue_curve,
     pvalue_exact,
     standardized_pvalues,
 )
@@ -79,6 +81,7 @@ __all__ = [
     "LOG_ZERO",
     "MaxLikelihood",
     "ObservedTable",
+    "PValueCurve",
     "ParameterPoint",
     "Prior",
     "ScienceTable",
@@ -109,6 +112,7 @@ __all__ = [
     "population_attributable_mse",
     "population_tau_variance",
     "posterior_points",
+    "pvalue_curve",
     "pvalue_exact",
     "sensitivity_sweep",
     "sensitivity_variance",

@@ -9,16 +9,18 @@ reduces to a classical hypergeometric problem, and every result here is
 free of any assumption about the association between potential outcomes:
 none of these functions take a harmed count.
 
-Every p-value shares the denominator C(N, N0), so each is computed as an
-exact integer numerator over it and the whole curve is compared in integer
-arithmetic: ties in the Hodges-Lehmann-type maximization are genuine, not
-float artifacts. Only s in [n01_obs, n01_obs + N1] keep the observed count
-in the law's support, so only those s can have a positive p-value.
+``pvalue_curve`` builds each p(s) once, as an exact integer numerator over
+the shared denominator C(N, N0); ``hl_estimate``, ``interval_A`` and
+``standardized_pvalues`` read that one curve in integer arithmetic, so ties
+in the Hodges-Lehmann-type maximization are genuine, not float artifacts.
+Only s in [n01_obs, n01_obs + N1] keep the observed count in the law's
+support, so only those s can have a positive p-value.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
 
@@ -48,18 +50,25 @@ def _pvalue_numerator(obs: ObservedTable, s: int) -> int:
     return sum(w for w in weights if w <= observed)
 
 
-def _curve(obs: ObservedTable) -> dict[int, int]:
-    """Numerator of p(s) for every s that can have a positive p-value."""
-    return {
-        s: _pvalue_numerator(obs, s)
-        for s in range(obs.n01, obs.n01 + obs.n_treated + 1)
-    }
+@dataclass(frozen=True)
+class PValueCurve:
+    """Every p(s) that can be positive, indexed by A = n11_obs + n01_obs - s.
+
+    ``values`` ascend over [-n10_obs, n11_obs]; each numerator is p(s) times
+    ``denominator``, C(N, N0). ``pvalue_exact(obs, s)`` is the one-s view.
+    """
+
+    values: tuple[int, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
 
-def _hl_set(obs: ObservedTable, curve: dict[int, int]) -> tuple[int, ...]:
-    best = max(curve.values())
+def pvalue_curve(obs: ObservedTable) -> PValueCurve:
+    """The p-value curve of ``obs``: one integer numerator per s, built once."""
     base = obs.n11 + obs.n01
-    return tuple(sorted(base - s for s, num in curve.items() if num == best))
+    values = tuple(range(-obs.n10, obs.n11 + 1))
+    numerators = tuple(_pvalue_numerator(obs, base - a) for a in values)
+    return PValueCurve(values, numerators, math.comb(obs.total, obs.n_control))
 
 
 def pvalue_exact(obs: ObservedTable, s: int) -> Fraction:
@@ -70,34 +79,34 @@ def pvalue_exact(obs: ObservedTable, s: int) -> Fraction:
     return Fraction(_pvalue_numerator(obs, s), math.comb(obs.total, obs.n_control))
 
 
-def hl_estimate(obs: ObservedTable) -> tuple[int, ...]:
-    """Attributable-effect values from the s values maximizing the p-value.
+def hl_estimate(curve: PValueCurve) -> tuple[int, ...]:
+    """Attributable-effect values whose s maximizes the p-value.
 
     Discreteness makes ties real; the whole set is returned, ascending.
     """
-    return _hl_set(obs, _curve(obs))
+    best = max(curve.numerators)
+    return tuple(a for a, num in zip(curve.values, curve.numerators) if num == best)
 
 
 def interval_A(
-    obs: ObservedTable, alpha: float = 0.05
+    curve: PValueCurve, alpha: float = 0.05
 ) -> tuple[IntervalEstimate, tuple[int, ...]]:
     """Test-inversion interval for A plus the full retained value set.
 
-    Retains every s with p(s) > alpha and maps through A = n11 + n01 - s,
-    comparing each integer numerator with alpha's exact rational value.
-    The interval is the hull of the retained values, which need not be
-    contiguous for this p-value ordering, hence the companion set. The
-    point is the median of the Hodges-Lehmann set.
+    Retains every A whose p(s) > alpha, comparing each integer numerator
+    with alpha's exact rational value. The interval is the hull of the
+    retained values, which need not be contiguous for this p-value
+    ordering, hence the companion set. The point is the median of the
+    Hodges-Lehmann set.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    curve = _curve(obs)
     num_a, den_a = alpha.as_integer_ratio()
-    threshold = num_a * math.comb(obs.total, obs.n_control)
-    base = obs.n11 + obs.n01
-    retained = tuple(sorted(base - s for s, num in curve.items() if num * den_a > threshold))
+    threshold = num_a * curve.denominator
+    pairs = zip(curve.values, curve.numerators)
+    retained = tuple(a for a, num in pairs if num * den_a > threshold)
     estimate = IntervalEstimate(
-        point=float(median(_hl_set(obs, curve))),
+        point=float(median(hl_estimate(curve))),
         lower=float(retained[0]),
         upper=float(retained[-1]),
         level=1.0 - alpha,
@@ -132,15 +141,12 @@ def neyman_predict(
     )
 
 
-def standardized_pvalues(obs: ObservedTable) -> DiscreteDistribution:
-    """p-value curve rescaled to sum 1, indexed by the attributable effect.
+def standardized_pvalues(curve: PValueCurve) -> DiscreteDistribution:
+    """p-value curve rescaled to sum 1, over the values A >= 0.
 
     Covers the attainable values A in [0, n11_obs], i.e. the s range
     compatible with the observed table when no unit is harmed; this is the
     plot-ready companion to the posterior of A and shares its support hull.
     """
-    base = obs.n11 + obs.n01
-    return DiscreteDistribution(
-        support=tuple(range(obs.n11 + 1)),
-        weights=tuple(_pvalue_numerator(obs, base - a) for a in range(obs.n11 + 1)),
-    )
+    start = curve.values.index(0)
+    return DiscreteDistribution(curve.values[start:], curve.numerators[start:])

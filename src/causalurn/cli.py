@@ -185,8 +185,8 @@ def cmd_sensitivity(args) -> int:
             raise UsageError(f"--n01-max must be an integer or 'auto', got {args.n01_max!r}")
         if hi < 0:
             raise UsageError("--n01-max must be nonnegative")
-    curve = moments.sensitivity_sweep(obs, range(hi + 1), args.level)
-    rows = [(row, *_bayes_row(obs, row.n01, args.level)) for row in curve.rows]
+    sweep = moments.sensitivity_sweep(obs, range(hi + 1), args.level)
+    rows = [(row, *_bayes_row(obs, row.n01, args.level)) for row in sweep]
     entries = []
     for row, med, mode, hpd in rows:
         entry = {"n01": row.n01, "point": _machine(row.point), "feasible": row.feasible}
@@ -285,12 +285,13 @@ def cmd_posterior(args) -> int:
 
 def cmd_attributable(args) -> int:
     obs = _table(ObservedTable, args)
-    hl = attributable.hl_estimate(obs)
-    estimate, retained = attributable.interval_A(obs, args.alpha)
+    curve = attributable.pvalue_curve(obs)
+    hl = attributable.hl_estimate(curve)
+    estimate, retained = attributable.interval_A(curve, args.alpha)
     prediction = attributable.neyman_predict(
         obs, args.level, compat_paper_mse=args.compat_paper_mse
     )
-    curve = attributable.standardized_pvalues(obs) if args.curve else None
+    standardized = attributable.standardized_pvalues(curve) if args.curve else None
 
     fields = {
         "hl_estimate": list(hl),
@@ -298,10 +299,10 @@ def cmd_attributable(args) -> int:
         "retained": list(retained),
         "prediction": _interval_json(prediction),
     }
-    if curve is not None:
+    if standardized is not None:
         fields["standardized_pvalues"] = {
-            "support": [int(v) for v in curve.support],
-            "mass": [_machine(m) for m in curve.mass],
+            "support": [int(v) for v in standardized.support],
+            "mass": [_machine(m) for m in standardized.mass],
         }
 
     def text():
@@ -318,11 +319,11 @@ def cmd_attributable(args) -> int:
             f"[{_fmt(prediction.lower)}, {_fmt(prediction.upper)}]  "
             f"({100 * args.level:g}%, mse from {mse_tag})"
         )
-        if curve is not None:
+        if standardized is not None:
             lines.append("standardized p-values (A, mass):")
             lines += [
                 f"  {value:>4}  {float(mass):.12g}"
-                for value, mass in zip(curve.support, curve.mass)
+                for value, mass in zip(standardized.support, standardized.mass)
             ]
         return lines
 

@@ -16,7 +16,7 @@ very end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Iterable, NamedTuple, Optional
@@ -176,16 +176,9 @@ class SensitivityRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SensitivityCurve:
-    obs: ObservedTable
-    level: float
-    rows: tuple[SensitivityRow, ...] = field(default_factory=tuple)
-
-
 def sensitivity_sweep(
     obs: ObservedTable, n01_values: Iterable[int], level: float = 0.95
-) -> SensitivityCurve:
+) -> tuple[SensitivityRow, ...]:
     """One row per candidate ``n01``: point, variance, interval, length.
 
     The point estimate does not change with ``n01``; only the variance
@@ -210,7 +203,7 @@ def sensitivity_sweep(
                 variance=float(variance), interval=interval,
             )
         )
-    return SensitivityCurve(obs=obs, level=level, rows=tuple(rows))
+    return tuple(rows)
 
 
 def population_tau_variance(science: ScienceTable, n_treated: int) -> Fraction:

@@ -165,12 +165,12 @@ def _outcome_weights(records: Iterable[AssignmentRecord]) -> Counter:
     return weights
 
 
-def _assignment_count(total: int, n_treated: int, cap: Optional[int]) -> int:
+def _assignment_count(total: int, n_treated: int) -> int:
     """C(N, N1), after checking both arms are nonempty and it is within the cap."""
     if not 1 <= n_treated <= total - 1:
         raise ValueError("n_treated must leave both arms nonempty")
     n_assignments = math.comb(total, n_treated)
-    limit = enumeration_cap() if cap is None else cap
+    limit = enumeration_cap()
     if n_assignments > limit:
         raise EnumerationCapError(
             f"C({total}, {n_treated}) = {n_assignments} exceeds the cap {limit}; "
@@ -179,11 +179,9 @@ def _assignment_count(total: int, n_treated: int, cap: Optional[int]) -> int:
     return n_assignments
 
 
-def enumerate_assignments(
-    science: ScienceTable, n_treated: int, cap: Optional[int] = None
-) -> AssignmentDistribution:
+def enumerate_assignments(science: ScienceTable, n_treated: int) -> AssignmentDistribution:
     """Exact sampling distribution over all C(N, N1) assignments."""
-    n_assignments = _assignment_count(science.total, n_treated, cap)
+    n_assignments = _assignment_count(science.total, n_treated)
     records = []
     for x11 in range(min(science.n11, n_treated) + 1):
         for x10 in range(min(science.n10, n_treated - x11) + 1):
@@ -259,9 +257,7 @@ class Lemma1Report(NamedTuple):
     matches: bool
 
 
-def lemma1_check(
-    constants, n_treated: int, cap: Optional[int] = None
-) -> Lemma1Report:
+def lemma1_check(constants, n_treated: int) -> Lemma1Report:
     """Exact moments of a treated-arm total of fixed constants.
 
     Enumerates every assignment and reports whether the moments equal
@@ -272,7 +268,7 @@ def lemma1_check(
     total = len(values)
     if total < 2:
         raise ValueError("need at least 2 constants")
-    n_assignments = _assignment_count(total, n_treated, cap)
+    n_assignments = _assignment_count(total, n_treated)
     sums = [
         sum(combo) for combo in itertools.combinations(values, n_treated)
     ]

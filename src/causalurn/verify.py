@@ -4,9 +4,7 @@ Sweeps every science table up to a small population size and checks, by
 exhaustive enumeration in exact arithmetic, that the closed-form moments,
 the likelihood, and the feasibility regions agree with brute force. The
 oracle's integer way counts and the likelihood's integer numerators share
-the denominator C(N, N1), so they are compared as integers. The formula
-arguments exist so tests can inject a deliberately wrong formula and
-confirm the suite catches it.
+the denominator C(N, N1), so they are compared as integers.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from . import likelihood, moments, oracle
 from .tables import ObservedTable, ScienceTable, in_general_support
@@ -84,15 +82,9 @@ def _designs(max_n: int) -> Iterator[tuple[ScienceTable, int]]:
 
 
 def run_verification(
-    max_n: int = 8,
-    seed: int = 0,
-    mc_draws: int = 20_000,
-    tau_variance: Optional[Callable[[ScienceTable, int], Fraction]] = None,
-    attributable_mse: Optional[Callable[[ScienceTable, int], Fraction]] = None,
+    max_n: int = 8, seed: int = 0, mc_draws: int = 20_000
 ) -> VerificationReport:
     """Run the full identity suite over all designs with N <= ``max_n``."""
-    tau_variance = tau_variance or moments.population_tau_variance
-    attributable_mse = attributable_mse or moments.population_attributable_mse
 
     estimator = CheckResult("rate-difference mean and variance")
     cells = CheckResult("cell estimators are unbiased")
@@ -112,7 +104,7 @@ def run_verification(
         mean, variance = dist.tau_hat_moments()
         estimator.record(mean == science.tau, lambda: f"{label()}: E(tau_hat)={mean}")
         estimator.record(
-            variance == tau_variance(science, n_treated),
+            variance == moments.population_tau_variance(science, n_treated),
             lambda: f"{label()}: var(tau_hat)={variance}",
         )
 
@@ -134,7 +126,7 @@ def run_verification(
             gap_mean == 0, lambda: f"{label()}: E(A - N1 tau_hat)={gap_mean}"
         )
         prediction.record(
-            gap_var == attributable_mse(science, n_treated),
+            gap_var == moments.population_attributable_mse(science, n_treated),
             lambda: f"{label()}: var(A - N1 tau_hat)={gap_var}",
         )
 
@@ -178,7 +170,7 @@ def run_verification(
     ):
         empirical = oracle.monte_carlo(science, n_treated, mc_draws, seed)
         mean, _ = empirical.tau_hat_moments()
-        spread = math.sqrt(tau_variance(science, n_treated) / mc_draws)
+        spread = math.sqrt(moments.population_tau_variance(science, n_treated) / mc_draws)
         mc.record(
             abs(float(mean - science.tau)) <= 4 * spread,
             lambda: f"MC science={science} N1={n_treated}: mean {float(mean):.5f} "

@@ -29,6 +29,7 @@ from causalurn import (
     normality_check,
     population_attributable_mse,
     population_tau_variance,
+    pvalue_curve,
     sensitivity_variance,
     tau_hat,
     tau_posterior,
@@ -127,8 +128,8 @@ def test_criterion_2_bayes_table():
 
 
 def test_criterion_3_attributable():
-    hl = hl_estimate(PIT)
-    inversion, retained = interval_A(PIT, 0.05)
+    hl = hl_estimate(pvalue_curve(PIT))
+    inversion, retained = interval_A(pvalue_curve(PIT), 0.05)
     posterior = a_posterior(PIT, 0)
     prediction = neyman_predict(PIT)
     compat = neyman_predict(PIT, compat_paper_mse=True)

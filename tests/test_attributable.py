@@ -13,6 +13,7 @@ from causalurn import (
     hl_estimate,
     interval_A,
     neyman_predict,
+    pvalue_curve,
     pvalue_exact,
     standardized_pvalues,
 )
@@ -49,20 +50,20 @@ class TestPvalue:
 
 class TestHodgesLehmann:
     def test_worked_example(self, pit):
-        assert hl_estimate(pit) == (9, 10, 11)
+        assert hl_estimate(pvalue_curve(pit)) == (9, 10, 11)
 
     def test_empty_table_estimate(self):
         # No responder observed anywhere; with the control arm larger than
         # the treated arm the p-value is uniquely maximized at s = 0.
-        assert hl_estimate(ObservedTable(0, 1, 0, 2)) == (0,)
+        assert hl_estimate(pvalue_curve(ObservedTable(0, 1, 0, 2))) == (0,)
 
     def test_ladder_x10_pinned(self):
         # The worked example scaled by 10 (N = 530); values recorded from
         # the per-s Fraction implementation this kernel replaced.
-        obs = ObservedTable(180, 140, 50, 160)
-        assert hl_estimate(obs) == (103, 104)
+        curve = pvalue_curve(ObservedTable(180, 140, 50, 160))
+        assert hl_estimate(curve) == (103, 104)
         for alpha, bounds in ((0.05, (79.0, 126.0)), (0.01, (70.0, 133.0))):
-            estimate, retained = interval_A(obs, alpha)
+            estimate, retained = interval_A(curve, alpha)
             assert (estimate.lower, estimate.upper) == bounds
             assert estimate.point == 103.5
             assert retained == tuple(range(int(bounds[0]), int(bounds[1]) + 1))
@@ -77,12 +78,12 @@ class TestHodgesLehmann:
                     if pvalue_exact(obs, s) == best
                 )
             )
-            assert hl_estimate(obs) == expected
+            assert hl_estimate(pvalue_curve(obs)) == expected
 
 
 class TestIntervalA:
     def test_worked_example(self, pit):
-        estimate, retained = interval_A(pit, 0.05)
+        estimate, retained = interval_A(pvalue_curve(pit), 0.05)
         assert (estimate.lower, estimate.upper) == (2.0, 16.0)
         assert estimate.point == 10.0
         assert retained == tuple(range(2, 17))
@@ -96,7 +97,7 @@ class TestIntervalA:
     def test_inversion_consistency(self):
         obs = ObservedTable(3, 2, 1, 4)
         alpha = 0.11
-        _, retained = interval_A(obs, alpha)
+        _, retained = interval_A(pvalue_curve(obs), alpha)
         retained_s = {obs.n11 + obs.n01 - a for a in retained}
         for s in range(obs.total + 1):
             assert (pvalue_exact(obs, s) > alpha) == (s in retained_s)
@@ -104,11 +105,12 @@ class TestIntervalA:
     def test_alpha_is_compared_exactly(self):
         # p(s = 1) is exactly 1/4 and only p > alpha keeps s; p(s = 0) = 1.
         assert pvalue_exact(ObservedTable(1, 0, 0, 3), 1) == Fraction(1, 4)
-        assert interval_A(ObservedTable(1, 0, 0, 3), 0.25)[1] == (1,)
+        assert interval_A(pvalue_curve(ObservedTable(1, 0, 0, 3)), 0.25)[1] == (1,)
 
     def test_small_alpha_widens(self, pit):
-        _, tight = interval_A(pit, 0.2)
-        _, wide = interval_A(pit, 1e-9)
+        curve = pvalue_curve(pit)
+        _, tight = interval_A(curve, 0.2)
+        _, wide = interval_A(curve, 1e-9)
         assert set(tight) <= set(wide)
         assert all(pvalue_exact(pit, pit.n11 + pit.n01 - a) > 0 for a in wide)
 
@@ -145,16 +147,16 @@ class TestNeymanPrediction:
 
 class TestStandardizedPvalues:
     def test_masses_sum_to_one(self, pit):
-        curve = standardized_pvalues(pit)
+        curve = standardized_pvalues(pvalue_curve(pit))
         assert sum(curve.mass) == 1
 
     def test_worked_example_peak(self, pit):
-        curve = standardized_pvalues(pit)
+        curve = standardized_pvalues(pvalue_curve(pit))
         best = max(curve.mass)
         assert [a for a, m in zip(curve.support, curve.mass) if m == best] == [9, 10, 11]
 
     def test_support_matches_a_posterior(self, pit):
-        curve = standardized_pvalues(pit)
+        curve = standardized_pvalues(pvalue_curve(pit))
         posterior = a_posterior(pit, 0)
         assert curve.support == posterior.support
 
@@ -162,6 +164,6 @@ class TestStandardizedPvalues:
 def test_inference_never_takes_a_harm_parameter():
     # The attributable-effect procedures are identical with or without the
     # no-harm assumption; by construction no function accepts a harmed count.
-    for fn in (pvalue_exact, hl_estimate, interval_A, neyman_predict,
+    for fn in (pvalue_exact, pvalue_curve, hl_estimate, interval_A, neyman_predict,
                standardized_pvalues):
         assert "n01" not in inspect.signature(fn).parameters

@@ -417,6 +417,21 @@ class TestAttributable:
         assert payload["hl_estimate"] == [9, 10, 11]
         assert payload["retained"] == list(range(2, 17))
 
+    @pytest.mark.parametrize("options", [("--curve", "--format", "json"), ()])
+    def test_builds_one_pvalue_curve(self, capsys, monkeypatch, options):
+        # One p-value numerator per s in [n01, n01 + N1]: N1 + 1 = 33 calls.
+        calls = []
+        original = causalurn.attributable._pvalue_numerator
+
+        def counted(obs, s):
+            calls.append(s)
+            return original(obs, s)
+
+        monkeypatch.setattr(causalurn.attributable, "_pvalue_numerator", counted)
+        code, _, _ = run(capsys, "attributable", *PIT, *options)
+        assert code == EXIT_OK
+        assert sorted(calls) == list(range(5, 38))
+
     def test_usage_error_then_valid_command(self, capsys):
         # main() reuses one parser per process; an error must not leave
         # state behind for the next command.
@@ -450,17 +465,12 @@ class TestVerify:
         from fractions import Fraction
 
         from causalurn import moments
-        from causalurn.verify import run_verification
 
-        def broken(max_n, seed, mc_draws):
-            return run_verification(
-                max_n=max_n, seed=seed, mc_draws=mc_draws,
-                tau_variance=lambda science, n1: (
-                    moments.population_tau_variance(science, n1) + Fraction(1, 7)
-                ),
-            )
-
-        monkeypatch.setattr("causalurn.cli.verify.run_verification", broken)
+        original = moments.population_tau_variance
+        monkeypatch.setattr(
+            moments, "population_tau_variance",
+            lambda science, n1: original(science, n1) + Fraction(1, 7),
+        )
         code, out, _ = run(capsys, "verify", "--max-n", "3")
         assert code == EXIT_VERIFY
         assert "FAIL" in out

@@ -166,32 +166,31 @@ class TestConfidenceInterval:
 
 class TestSensitivitySweep:
     def test_worked_example_lengths_decrease(self, pit):
-        curve = sensitivity_sweep(pit, range(6), 0.95)
-        lengths = [row.interval.length for row in curve.rows]
+        rows = sensitivity_sweep(pit, range(6), 0.95)
+        lengths = [row.interval.length for row in rows]
         assert lengths[0] == pytest.approx(0.437, abs=2e-3)
         assert lengths[-1] == pytest.approx(0.367, abs=2e-3)
         assert all(a > b for a, b in zip(lengths, lengths[1:]))
 
     def test_first_row_is_the_improved_interval(self, pit):
-        curve = sensitivity_sweep(pit, [0], 0.95)
-        (row,) = curve.rows
+        (row,) = sensitivity_sweep(pit, [0], 0.95)
         reference = confidence_interval(tau_hat(pit), improved_variance(pit), 0.95)
         assert row.interval.lower == reference.lower
         assert row.interval.upper == reference.upper
         assert row.variance == float(improved_variance(pit))
 
     def test_monotonicity_row_has_largest_variance(self, pit):
-        curve = sensitivity_sweep(pit, range(6), 0.95)
-        variances = [row.variance for row in curve.rows]
+        rows = sensitivity_sweep(pit, range(6), 0.95)
+        variances = [row.variance for row in rows]
         assert variances[0] == max(variances)
 
     def test_infeasible_rows_are_marked_not_dropped(self, pit):
-        curve = sensitivity_sweep(pit, [0, 18], 0.95)
-        assert [row.n01 for row in curve.rows] == [0, 18]
-        assert curve.rows[0].feasible
-        assert not curve.rows[1].feasible
-        assert curve.rows[1].interval is None
-        assert "negative" in curve.rows[1].note
+        rows = sensitivity_sweep(pit, [0, 18], 0.95)
+        assert [row.n01 for row in rows] == [0, 18]
+        assert rows[0].feasible
+        assert not rows[1].feasible
+        assert rows[1].interval is None
+        assert "negative" in rows[1].note
 
 
 class TestPopulationFormulas:

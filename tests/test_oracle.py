@@ -46,9 +46,11 @@ class TestEnumerate:
         assert dist.denominator == math.comb(8, 4)
         assert dist.rng is None
 
-    def test_cap_exceeded_instructs_monte_carlo(self):
+    def test_cap_exceeded_instructs_monte_carlo(self, monkeypatch):
+        # C(8, 4) = 70 is under the default cap and over this one.
+        monkeypatch.setenv(ENUM_CAP_ENV, "10")
         with pytest.raises(EnumerationCapError, match="monte_carlo"):
-            enumerate_assignments(ScienceTable(10, 10, 5, 5), 15, cap=1000)
+            enumerate_assignments(ScienceTable(2, 3, 1, 2), 4)
 
     def test_default_cap_allows_the_worked_example_scale(self):
         # C(53, 32) is astronomically over the cap.
@@ -150,9 +152,11 @@ class TestLemma1:
     def test_fractional_constants(self):
         assert lemma1_check([0.5, 0.25, 1.0, 0.0, 2.0], 2).matches
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # C(8, 4) = 70 is under the default cap and over this one.
+        monkeypatch.setenv(ENUM_CAP_ENV, "10")
         with pytest.raises(EnumerationCapError):
-            lemma1_check(list(range(30)), 15, cap=100)
+            lemma1_check(list(range(8)), 4)
 
 
 class TestNormalityCheck:

@@ -7,8 +7,9 @@ hypergeometric law built from ``math.comb``; ``hpd_window`` against a scan
 of every window. On tables of up to 20 units the support and its
 membership predicate are checked against every grid point's likelihood
 numerator. On science tables of up to 12 units the likelihood kernel, the
-oracle's integer moments and the moment cell estimates are checked against
-the enumerated assignments, and the Monte Carlo tally against a row-wise
+p-value at the true number of responders under control, the oracle's
+integer moments and the moment cell estimates are checked against the
+enumerated assignments, and the Monte Carlo tally against a row-wise
 ``np.unique``.
 The closed-form population variances are checked against the ``Fraction``
 formulas they replaced, on science tables of up to 400 units.
@@ -43,6 +44,7 @@ from causalurn import (
     population_attributable_mse,
     population_tau_variance,
     posterior_points,
+    pvalue_curve,
     pvalue_exact,
     standardized_pvalues,
     tau_posterior,
@@ -157,20 +159,29 @@ def test_pvalue_curve_matches_the_fraction_reference(obs):
     reference = _reference_pvalues(obs)
     assert [pvalue_exact(obs, s) for s in range(obs.total + 1)] == reference
 
+    # The curve holds every positive p(s), indexed by A = base - s.
     base = obs.n11 + obs.n01
+    curve = pvalue_curve(obs)
+    assert curve.values == tuple(range(-obs.n10, obs.n11 + 1))
+    assert curve.denominator == math.comb(obs.total, obs.n_control)
+    assert {
+        base - a: Fraction(num, curve.denominator)
+        for a, num in zip(curve.values, curve.numerators)
+    } == {s: p for s, p in enumerate(reference) if p > 0}
+
     best = max(reference)
-    assert hl_estimate(obs) == tuple(
+    assert hl_estimate(curve) == tuple(
         sorted(base - s for s, p in enumerate(reference) if p == best)
     )
     for alpha in (0.01, 0.05, 0.11, 0.5):
-        assert interval_A(obs, alpha)[1] == tuple(
+        assert interval_A(curve, alpha)[1] == tuple(
             sorted(base - s for s, p in enumerate(reference) if p > alpha)
         )
 
-    curve = standardized_pvalues(obs)
+    standardized = standardized_pvalues(curve)
     raw = [reference[base - a] for a in range(obs.n11 + 1)]
-    assert curve.support == tuple(range(obs.n11 + 1))
-    assert curve.mass == tuple(p / sum(raw) for p in raw)
+    assert standardized.support == tuple(range(obs.n11 + 1))
+    assert standardized.mass == tuple(p / sum(raw) for p in raw)
 
 
 def _brute_force_hpd(dist, level):
@@ -274,6 +285,24 @@ def test_moment_cells_are_unbiased_over_the_assignments(science):
             sums = [s + record.weight * c for s, c in zip(sums, cells)]
         means = tuple(s / dist.denominator for s in sums)
         assert means == (science.n11, science.n00, science.n10)
+
+
+@ORACLE
+@given(sciences())
+def test_pvalue_is_the_enumerated_control_success_law(science):
+    # Under the true s = n11 + n01 responders under control, p(s) is the
+    # enumerated probability of the control-success counts no likelier
+    # than the observed one.
+    responders = science.n11 + science.n01
+    for n_treated in range(1, science.total):
+        dist = enumerate_assignments(science, n_treated)
+        law = {}
+        for record in dist.records:
+            h = record.observed.n01
+            law[h] = law.get(h, 0) + record.weight
+        for obs in {record.observed for record in dist.records}:
+            tail = sum(w for w in law.values() if w <= law[obs.n01])
+            assert pvalue_exact(obs, responders) == Fraction(tail, dist.denominator)
 
 
 @ORACLE

@@ -18,33 +18,42 @@ def test_suite_passes_as_shipped():
     assert all("PASS" in line for line in report.lines())
 
 
-def test_detects_variance_off_by_one():
+def test_detects_variance_off_by_one(monkeypatch):
     # A wrong harmed-count coefficient in the variance must trip the suite.
+    original = moments.population_tau_variance
+
     def mutated(science, n_treated):
-        return moments.population_tau_variance(science, n_treated) + Fraction(
+        return original(science, n_treated) + Fraction(
             2 * science.n01, science.total ** 2
         )
 
-    report = run_verification(max_n=4, mc_draws=5000, tau_variance=mutated)
+    monkeypatch.setattr(moments, "population_tau_variance", mutated)
+    report = run_verification(max_n=4, mc_draws=5000)
     broken = {r.name: r for r in report.results}
     assert not broken["rate-difference mean and variance"].ok
     assert not report.ok
 
 
-def test_detects_wrong_prediction_mse():
-    def mutated(science, n_treated):
-        return moments.population_attributable_mse(science, n_treated) * Fraction(99, 100)
+def test_detects_wrong_prediction_mse(monkeypatch):
+    original = moments.population_attributable_mse
 
-    report = run_verification(max_n=4, mc_draws=5000, attributable_mse=mutated)
+    def mutated(science, n_treated):
+        return original(science, n_treated) * Fraction(99, 100)
+
+    monkeypatch.setattr(moments, "population_attributable_mse", mutated)
+    report = run_verification(max_n=4, mc_draws=5000)
     broken = {r.name: r for r in report.results}
     assert not broken["attributable prediction moments"].ok
 
 
-def test_report_lines_include_failures():
-    def mutated(science, n_treated):
-        return moments.population_tau_variance(science, n_treated) + 1
+def test_report_lines_include_failures(monkeypatch):
+    original = moments.population_tau_variance
 
-    report = run_verification(max_n=3, mc_draws=5000, tau_variance=mutated)
+    def mutated(science, n_treated):
+        return original(science, n_treated) + 1
+
+    monkeypatch.setattr(moments, "population_tau_variance", mutated)
+    report = run_verification(max_n=3, mc_draws=5000)
     lines = report.lines()
     assert any(line.startswith("FAIL") for line in lines)
     assert any("failure [" in line for line in lines)
