@@ -25,7 +25,7 @@ from fractions import Fraction
 from statistics import median
 
 from .bayes import DiscreteDistribution
-from .moments import normal_quantile, tau_hat
+from .moments import _prediction_mse, confidence_interval, tau_hat
 from .tables import IntervalEstimate, ObservedTable
 
 
@@ -120,25 +120,17 @@ def neyman_predict(
 ) -> IntervalEstimate:
     """Unbiased prediction of A by N1 * tau_hat with its mean squared error.
 
-    The mean squared error is N^2 N1 p0(1-p0) / {N0 (N-1)} with the
-    control-arm rate plugged in. ``compat_paper_mse`` substitutes the
-    treated-arm rate p1(1-p1), a variant convention kept for comparability;
-    see the README. The prediction is not rounded to integers: out-of-range
+    The mean squared error is the population formula
+    N^2 N1 p0(1-p0) / {N0 (N-1)} that ``causalurn verify`` checks, with the
+    control-arm rate p0_hat plugged in; the interval is the normal one of
+    ``confidence_interval``. ``compat_paper_mse`` plugs in the treated-arm
+    rate p1_hat instead, a variant convention kept for comparability; see
+    the README. The prediction is not rounded to integers: out-of-range
     values are the moment method's documented behavior.
     """
-    point = obs.n_treated * tau_hat(obs)
     rate = obs.p1_hat if compat_paper_mse else obs.p0_hat
-    total = obs.total
-    mse = Fraction(
-        total * total * obs.n_treated, obs.n_control * (total - 1)
-    ) * rate * (1 - rate)
-    z = normal_quantile(level)
-    center = float(point)
-    half = z * math.sqrt(mse)
-    return IntervalEstimate(
-        point=center, lower=center - half, upper=center + half,
-        level=level, method="prediction",
-    )
+    mse = _prediction_mse(obs.total, obs.n_treated, obs.total * rate)
+    return confidence_interval(obs.n_treated * tau_hat(obs), mse, level, method="prediction")
 
 
 def standardized_pvalues(curve: PValueCurve) -> DiscreteDistribution:

@@ -21,7 +21,7 @@ from .likelihood import _grid, _numerator
 from .tables import (
     IntervalEstimate,
     ObservedTable,
-    ParameterPoint,
+    _count,
     general_support,
 )
 
@@ -44,9 +44,6 @@ class DiscreteDistribution:
             raise ValueError("weights must be nonnegative integers")
         if not any(self.weights):
             raise ValueError("weights must have a positive sum")
-
-    def __len__(self) -> int:
-        return len(self.support)
 
     @property
     def total(self) -> int:
@@ -76,37 +73,31 @@ class DiscreteDistribution:
 
 @dataclass(frozen=True)
 class Prior:
-    """Prior weights over parameter points: uniform, or an explicit table.
+    """Prior weights over the (n11, n10) grid at the posterior's harmed count.
 
-    Table weights are exact rationals; points absent from the table carry
-    weight zero. No parametric families: the module stays model-free.
+    ``weights`` None is the uniform prior. A table maps ``(n11, n10)`` to a
+    nonnegative weight, held as an exact rational; points absent from the
+    table carry weight zero. No parametric families: the module stays
+    model-free.
     """
 
-    kind: str
-    weights: Optional[Mapping[ParameterPoint, Fraction]] = None
+    weights: Optional[Mapping[tuple[int, int], Fraction]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "table"):
-            raise ValueError(f"unknown prior kind {self.kind!r}")
-        if self.kind == "table":
-            if not self.weights:
-                raise ValueError("table prior needs at least one weighted point")
-            if any(w < 0 for w in self.weights.values()):
-                raise ValueError("prior weights must be nonnegative")
-            if not any(w > 0 for w in self.weights.values()):
-                raise ValueError("prior must put positive weight somewhere")
-
-    @staticmethod
-    def uniform() -> "Prior":
-        return Prior(kind="uniform")
-
-    @classmethod
-    def from_weights(cls, weights: Mapping[ParameterPoint, object]) -> "Prior":
-        table = {point: Fraction(w) for point, w in weights.items()}
-        return cls(kind="table", weights=table)
+        if self.weights is None:
+            return
+        table = {
+            (_count(n11, "n11"), _count(n10, "n10")): Fraction(w)
+            for (n11, n10), w in self.weights.items()
+        }
+        if any(w < 0 for w in table.values()):
+            raise ValueError("prior weights must be nonnegative")
+        if not any(table.values()):
+            raise ValueError("prior must put positive weight somewhere")
+        object.__setattr__(self, "weights", table)
 
 
-UNIFORM = Prior.uniform()
+UNIFORM = Prior()
 
 
 def _weighted(
@@ -119,13 +110,12 @@ def _weighted(
     empty support and ValueError when the prior annihilates all of it.
     """
     rows = _grid(obs, n01)
-    if prior.kind == "table":
+    if prior.weights is not None:
         scale = math.lcm(*(w.denominator for w in prior.weights.values()))
         rows = [
-            (p.n11, p.n10, w.numerator * (scale // w.denominator)
-             * _numerator(obs, p.n11, p.n10, n01))
-            for p, w in prior.weights.items()
-            if p.n01 == n01 and w > 0
+            (n11, n10, w.numerator * (scale // w.denominator) * _numerator(obs, n11, n10, n01))
+            for (n11, n10), w in prior.weights.items()
+            if w > 0
         ]
         rows = [row for row in rows if row[2]]
         if not rows:

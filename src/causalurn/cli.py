@@ -33,7 +33,6 @@ from .tables import (
     InfeasibleError,
     IntervalEstimate,
     ObservedTable,
-    ParameterPoint,
     ScienceTable,
 )
 
@@ -130,6 +129,8 @@ _VARIANCES = {
 
 def cmd_estimate(args) -> int:
     obs = _table(ObservedTable, args)
+    if args.n01 < 0:
+        raise UsageError("--n01 must be nonnegative")
     t = moments.tau_hat(obs)
     rows = [
         moments.confidence_interval(t, variance(obs, args.n01), args.level, method=name)
@@ -153,7 +154,7 @@ def _bayes_row(obs: ObservedTable, n01: int, level: float):
     interval of tau; three Nones when the harmed count is infeasible."""
     try:
         dist = bayes.tau_posterior(obs, n01)
-    except (InfeasibleError, ValueError):
+    except InfeasibleError:
         return None, None, None
     return dist.median(), dist.mode(), bayes.hpd_interval(dist, level)
 
@@ -223,7 +224,7 @@ def cmd_sensitivity(args) -> int:
     )
 
 
-def _load_prior(path: Optional[str], n01: int) -> bayes.Prior:
+def _load_prior(path: Optional[str]) -> bayes.Prior:
     if path is None:
         return bayes.UNIFORM
     try:
@@ -258,18 +259,18 @@ def _load_prior(path: Optional[str], n01: int) -> bayes.Prior:
         if problems:
             offenders.append(f"entry {index} {entry!r}: " + "; ".join(problems))
             continue
-        point = ParameterPoint(n11=entry["n11"], n10=entry["n10"], n01=n01)
+        point = (entry["n11"], entry["n10"])
         weights[point] = weights.get(point, Fraction(0)) + Fraction(weight)
     if offenders:
         raise UsageError("malformed prior entries:\n" + "\n".join(offenders))
     if not any(weights.values()):
         raise UsageError("prior file assigns no positive weight")
-    return bayes.Prior.from_weights(weights)
+    return bayes.Prior(weights)
 
 
 def cmd_posterior(args) -> int:
     obs = _table(ObservedTable, args)
-    prior = _load_prior(args.prior_file, args.n01)
+    prior = _load_prior(args.prior_file)
     posterior = bayes.tau_posterior if args.target == "tau" else bayes.a_posterior
     dist = posterior(obs, args.n01, prior)
     values = [_machine(v) for v in dist.support]

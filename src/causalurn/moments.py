@@ -6,11 +6,16 @@ causal effect. Its exact randomization variance, for a population with
 
     N/(N-1) * { p1(1-p1)/N1 + p0(1-p0)/N0 - tau(1-tau)/N - 2*n01/N^2 }
 
-which is identified once ``n01`` is fixed. The functions here compute the
-plug-in versions of these formulas, normal-approximation intervals, the
-feasible range for ``n01``, and a sweep over candidate ``n01`` values.
-All estimators return exact rationals; intervals convert to floats at the
-very end.
+which is identified once ``n01`` is fixed. ``_tau_variance`` states it
+once: ``population_tau_variance`` evaluates it at a science table's
+integer margins, and the plug-ins (``improved_variance``,
+``sensitivity_variance``) at the estimated margins N p1_hat, N p0_hat and
+N tau_hat, so they run the very formula that ``causalurn verify`` checks
+against enumeration. ``_prediction_mse`` does the same for the mean squared
+error of the attributable-effect prediction. The module also holds
+normal-approximation intervals, the feasible range for ``n01``, and a
+sweep over candidate ``n01`` values. All estimators return exact
+rationals; intervals convert to floats at the very end.
 """
 
 from __future__ import annotations
@@ -66,23 +71,49 @@ def moment_cells(obs: ObservedTable, n01: int = 0) -> CellEstimates:
     )
 
 
-def _core_terms(obs: ObservedTable) -> Fraction:
-    p1, p0 = obs.p1_hat, obs.p0_hat
-    return p1 * (1 - p1) / obs.n_treated + p0 * (1 - p0) / obs.n_control
+def _tau_variance(total: int, n_treated: int, y1, y0, diff, n01) -> Fraction:
+    """N / (N - 1) times p1 (1 - p1) / N1 + p0 (1 - p0) / N0 - tau (1 - tau) / N
+    - 2 n01 / N^2, put over the one integer denominator N^2 (N - 1) N1 N0.
+
+    The margins enter as y1 = N p1, y0 = N p0 and diff = N tau: integers for
+    a science table, exact ``Fraction``s for the plug-in estimates.
+    """
+    if not 1 <= n_treated <= total - 1:
+        raise ValueError("n_treated must leave both arms nonempty")
+    n_control = total - n_treated
+    numerator = (
+        y1 * (total - y1) * total * n_control
+        + y0 * (total - y0) * total * n_treated
+        - diff * (total - diff) * n_treated * n_control
+        - 2 * n01 * total * n_treated * n_control
+    )
+    return Fraction(numerator, total * total * (total - 1) * n_treated * n_control)
+
+
+def _prediction_mse(total: int, n_treated: int, y0) -> Fraction:
+    """N^2 N1 p0 (1 - p0) / (N0 (N - 1)), the variance of A - N1 tau_hat,
+    with y0 = N p0 an integer or an exact ``Fraction``."""
+    if not 1 <= n_treated <= total - 1:
+        raise ValueError("n_treated must leave both arms nonempty")
+    return Fraction(n_treated * y0 * (total - y0), (total - n_treated) * (total - 1))
+
+
+def _plugin_tau_variance(obs: ObservedTable, n01: int) -> Fraction:
+    y1, y0 = obs.total * obs.p1_hat, obs.total * obs.p0_hat
+    return _tau_variance(obs.total, obs.n_treated, y1, y0, y1 - y0, n01)
 
 
 def improved_variance(obs: ObservedTable) -> Fraction:
     """Plug-in variance with the tau(1-tau)/N correction (no harmed units)."""
-    total = obs.total
-    t = tau_hat(obs)
-    inner = _core_terms(obs) - t * (1 - t) / total
-    return Fraction(total, total - 1) * inner
+    return _plugin_tau_variance(obs, 0)
 
 
 def neyman_variance(obs: ObservedTable) -> Fraction:
     """Baseline variance: the improved formula without the subtracted term."""
-    total = obs.total
-    return Fraction(total, total - 1) * _core_terms(obs)
+    p1, p0 = obs.p1_hat, obs.p0_hat
+    return Fraction(obs.total, obs.total - 1) * (
+        p1 * (1 - p1) / obs.n_treated + p0 * (1 - p0) / obs.n_control
+    )
 
 
 def classic_neyman_variance(obs: ObservedTable) -> Fraction:
@@ -106,8 +137,7 @@ def sensitivity_variance(obs: ObservedTable, n01: int) -> Fraction:
     """
     if n01 < 0:
         raise ValueError("n01 must be nonnegative")
-    total = obs.total
-    value = improved_variance(obs) - Fraction(2 * n01, (total - 1) * total)
+    value = _plugin_tau_variance(obs, n01)
     if value < 0:
         raise InfeasibleError(
             f"plug-in variance is negative at n01={n01}; "
@@ -207,33 +237,16 @@ def sensitivity_sweep(
 
 
 def population_tau_variance(science: ScienceTable, n_treated: int) -> Fraction:
-    """Exact randomization variance of the rate difference, any science table.
-
-    N / (N - 1) times p1 (1 - p1) / N1 + p0 (1 - p0) / N0 - tau (1 - tau) / N
-    - 2 n01 / N^2, put over the one integer denominator N^2 (N - 1) N1 N0.
-    """
-    total = science.total
-    if not 1 <= n_treated <= total - 1:
-        raise ValueError("n_treated must leave both arms nonempty")
-    n_control = total - n_treated
-    y1 = science.n11 + science.n10  # units succeeding under treatment: N p1
-    y0 = science.n11 + science.n01  # under control: N p0
-    diff = science.n10 - science.n01  # N tau
-    numerator = (
-        y1 * (total - y1) * total * n_control
-        + y0 * (total - y0) * total * n_treated
-        - diff * (total - diff) * n_treated * n_control
-        - 2 * science.n01 * total * n_treated * n_control
+    """Exact randomization variance of the rate difference, any science table."""
+    return _tau_variance(
+        science.total, n_treated,
+        science.n11 + science.n10,  # units succeeding under treatment: N p1
+        science.n11 + science.n01,  # under control: N p0
+        science.n10 - science.n01,  # N tau
+        science.n01,
     )
-    return Fraction(numerator, total * total * (total - 1) * n_treated * n_control)
 
 
 def population_attributable_mse(science: ScienceTable, n_treated: int) -> Fraction:
     """Exact variance of A - N1 * tau_hat; free of the outcome association."""
-    total = science.total
-    if not 1 <= n_treated <= total - 1:
-        raise ValueError("n_treated must leave both arms nonempty")
-    n_control = total - n_treated
-    # N^2 N1 p0 (1 - p0) / (N0 (N - 1)) with p0 = y0 / N.
-    y0 = science.n11 + science.n01
-    return Fraction(n_treated * y0 * (total - y0), n_control * (total - 1))
+    return _prediction_mse(science.total, n_treated, science.n11 + science.n01)

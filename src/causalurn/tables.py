@@ -56,11 +56,6 @@ class ScienceTable:
         return self.n11 + self.n10 + self.n01 + self.n00
 
     @property
-    def s(self) -> int:
-        """Number of units that respond under control, n11 + n01."""
-        return self.n11 + self.n01
-
-    @property
     def p1(self) -> Fraction:
         return Fraction(self.n11 + self.n10, self.total)
 

@@ -9,7 +9,6 @@ from causalurn import (
     DiscreteDistribution,
     InfeasibleError,
     ObservedTable,
-    ParameterPoint,
     Prior,
     ScienceTable,
     a_posterior,
@@ -60,22 +59,33 @@ class TestDiscreteDistribution:
 
 class TestPrior:
     def test_uniform_weight(self):
-        assert UNIFORM.kind == "uniform"
+        assert UNIFORM == Prior()
         assert UNIFORM.weights is None
 
     def test_table_weights(self):
-        prior = Prior.from_weights({ParameterPoint(1, 2): 2, ParameterPoint(0, 0): 0})
-        assert prior.weights == {ParameterPoint(1, 2): 2, ParameterPoint(0, 0): 0}
+        prior = Prior({(1, 2): 2, (0, 0): 0})
+        assert prior.weights == {(1, 2): 2, (0, 0): 0}
         assert all(isinstance(w, Fraction) for w in prior.weights.values())
-        assert ParameterPoint(9, 9) not in prior.weights
+        assert (9, 9) not in prior.weights
 
     def test_rejects_empty_or_negative(self):
         with pytest.raises(ValueError):
-            Prior.from_weights({})
+            Prior({})
         with pytest.raises(ValueError):
-            Prior.from_weights({ParameterPoint(1, 2): -1})
+            Prior({(1, 2): -1})
         with pytest.raises(ValueError):
-            Prior.from_weights({ParameterPoint(1, 2): 0})
+            Prior({(1, 2): 0})
+
+    def test_rejects_bad_coordinates(self):
+        with pytest.raises(ValueError):
+            Prior({(-1, 2): 1})
+        with pytest.raises(TypeError):
+            Prior({(1.5, 2): 1})
+
+    def test_key_is_the_grid_coordinate_at_the_call_harmed_count(self, pit):
+        # The call states the harmed count; a key names only (n11, n10).
+        dist = tau_posterior(pit, 2, Prior({(16, 20): 1}))
+        assert dist.support == (Fraction(18, 53),)
 
 
 class TestPosteriorPoints:
@@ -88,13 +98,13 @@ class TestPosteriorPoints:
 
     def test_point_mass_prior(self, pit):
         target = general_support(pit, 0)[100]
-        prior = Prior.from_weights({target: 1})
+        prior = Prior({(target.n11, target.n10): 1})
         dist = posterior_points(pit, 0, prior)
         assert dict(zip(dist.support, dist.mass))[target] == 1
         assert sum(dist.mass) == 1
 
     def test_annihilating_prior_raises(self, pit):
-        prior = Prior.from_weights({ParameterPoint(50, 1): 1})
+        prior = Prior({(50, 1): 1})
         with pytest.raises(ValueError):
             posterior_points(pit, 0, prior)
 
@@ -180,8 +190,8 @@ class TestAPosterior:
 
     def test_point_mass_prior_degenerates(self, pit):
         target = general_support(pit, 0)[0]
-        dist = a_posterior(pit, 0, Prior.from_weights({target: 3}))
-        assert len(dist) == 1
+        dist = a_posterior(pit, 0, Prior({(target.n11, target.n10): 3}))
+        assert len(dist.support) == 1
         assert dist.mass[0] == 1
 
     def test_pushforward_consistency(self, pit):

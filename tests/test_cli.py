@@ -261,6 +261,14 @@ class TestEstimate:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    @pytest.mark.parametrize("method", ["improved", "neyman", "neyman-classic",
+                                        "sensitivity", "all"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_negative_n01_is_a_usage_error_for_every_method(self, capsys, method, fmt):
+        code, out, err = run(capsys, "estimate", *PIT, "--method", method,
+                             "--n01", "-1", "--format", fmt)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --n01 must be nonnegative\n")
+
     def test_bad_level_exit_1(self, capsys):
         code, _, _ = run(capsys, "estimate", *PIT, "--level", "1.5")
         assert code == EXIT_USAGE
@@ -311,6 +319,17 @@ class TestSensitivity:
     def test_bad_bound_exit_1(self, capsys):
         code, _, _ = run(capsys, "sensitivity", *PIT, "--n01-max", "soon")
         assert code == EXIT_USAGE
+
+    def test_internal_posterior_error_is_not_printed_as_infeasible(self, capsys, monkeypatch):
+        # Only an empty support makes a Bayes column infeasible; any other
+        # error inside the posterior ends the command.
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("causalurn.cli.bayes.tau_posterior", broken)
+        assert run(capsys, "sensitivity", *PIT, "--n01-max", "1") == (
+            EXIT_USAGE, "", "error: boom\n"
+        )
 
 
 class TestPosterior:

@@ -12,19 +12,25 @@ integer moments and the moment cell estimates are checked against the
 enumerated assignments, and the Monte Carlo tally against a row-wise
 ``np.unique``.
 The closed-form population variances are checked against the ``Fraction``
-formulas they replaced, on science tables of up to 400 units.
+formulas they replaced, on science tables of up to 400 units, and the
+plug-in variances and prediction intervals, which evaluate the same closed
+forms at estimated margins, against those formulas in p1_hat, p0_hat and
+tau_hat on observed tables of up to 90 units.
 """
 
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalurn import (
     UNIFORM,
     DiscreteDistribution,
+    InfeasibleError,
     ObservedTable,
     ParameterPoint,
     Prior,
@@ -34,6 +40,7 @@ from causalurn import (
     general_support,
     hl_estimate,
     hpd_window,
+    improved_variance,
     in_general_support,
     interval_A,
     likelihood,
@@ -41,11 +48,14 @@ from causalurn import (
     mle,
     moment_cells,
     monte_carlo,
+    neyman_predict,
+    neyman_variance,
     population_attributable_mse,
     population_tau_variance,
     posterior_points,
     pvalue_curve,
     pvalue_exact,
+    sensitivity_variance,
     standardized_pvalues,
     tau_posterior,
 )
@@ -120,7 +130,7 @@ def test_posteriors_are_the_normalized_likelihood(design, data):
         )
         weight = st.fractions(min_value=Fraction(1, 12), max_value=10, max_denominator=12)
         weights = {p: data.draw(weight) for p in chosen}
-        prior = Prior.from_weights(weights)
+        prior = Prior({(p.n11, p.n10): w for p, w in weights.items()})
     raw = {p: weights.get(p, 0) * likelihood_exact(obs, p) for p in support}
     total = sum(raw.values())
 
@@ -350,6 +360,48 @@ def test_population_moments_equal_the_fraction_reference(science, data):
     assert population_attributable_mse(science, n_treated) == _reference_attributable_mse(
         science, n_treated
     )
+
+
+def _reference_plugins(obs, n01):
+    """The plug-in variances and prediction MSEs as Fraction chains in p1_hat,
+    p0_hat and tau_hat: neyman, improved, sensitivity at n01, and the MSE
+    from the control-arm and from the treated-arm rate."""
+    total, n_treated, n_control = obs.total, obs.n_treated, obs.n_control
+    p1, p0 = obs.p1_hat, obs.p0_hat
+    tau = p1 - p0
+    core = p1 * (1 - p1) / n_treated + p0 * (1 - p0) / n_control
+    improved = Fraction(total, total - 1) * (core - tau * (1 - tau) / total)
+    scale = Fraction(total * total * n_treated, n_control * (total - 1))
+    return (
+        Fraction(total, total - 1) * core,
+        improved,
+        improved - Fraction(2 * n01, (total - 1) * total),
+        scale * p0 * (1 - p0),
+        scale * p1 * (1 - p1),
+    )
+
+
+@PROPERTY
+@given(tables())
+def test_plugins_are_the_fraction_formulas_at_estimated_margins(obs):
+    level = 0.9
+    z = NormalDist().inv_cdf((1 + level) / 2)
+    centre = float(obs.n_treated * (obs.p1_hat - obs.p0_hat))
+    for n01 in range(obs.n10 + obs.n01 + 1):
+        neyman, improved, sensitivity, mse, compat_mse = _reference_plugins(obs, n01)
+        assert neyman_variance(obs) == neyman
+        assert improved_variance(obs) == improved
+        if sensitivity < 0:
+            with pytest.raises(InfeasibleError):
+                sensitivity_variance(obs, n01)
+        else:
+            assert sensitivity_variance(obs, n01) == sensitivity
+        for compat, expected in ((False, mse), (True, compat_mse)):
+            prediction = neyman_predict(obs, level, compat_paper_mse=compat)
+            half = z * math.sqrt(expected)
+            assert (prediction.point, prediction.lower, prediction.upper) == (
+                centre, centre - half, centre + half
+            )
 
 
 @ORACLE

@@ -28,7 +28,9 @@ class TestScienceTable:
     )
     def test_margins(self, cells, p1, p0, tau, s):
         science = ScienceTable(*cells)
-        assert (science.p1, science.p0, science.tau, science.s) == (p1, p0, tau, s)
+        assert (science.p1, science.p0, science.tau, science.n11 + science.n01) == (
+            p1, p0, tau, s
+        )
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
