@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
-from .likelihood import _grid, _numerator
+from .likelihood import _grid, _numerator, _row_sums
 from .tables import (
     IntervalEstimate,
     ObservedTable,
@@ -76,9 +77,9 @@ class Prior:
     """Prior weights over the (n11, n10) grid at the posterior's harmed count.
 
     ``weights`` None is the uniform prior. A table maps ``(n11, n10)`` to a
-    nonnegative weight, held as an exact rational; points absent from the
-    table carry weight zero. No parametric families: the module stays
-    model-free.
+    nonnegative weight, held as an exact rational in a read-only mapping;
+    points absent from the table carry weight zero. Equal priors hash
+    equal. No parametric families: the module stays model-free.
     """
 
     weights: Optional[Mapping[tuple[int, int], Fraction]] = None
@@ -94,7 +95,10 @@ class Prior:
             raise ValueError("prior weights must be nonnegative")
         if not any(table.values()):
             raise ValueError("prior must put positive weight somewhere")
-        object.__setattr__(self, "weights", table)
+        object.__setattr__(self, "weights", MappingProxyType(table))
+
+    def __hash__(self) -> int:
+        return hash(None if self.weights is None else frozenset(self.weights.items()))
 
 
 UNIFORM = Prior()
@@ -140,12 +144,11 @@ def posterior_points(
     )
 
 
-def _pushforward(rows, axis: int, fn: Callable) -> DiscreteDistribution:
+def _pushforward(pairs: Iterable[tuple[int, int]], fn: Callable) -> DiscreteDistribution:
     # Weights are summed per grid coordinate; the support is where mass lives.
     sums: dict = {}
-    for row in rows:
-        key = row[axis]
-        sums[key] = sums.get(key, 0) + row[2]
+    for key, weight in pairs:
+        sums[key] = sums.get(key, 0) + weight
     support, weights = zip(*sorted((fn(key), weight) for key, weight in sums.items()))
     return DiscreteDistribution(support=support, weights=weights)
 
@@ -156,16 +159,25 @@ def tau_posterior(
     """Posterior of the average causal effect, on the grid (k - n01)/N."""
     total = obs.total
     return _pushforward(
-        _weighted(obs, n01, prior), 1, lambda n10: Fraction(n10 - n01, total)
+        ((n10, w) for _, n10, w in _weighted(obs, n01, prior)),
+        lambda n10: Fraction(n10 - n01, total),
     )
 
 
 def a_posterior(
     obs: ObservedTable, n01: int = 0, prior: Prior = UNIFORM
 ) -> DiscreteDistribution:
-    """Posterior of the attributable effect A = n11_obs + n01_obs - n01 - n11."""
+    """Posterior of the attributable effect A = n11_obs + n01_obs - n01 - n11.
+
+    Under the uniform prior each n11 weight is the likelihood's row sum,
+    taken in closed form; a table prior weighs its own points.
+    """
     base = obs.n11 + obs.n01 - n01
-    return _pushforward(_weighted(obs, n01, prior), 0, lambda n11: base - n11)
+    if prior.weights is None:
+        pairs = _row_sums(obs, n01)
+    else:
+        pairs = ((n11, w) for n11, _, w in _weighted(obs, n01, prior))
+    return _pushforward(pairs, lambda n11: base - n11)
 
 
 def hpd_window(dist: DiscreteDistribution, level: float) -> tuple:

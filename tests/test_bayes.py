@@ -82,6 +82,15 @@ class TestPrior:
         with pytest.raises(TypeError):
             Prior({(1.5, 2): 1})
 
+    def test_equal_priors_hash_equal(self):
+        prior = Prior({(1, 2): 1})
+        assert prior == Prior({(1, 2): Fraction(2, 2)})
+        assert hash(prior) == hash(Prior({(1, 2): 1.0}))
+        assert {prior, Prior({(1, 2): 1}), UNIFORM} == {prior, UNIFORM}
+        assert dict(prior.weights) == {(1, 2): 1}
+        with pytest.raises(TypeError):
+            prior.weights[(3, 4)] = 1
+
     def test_key_is_the_grid_coordinate_at_the_call_harmed_count(self, pit):
         # The call states the harmed count; a key names only (n11, n10).
         dist = tau_posterior(pit, 2, Prior({(16, 20): 1}))

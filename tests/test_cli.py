@@ -201,6 +201,18 @@ GOLDEN_JSON = {
 }
 
 
+# Outputs at N = 212, 424 and 1060, recorded before the likelihood grid was
+# walked by its row ratio; each must stay byte for byte.
+DATA = Path(__file__).parent / "data"
+GOLDEN_FILES = {
+    "sensitivity 72 56 20 64 --format csv": "sensitivity_72_56_20_64.csv",
+    "posterior 144 112 40 128 --target tau --n01 20 --format json":
+        "posterior_144_112_40_128_tau_n01_20.json",
+    "posterior 360 280 100 320 --target A --n01 10 --format json":
+        "posterior_360_280_100_320_A_n01_10.json",
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -525,6 +537,11 @@ class TestGolden:
     @pytest.mark.parametrize("command", sorted(GOLDEN_JSON))
     def test_json(self, capsys, command):
         expected = json.dumps(GOLDEN_JSON[command], indent=2) + "\n"
+        assert run(capsys, *command.split()) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_FILES))
+    def test_large_population_file(self, capsys, command):
+        expected = (DATA / GOLDEN_FILES[command]).read_text()
         assert run(capsys, *command.split()) == (EXIT_OK, expected, "")
 
 

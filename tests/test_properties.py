@@ -6,7 +6,11 @@ against a brute-force computation from ``likelihood_exact`` over
 hypergeometric law built from ``math.comb``; ``hpd_window`` against a scan
 of every window. On tables of up to 20 units the support and its
 membership predicate are checked against every grid point's likelihood
-numerator. On science tables of up to 12 units the likelihood kernel, the
+numerator. The row-ratio walk of the likelihood grid and the closed-form
+uniform A weights are checked against the single-point numerator at every
+harmed count, on tables of up to 90 units, and the A weights against the
+oracle's way counts on every science table of up to 8 units. On science
+tables of up to 12 units the likelihood kernel, the
 p-value at the true number of responders under control, the oracle's
 integer moments and the moment cell estimates are checked against the
 enumerated assignments, and the Monte Carlo tally against a row-wise
@@ -59,6 +63,7 @@ from causalurn import (
     standardized_pvalues,
     tau_posterior,
 )
+from causalurn.tables import support_rows
 
 PROPERTY = settings(max_examples=30, deadline=None)
 ORACLE = settings(max_examples=100, deadline=None)
@@ -106,6 +111,42 @@ def test_support_is_the_positive_likelihood_grid(obs):
                 if inside:
                     positive.append((n11, n10))
         assert [(p.n11, p.n10) for p in general_support(obs, n01)] == positive
+
+
+def _pointwise_rows(obs, n01) -> list:
+    """``(n11, n10, _numerator)`` at every point of the support rows."""
+    return [
+        (n11, n10, likelihood._numerator(obs, n11, n10, n01))
+        for n11, n10s in support_rows(obs, n01)
+        for n10 in n10s
+    ]
+
+
+@PROPERTY
+@given(tables())
+def test_grid_walk_is_the_pointwise_kernel(obs):
+    for n01 in range(obs.n10 + obs.n01 + 2):
+        expected = _pointwise_rows(obs, n01)
+        if not expected:
+            with pytest.raises(InfeasibleError):
+                likelihood._grid(obs, n01)
+        else:
+            assert list(likelihood._grid(obs, n01)) == expected
+
+
+@PROPERTY
+@given(tables())
+def test_uniform_a_weights_are_the_pointwise_row_sums(obs):
+    for n01 in range(obs.n10 + obs.n01 + 2):
+        sums = {}
+        for n11, _, numerator in _pointwise_rows(obs, n01):
+            sums[n11] = sums.get(n11, 0) + numerator
+        if not sums:
+            with pytest.raises(InfeasibleError):
+                a_posterior(obs, n01)
+        else:
+            # A = n11_obs + n01_obs - n01 - n11 ascends as n11 descends.
+            assert a_posterior(obs, n01).weights == tuple(sums[n] for n in sorted(sums)[::-1])
 
 
 @PROPERTY
@@ -268,6 +309,35 @@ def test_kernel_numerator_is_the_oracle_way_count(science):
                     obs, science.n11, science.n10, science.n01
                 )
                 assert numerator == ways.get(obs, 0)
+
+
+def test_uniform_a_weights_are_the_oracle_way_counts():
+    # Every observed table of every science table with N <= 8: the uniform
+    # A weight at n11 is the oracle's way count of that table, summed over
+    # the science tables that share (n11, n01).
+    for total in range(2, 9):
+        for n_treated in range(1, total):
+            n_control = total - n_treated
+            for n11 in range(total + 1):
+                for n01 in range(total - n11 + 1):
+                    ways = {}
+                    for n10 in range(total - n11 - n01 + 1):
+                        science = ScienceTable(n11, n10, n01, total - n11 - n10 - n01)
+                        for record in enumerate_assignments(science, n_treated).records:
+                            ways[record.observed] = (
+                                ways.get(record.observed, 0) + record.weight
+                            )
+                    for o11 in range(n_treated + 1):
+                        for o01 in range(n_control + 1):
+                            obs = ObservedTable(o11, n_treated - o11, o01, n_control - o01)
+                            try:
+                                dist = a_posterior(obs, n01)
+                            except InfeasibleError:
+                                assert obs not in ways
+                                continue
+                            weights = dict(zip(dist.support, dist.weights))
+                            a = obs.n11 + obs.n01 - n01 - n11
+                            assert weights.get(a, 0) == ways.get(obs, 0)
 
 
 def _fraction_moments(dist, value):
