@@ -15,6 +15,14 @@ the shared denominator C(N, N0); ``hl_estimate``, ``interval_A`` and
 in the Hodges-Lehmann-type maximization are genuine, not float artifacts.
 Only s in [n01_obs, n01_obs + N1] keep the observed count in the law's
 support, so only those s can have a positive p-value.
+
+The curve is one walk along s. With w_s(h) = C(s, h) C(N - s, N0 - h) and
+L_s(k) the sum of w_s(h) over h <= k, each row is unimodal, so the counts
+strictly likelier than h_obs = n01_obs form one open interval (a, b) with
+h_obs at one end, and p(s) C(N, N0) = C(N, N0) - (L_s(b - 1) - L_s(a)).
+Both cuts step in s by the exact L_{s+1}(k) = L_s(k) - w_s(k) (N0 - k) /
+(N - s), each weight by an exact integer ratio in s or h, and the far end
+only moves up: O(N1 + N0) integer steps, not O(N1 min(N1, N0)).
 """
 
 from __future__ import annotations
@@ -64,11 +72,43 @@ class PValueCurve:
 
 
 def pvalue_curve(obs: ObservedTable) -> PValueCurve:
-    """The p-value curve of ``obs``: one integer numerator per s, built once."""
-    base = obs.n11 + obs.n01
-    values = tuple(range(-obs.n10, obs.n11 + 1))
-    numerators = tuple(_pvalue_numerator(obs, base - a) for a in values)
-    return PValueCurve(values, numerators, math.comb(obs.total, obs.n_control))
+    """The p-value curve of ``obs``: one integer numerator per s, built once.
+
+    ``near`` is L_s(h_obs) and ``far`` is L_s(k), k being a or b - 1;
+    ``w_near`` and ``w_far`` are the weights at those cuts, and ``edge`` is
+    the row's lowest weight, which a far cut just below the row meets next.
+    """
+    total, draws, h, n1 = obs.total, obs.n_control, obs.n01, obs.n_treated
+    whole = math.comb(total, draws)
+    near, w_near = whole, math.comb(total - h, draws - h)  # at s = h_obs, h_obs tops the row
+    lo = max(0, h - n1)
+    edge = math.comb(total - h, draws) if lo == 0 else math.comb(h, n1)
+    k, far, w_far = lo - 1, 0, 0
+    numerators = []
+    for s in range(h, h + n1 + 1):
+        # The far cut climbs over weights no likelier than h_obs's below it,
+        # strictly likelier ones above it; a weight past the row comes out 0.
+        while True:
+            up = k + 1
+            if up == h:
+                w = w_near
+            else:
+                w = edge if k < lo else w_far * ((s - k) * (draws - k)) // (up * (n1 - s + up))
+                if (w > w_near) == (up < h):
+                    break
+            k, far, w_far = up, far + w, w
+        numerators.append(far + whole - near + w_near if k < h else near + whole - far)
+        if s == h + n1:
+            break
+        rest = total - s
+        near -= w_near * (draws - h) // rest
+        w_near = w_near * ((s + 1) * (n1 - s + h)) // ((s + 1 - h) * rest)
+        far -= w_far * (draws - k) // rest
+        w_far = w_far * ((s + 1) * (n1 - s + k)) // ((s + 1 - k) * rest)
+        edge = edge * (rest - draws) // rest if s < n1 else edge * (s + 1) // (s + 1 - n1)
+        lo = max(0, s + 1 - n1)
+        k = max(k, lo - 1)
+    return PValueCurve(tuple(range(-obs.n10, obs.n11 + 1)), tuple(reversed(numerators)), whole)
 
 
 def pvalue_exact(obs: ObservedTable, s: int) -> Fraction:

@@ -63,6 +63,11 @@ def _machine(value) -> float:
     return float(f"{float(value):.12g}")
 
 
+def _masses(dist) -> list[float]:
+    total = dist.total  # int true division rounds as float(Fraction(w, total)), with no gcd
+    return [_machine(w / total) for w in dist.weights]
+
+
 def _fmt(value) -> str:
     return f"{float(value):.3f}"
 
@@ -274,7 +279,7 @@ def cmd_posterior(args) -> int:
     posterior = bayes.tau_posterior if args.target == "tau" else bayes.a_posterior
     dist = posterior(obs, args.n01, prior)
     values = [_machine(v) for v in dist.support]
-    masses = [_machine(m) for m in dist.mass]
+    masses = _masses(dist)
     return _emit(
         args,
         {"table": args.counts, "target": args.target, "n01": args.n01,
@@ -301,9 +306,9 @@ def cmd_attributable(args) -> int:
         "prediction": _interval_json(prediction),
     }
     if standardized is not None:
+        masses = _masses(standardized)
         fields["standardized_pvalues"] = {
-            "support": [int(v) for v in standardized.support],
-            "mass": [_machine(m) for m in standardized.mass],
+            "support": [int(v) for v in standardized.support], "mass": masses,
         }
 
     def text():
@@ -322,10 +327,7 @@ def cmd_attributable(args) -> int:
         )
         if standardized is not None:
             lines.append("standardized p-values (A, mass):")
-            lines += [
-                f"  {value:>4}  {float(mass):.12g}"
-                for value, mass in zip(standardized.support, standardized.mass)
-            ]
+            lines += [f"  {value:>4}  {mass:.12g}" for value, mass in zip(standardized.support, masses)]
         return lines
 
     return _emit(

@@ -24,8 +24,6 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Callable, Iterable, NamedTuple, Optional
 
-import numpy as np
-
 from .moments import improved_variance, population_tau_variance, tau_hat
 from .tables import ObservedTable, ScienceTable
 
@@ -219,6 +217,7 @@ def monte_carlo(
         raise ValueError("n_treated must leave both arms nonempty")
     if draws < 1:
         raise ValueError("draws must be positive")
+    import numpy as np  # the one numpy user; commands that never sample skip its import
     rng = np.random.default_rng(seed)
     colors = [science.n11, science.n10, science.n01, science.n00]
     # One mixed-radix key per draw, (x11 (n10+1) + x10) (n01+1) + x01: its

@@ -181,23 +181,22 @@ def monotone_support(obs: ObservedTable) -> tuple[ParameterPoint, ...]:
     return general_support(obs, 0)
 
 
-def _n11_range(obs: ObservedTable, n01: int) -> range:
-    # The support's n11 values given n01 harmed units; empty when n01 is
-    # infeasible, which happens exactly when n01 > n10_obs + n01_obs.
+def _n11_span(obs: ObservedTable, n01: int) -> tuple[int, int]:
+    # The support's n11 values given n01 harmed units, as range() bounds;
+    # empty when n01 is infeasible, exactly when n01 > n10_obs + n01_obs.
     if n01 > obs.n10 + obs.n01:
-        return range(0)
-    hi = min(obs.n01 + obs.n11, obs.total - obs.n00 - n01)
-    return range(max(0, obs.n01 - n01), hi + 1)
+        return 0, 0
+    return max(0, obs.n01 - n01), min(obs.n01 + obs.n11, obs.total - obs.n00 - n01) + 1
 
 
-def _n10_range(obs: ObservedTable, n01: int, n11: int) -> range:
-    # The support's n10 values in row n11: the row sum n10 + n11 runs from
-    # max(n11_obs + n01_obs - n01, n11_obs) to N - n10_obs, n10 is at most
-    # N - n01_obs - n10_obs, and n00 = N - n11 - n10 - n01 is nonnegative.
+def _n10_span(obs: ObservedTable, n01: int, n11: int) -> tuple[int, int]:
+    # The support's n10 values in row n11, as range() bounds: n10 + n11 runs
+    # from max(n11_obs + n01_obs - n01, n11_obs) to N - n10_obs, n10 is at
+    # most N - n01_obs - n10_obs, and n00 = N - n11 - n10 - n01 >= 0.
     total = obs.total
     lo = max(0, obs.n11 + obs.n01 - n01 - n11, obs.n11 - n11)
     hi = min(total - obs.n01 - obs.n10, total - obs.n10 - n11, total - n01 - n11)
-    return range(lo, hi + 1)
+    return lo, hi + 1
 
 
 def support_rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
@@ -207,7 +206,7 @@ def support_rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
     units, and no other point does. Empty when ``n01`` is infeasible.
     """
     n01 = _count(n01, "n01")
-    return [(n11, _n10_range(obs, n01, n11)) for n11 in _n11_range(obs, n01)]
+    return [(n11, range(*_n10_span(obs, n01, n11))) for n11 in range(*_n11_span(obs, n01))]
 
 
 def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
@@ -227,5 +226,8 @@ def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
 
 def in_general_support(obs: ObservedTable, point: ParameterPoint) -> bool:
     """O(1) membership test equivalent to ``point in general_support(...)``."""
-    n01, n11 = point.n01, point.n11
-    return n11 in _n11_range(obs, n01) and point.n10 in _n10_range(obs, n01, n11)
+    start, stop = _n11_span(obs, point.n01)
+    if not start <= point.n11 < stop:
+        return False
+    start, stop = _n10_span(obs, point.n01, point.n11)
+    return start <= point.n10 < stop

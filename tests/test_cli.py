@@ -202,7 +202,8 @@ GOLDEN_JSON = {
 
 
 # Outputs at N = 212, 424 and 1060, recorded before the likelihood grid was
-# walked by its row ratio; each must stay byte for byte.
+# walked by its row ratio, and at N = 5300, recorded before the p-value curve
+# was walked along s; each must stay byte for byte.
 DATA = Path(__file__).parent / "data"
 GOLDEN_FILES = {
     "sensitivity 72 56 20 64 --format csv": "sensitivity_72_56_20_64.csv",
@@ -210,6 +211,8 @@ GOLDEN_FILES = {
         "posterior_144_112_40_128_tau_n01_20.json",
     "posterior 360 280 100 320 --target A --n01 10 --format json":
         "posterior_360_280_100_320_A_n01_10.json",
+    "attributable 1800 1400 500 1600 --curve --format json":
+        "attributable_1800_1400_500_1600_curve.json",
 }
 
 
@@ -450,18 +453,18 @@ class TestAttributable:
 
     @pytest.mark.parametrize("options", [("--curve", "--format", "json"), ()])
     def test_builds_one_pvalue_curve(self, capsys, monkeypatch, options):
-        # One p-value numerator per s in [n01, n01 + N1]: N1 + 1 = 33 calls.
+        # Every summary reads one curve, built once per command.
         calls = []
-        original = causalurn.attributable._pvalue_numerator
+        original = causalurn.attributable.pvalue_curve
 
-        def counted(obs, s):
-            calls.append(s)
-            return original(obs, s)
+        def counted(obs):
+            calls.append(obs)
+            return original(obs)
 
-        monkeypatch.setattr(causalurn.attributable, "_pvalue_numerator", counted)
+        monkeypatch.setattr(causalurn.attributable, "pvalue_curve", counted)
         code, _, _ = run(capsys, "attributable", *PIT, *options)
         assert code == EXIT_OK
-        assert sorted(calls) == list(range(5, 38))
+        assert calls == [causalurn.ObservedTable(18, 14, 5, 16)]
 
     def test_usage_error_then_valid_command(self, capsys):
         # main() reuses one parser per process; an error must not leave

@@ -3,8 +3,10 @@
 Populations run up to 90 units. The likelihood properties are checked
 against a brute-force computation from ``likelihood_exact`` over
 ``general_support``; the p-value properties against a ``Fraction``
-hypergeometric law built from ``math.comb``; ``hpd_window`` against a scan
-of every window. On tables of up to 20 units the support and its
+hypergeometric law built from ``math.comb``, and the walk of the p-value
+curve against the single-s kernel at every s, on generated tables and on
+tables that reach its tie and edge cases; ``hpd_window`` against a scan of
+every window. On tables of up to 20 units the support and its
 membership predicate are checked against every grid point's likelihood
 numerator. The row-ratio walk of the likelihood grid and the closed-form
 uniform A weights are checked against the single-point numerator at every
@@ -63,6 +65,7 @@ from causalurn import (
     standardized_pvalues,
     tau_posterior,
 )
+from causalurn.attributable import _pvalue_numerator
 from causalurn.tables import support_rows
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -233,6 +236,43 @@ def test_pvalue_curve_matches_the_fraction_reference(obs):
     raw = [reference[base - a] for a in range(obs.n11 + 1)]
     assert standardized.support == tuple(range(obs.n11 + 1))
     assert standardized.mass == tuple(p / sum(raw) for p in raw)
+
+
+# Tables whose walk meets its corner cases: a tie at a two-point mode
+# (C(1, 0) C(3, 2) = C(1, 1) C(3, 1) at s = 1), a tie between h_obs and a
+# count two away (C(4, h)^2 at s = 4), h_obs at the bottom (n01 = 0) or the
+# top (n01 = N0) of every row, one-unit arms, and arms of only successes or
+# only failures.
+WALK_CORNERS = [
+    ObservedTable(1, 1, 1, 1), ObservedTable(2, 0, 0, 2), ObservedTable(0, 2, 2, 0),
+    ObservedTable(2, 2, 1, 3), ObservedTable(2, 2, 3, 1),
+    ObservedTable(5, 3, 0, 9), ObservedTable(5, 3, 9, 0),
+    ObservedTable(1, 0, 0, 1), ObservedTable(0, 1, 1, 0), ObservedTable(1, 0, 4, 6),
+    ObservedTable(0, 1, 4, 6), ObservedTable(4, 6, 1, 0), ObservedTable(4, 6, 0, 1),
+    ObservedTable(7, 0, 3, 5), ObservedTable(0, 7, 3, 5), ObservedTable(3, 5, 7, 0),
+    ObservedTable(3, 5, 0, 7), ObservedTable(6, 0, 0, 6), ObservedTable(0, 6, 6, 0),
+]
+
+
+def _assert_walk_matches_the_single_s_kernel(obs):
+    # The walk's numerator at every s in [n01_obs, n01_obs + N1] is the one
+    # the row rebuild of _pvalue_numerator gives.
+    base = obs.n11 + obs.n01
+    curve = pvalue_curve(obs)
+    steps = [base - a for a in curve.values]
+    assert sorted(steps) == list(range(obs.n01, obs.n01 + obs.n_treated + 1))
+    assert list(curve.numerators) == [_pvalue_numerator(obs, s) for s in steps]
+
+
+@pytest.mark.parametrize("obs", WALK_CORNERS, ids=repr)
+def test_pvalue_walk_matches_the_kernel_on_corner_tables(obs):
+    _assert_walk_matches_the_single_s_kernel(obs)
+
+
+@ORACLE
+@given(tables())
+def test_pvalue_walk_matches_the_kernel(obs):
+    _assert_walk_matches_the_single_s_kernel(obs)
 
 
 def _brute_force_hpd(dist, level):
