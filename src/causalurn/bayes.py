@@ -18,7 +18,7 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
-from .likelihood import _grid, _numerator, _row_sums
+from .likelihood import _columns, _grid, _numerator, _row_sums
 from .tables import (
     IntervalEstimate,
     ObservedTable,
@@ -113,7 +113,8 @@ def _weighted(
     integers by the lcm of its denominators. Raises InfeasibleError on an
     empty support and ValueError when the prior annihilates all of it.
     """
-    rows = _grid(obs, n01)
+    # _grid checks the support at once but walks it only as rows are read.
+    rows = ((n11, n10, w) for n11, n10s, ws in _grid(obs, n01) for n10, w in zip(n10s, ws))
     if prior.weights is not None:
         scale = math.lcm(*(w.denominator for w in prior.weights.values()))
         rows = [
@@ -156,8 +157,18 @@ def _pushforward(pairs: Iterable[tuple[int, int]], fn: Callable) -> DiscreteDist
 def tau_posterior(
     obs: ObservedTable, n01: int = 0, prior: Prior = UNIFORM
 ) -> DiscreteDistribution:
-    """Posterior of the average causal effect, on the grid (k - n01)/N."""
+    """Posterior of the average causal effect, on the grid (k - n01)/N.
+
+    Under the uniform prior each row's x runs (the x term on [max(first, j),
+    min(last, m - c)], seeded once, stepped along n10 by an exact ratio; see
+    ``likelihood``) go straight into n10 columns, at a cost of the grid's
+    terms plus one seed per (n11, x). A table prior weighs its own points.
+    """
     total = obs.total
+    if prior.weights is None:
+        base, columns = _columns(obs, n01)
+        pairs = [(Fraction(base + k - n01, total), w) for k, w in enumerate(columns) if w]
+        return DiscreteDistribution(*zip(*pairs))
     return _pushforward(
         ((n10, w) for _, n10, w in _weighted(obs, n01, prior)),
         lambda n10: Fraction(n10 - n01, total),
@@ -208,10 +219,8 @@ def hpd_window(dist: DiscreteDistribution, level: float) -> tuple:
                 if best is None or candidate < best:
                     best = candidate
         if best is not None:
-            _, _, lo = best
-            hi = lo + width - 1
-            window = prefix[hi + 1] - prefix[lo]
-            return dist.support[lo], dist.support[hi], Fraction(window, total)
+            window, _, lo = best
+            return dist.support[lo], dist.support[lo + width - 1], Fraction(-window, total)
 
 
 def hpd_interval(dist: DiscreteDistribution, level: float = 0.95) -> IntervalEstimate:

@@ -237,7 +237,7 @@ def _load_prior(path: Optional[str]) -> bayes.Prior:
             raw = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read prior file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad encoding, syntax or nesting depth
         raise UsageError(f"prior file is not valid JSON: {exc}")
     entries = raw.get("points") if isinstance(raw, dict) else None
     if not isinstance(entries, list):

@@ -16,19 +16,21 @@ evaluated as an exact integer numerator at every population size: argmax
 sets and posterior masses are decided on those integers, and a float
 appears only when a caller asks for a log-likelihood.
 
-The support is walked row by row. With n11 fixed, write j = n11_obs - x
-and c = n10_obs + n01_obs + x - n01 - n11; a step from n10 - 1 to n10
-multiplies each term by the exact integer ratio
+The support is walked row by row. With n11 fixed, write j = n11_obs - x,
+c = n10_obs + n01_obs + x - n01 - n11 and m = N - n11 - n01 (so n00 = m - n10).
+The x term a_x C(n10, j) C(m - n10, c), a_x = C(n11, x) C(n01, n01 + n11 -
+n01_obs - x), is one hypergeometric run in n10, positive exactly on
+[max(first, j), min(last, m - c)] for the row's first and last n10. A run is
+seeded once from its binomials; from n10 = n to n + 1 its term t steps to
 
-    n10 (n00 + 1 - c) / ((n10 - j) (n00 + 1))
+    t (n + 1) (m - n - c) // ((n + 1 - j) (m - n)),
 
-with n00 taken at the new point. Both ends of the x range only fall as n10
-grows, so at each step at most one term leaves at the top and at most one,
-computed from its binomials, enters at the bottom. A row's sum over n10 has
-a closed form: with M = N - n11 - n01, the Chu-Vandermonde identity
-sum_n10 C(n10, j) C(M - n10, c) = C(M + 1, j + c + 1) gives
+every division exact. The runs are added elementwise into the row, or into
+n10-indexed columns for the effect posterior, so a grid costs its inner-sum
+terms plus one seed per (n11, x). A row's sum over n10 has a closed form:
+Chu-Vandermonde, sum_n10 C(n10, j) C(m - n10, c) = C(m + 1, j + c + 1), gives
 
-    sum_x C(n11, x) C(n01, n01 + n11 - n01_obs - x) C(M + 1, j + c + 1)
+    sum_x C(n11, x) C(n01, n01 + n11 - n01_obs - x) C(m + 1, j + c + 1)
 
 where j + c = N - n00_obs - n01 - n11 is the same at every x.
 """
@@ -54,39 +56,24 @@ LOG_ZERO = float("-inf")
 def _x_range(obs: ObservedTable, n11: int, n10: int, n01: int) -> tuple[int, int]:
     # Bounds on the number of always-responders assigned to treatment; the
     # point has positive likelihood exactly when lo <= hi.
-    lo = max(
-        0,
-        obs.n11 - n10,
-        n11 - obs.n01,
-        n01 + n11 - obs.n10 - obs.n01,
-    )
-    hi = min(
-        n11,
-        obs.n11,
-        n01 + n11 - obs.n01,
-        obs.total - n10 - obs.n10 - obs.n01,
-    )
+    lo = max(0, obs.n11 - n10, n11 - obs.n01, n01 + n11 - obs.n10 - obs.n01)
+    hi = min(n11, obs.n11, n01 + n11 - obs.n01, obs.total - n10 - obs.n10 - obs.n01)
     return lo, hi
-
-
-def _terms(obs: ObservedTable, n11: int, n10: int, n01: int, xs: range) -> list[int]:
-    # The inner-sum terms at (n11, n10) for x in xs, each from its binomials.
-    n00 = obs.total - n11 - n10 - n01
-    return [
-        math.comb(n11, x)
-        * math.comb(n10, obs.n11 - x)
-        * math.comb(n01, n01 + n11 - obs.n01 - x)
-        * math.comb(n00, obs.n10 + obs.n01 + x - n01 - n11)
-        for x in xs
-    ]
 
 
 def _numerator(obs: ObservedTable, n11: int, n10: int, n01: int) -> int:
     """The likelihood times C(N, N1), an exact integer; 0 off the support."""
-    if obs.total - n11 - n10 - n01 < 0:
+    n00 = obs.total - n11 - n10 - n01
+    if n00 < 0:
         return 0
     lo, hi = _x_range(obs, n11, n10, n01)
-    return sum(_terms(obs, n11, n10, n01, range(lo, hi + 1)))
+    return sum(
+        math.comb(n11, x)
+        * math.comb(n10, obs.n11 - x)
+        * math.comb(n01, n01 + n11 - obs.n01 - x)
+        * math.comb(n00, obs.n10 + obs.n01 + x - n01 - n11)
+        for x in range(lo, hi + 1)
+    )
 
 
 def _rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
@@ -97,42 +84,51 @@ def _rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
     return rows
 
 
-def _walk(obs: ObservedTable, n01: int, rows) -> Iterator[tuple[int, int, int]]:
-    # Each row's first point is summed from binomials; every later point
-    # steps the terms by the row ratio, which is zero for the term that
-    # leaves at the top, and builds only the term that enters at the bottom.
+def _row_xs(obs: ObservedTable, n01: int, n11: int, n10s: range) -> range:
+    # The x range falls as n10 grows, and an x with j, c, a_x > 0 has a positive term
+    # at n10 = j (j + c <= m): the row's x run from lo at its last point to hi at its first.
+    return range(_x_range(obs, n11, n10s[-1], n01)[0], _x_range(obs, n11, n10s[0], n01)[1] + 1)
+
+
+def _add_row(obs: ObservedTable, n01: int, n11: int, n10s: range, into: list, at: int) -> list:
+    # Adds the row's numerators into into[at:at + len(n10s)], one x run at a
+    # time: seeded from its binomials at its window's start, then stepped
+    # along n10 by the exact ratio and added in the same pass. Returns ``into``.
+    first, last = n10s[0], n10s[-1]
+    m = obs.total - n11 - n01  # n00 = m - n10
+    c0 = obs.n10 + obs.n01 - n01 - n11  # c = c0 + x
+    for x in _row_xs(obs, n01, n11, n10s):
+        j, c = obs.n11 - x, c0 + x
+        start, stop = max(first, j), min(last, m - c)
+        t = (math.comb(n11, x) * math.comb(n01, n01 + n11 - obs.n01 - x)
+             * math.comb(start, j) * math.comb(m - start, c))
+        lo, hi = at + start - first, at + stop - first + 1
+        into[lo] += t
+        # n + 1, m - n - c, n + 1 - j and m - n for n = start, ..., stop - 1
+        steps = zip(into[lo + 1:hi], range(start + 1, stop + 1),
+                    range(m - c - start, m - c - stop, -1), range(start + 1 - j, stop + 1 - j),
+                    range(m - start, m - stop, -1))
+        into[lo + 1:hi] = [w + (t := t * (a * b) // (d * e)) for w, a, b, d, e in steps]
+    return into
+
+
+def _grid(obs: ObservedTable, n01: int) -> Iterator[tuple[int, range, list[int]]]:
+    """``(n11, n10s, numerators)`` per support row, ``numerators[i]`` positive and
+    :func:`_numerator` at ``(n11, n10s[i])``. Raises InfeasibleError, before
+    the walk starts, when the support is empty."""
+    rows = _rows(obs, n01)
+    return ((n11, n10s, _add_row(obs, n01, n11, n10s, [0] * len(n10s), 0)) for n11, n10s in rows)
+
+
+def _columns(obs: ObservedTable, n01: int) -> tuple[int, list[int]]:
+    """``(first n10, column sums)``: every row's x runs added into one
+    n10-indexed list. Raises InfeasibleError when the support is empty."""
+    rows = _rows(obs, n01)
+    base = min(n10s[0] for _, n10s in rows)
+    columns = [0] * (max(n10s[-1] for _, n10s in rows) + 1 - base)
     for n11, n10s in rows:
-        first = n10s[0]
-        lo, hi = _x_range(obs, n11, first, n01)
-        floor = _x_range(obs, n11, n10s[-1], n01)[0]  # lo at the row's end
-        terms = _terms(obs, n11, first, n01, range(lo, hi + 1))
-        yield n11, first, sum(terms)
-        c0 = obs.n10 + obs.n01 - n01 - n11  # c = c0 + x
-        m = obs.total - n11 - n01  # n00 = m - n10
-        for n10 in n10s[1:]:
-            n00 = m + 1 - n10  # n00 + 1 at this point: the previous point's n00
-            # n00 + 1 - c = top - x and n10 - j = bottom + x
-            top, bottom = n00 - c0, n10 - obs.n11
-            terms = [
-                t * (n10 * (top - x)) // ((bottom + x) * n00)
-                for x, t in enumerate(terms, lo)
-            ]
-            if not terms[-1]:
-                terms.pop()
-            if lo > floor:  # lo was n11_obs - n10 + 1; x = lo - 1 has j = n10
-                lo -= 1
-                terms[:0] = _terms(obs, n11, n10, n01, range(lo, lo + 1))
-            yield n11, n10, sum(terms)
-
-
-def _grid(obs: ObservedTable, n01: int) -> Iterator[tuple[int, int, int]]:
-    """``(n11, n10, numerator)`` over the support, in (n11, n10) order.
-
-    Every numerator is positive and equals :func:`_numerator` at its point.
-    Raises InfeasibleError, before the walk starts, when the support is
-    empty.
-    """
-    return _walk(obs, n01, _rows(obs, n01))
+        _add_row(obs, n01, n11, n10s, columns, n10s[0] - base)
+    return base, columns
 
 
 def _row_sums(obs: ObservedTable, n01: int) -> list[tuple[int, int]]:
@@ -145,17 +141,11 @@ def _row_sums(obs: ObservedTable, n01: int) -> list[tuple[int, int]]:
     total = obs.total
     sums = []
     for n11, n10s in _rows(obs, n01):
-        # The x range falls as n10 grows, and an x with j, c >= 0 and
-        # C(n11, x) C(n01, .) > 0 has a positive term at n10 = j (as
-        # j + c <= M): the row's x values run from lo at its last point to
-        # hi at its first.
-        lo = _x_range(obs, n11, n10s[-1], n01)[0]
-        hi = _x_range(obs, n11, n10s[0], n01)[1]
         m = total - n11 - n01
         width = total - obs.n00 - n01 - n11  # j + c, the same at every x
         sums.append((n11, math.comb(m + 1, width + 1) * sum(
             math.comb(n11, x) * math.comb(n01, n01 + n11 - obs.n01 - x)
-            for x in range(lo, hi + 1)
+            for x in _row_xs(obs, n01, n11, n10s)
         )))
     return sums
 
@@ -209,11 +199,12 @@ def mle(obs: ObservedTable, n01: int = 0) -> MaxLikelihood:
     so every genuine discrete tie survives.
     """
     best, argmax = 0, []
-    for n11, n10, numerator in _grid(obs, n01):
-        if numerator > best:
-            best, argmax = numerator, [(n11, n10)]
-        elif numerator == best:
-            argmax.append((n11, n10))
+    for n11, n10s, numerators in _grid(obs, n01):
+        for n10, numerator in zip(n10s, numerators):
+            if numerator > best:
+                best, argmax = numerator, [(n11, n10)]
+            elif numerator == best:
+                argmax.append((n11, n10))
     points = tuple(ParameterPoint(n11, n10, n01) for n11, n10 in argmax)
     total = obs.total
     tau_values = tuple(sorted({Fraction(n10 - n01, total) for _, n10 in argmax}))

@@ -18,6 +18,7 @@ from causalurn.cli import (
     EXIT_VERIFY,
     main,
 )
+from causalurn.tables import support_rows
 
 PIT = ["18", "14", "5", "16"]
 SUBCOMMANDS = ("estimate", "sensitivity", "posterior", "attributable", "verify", "simulate")
@@ -213,6 +214,8 @@ GOLDEN_FILES = {
         "posterior_360_280_100_320_A_n01_10.json",
     "attributable 1800 1400 500 1600 --curve --format json":
         "attributable_1800_1400_500_1600_curve.json",
+    "sensitivity 144 112 40 128 --n01-max 10 --format csv":
+        "sensitivity_144_112_40_128_n01_10.csv",
 }
 
 
@@ -346,6 +349,31 @@ class TestSensitivity:
             EXIT_USAGE, "", "error: boom\n"
         )
 
+    def test_walks_each_grid_once(self, capsys, monkeypatch):
+        # Each feasible harmed count's grid is walked once, row by row, and
+        # the uniform tau posterior never takes the pointwise kernel or a
+        # pushforward of points.
+        walked = []
+        original = causalurn.likelihood._add_row
+
+        def counted(obs, n01, n11, *rest):
+            walked.append((n01, n11))
+            return original(obs, n01, n11, *rest)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pointwise path taken")
+
+        monkeypatch.setattr(causalurn.likelihood, "_add_row", counted)
+        monkeypatch.setattr(causalurn.likelihood, "_numerator", forbidden)
+        monkeypatch.setattr(causalurn.bayes, "_numerator", forbidden)
+        monkeypatch.setattr(causalurn.bayes, "_pushforward", forbidden)
+        code, _, _ = run(capsys, "sensitivity", *PIT, "--n01-max", "21")
+        assert code == EXIT_OK
+        obs = causalurn.ObservedTable(18, 14, 5, 16)
+        rows = [(n01, support_rows(obs, n01)) for n01 in range(22)]
+        assert [n01 for n01, grid in rows if grid] == list(range(20))
+        assert walked == [(n01, n11) for n01, grid in rows for n11, _ in grid]
+
 
 class TestPosterior:
     @pytest.mark.parametrize("n01", [0, 2, 5])
@@ -404,6 +432,18 @@ class TestPosterior:
         code, _, err = run(capsys, "posterior", *PIT, "--prior-file", str(prior))
         assert code == EXIT_USAGE
         assert "finite" in err
+
+    @pytest.mark.parametrize("content", [b"[" * 100_000, b'\xff\xfe{"points": []}'],
+                             ids=["deeply-nested", "not-utf-8"])
+    def test_undecodable_prior_file_exit_1(self, capsys, tmp_path, content):
+        prior = tmp_path / "prior.json"
+        prior.write_bytes(content)
+        code, out, err = run(capsys, "posterior", *PIT, "--prior-file", str(prior))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: prior file is not valid JSON: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_missing_prior_file(self, capsys):
         code, _, err = run(capsys, "posterior", *PIT, "--prior-file", "/no/such.json")

@@ -8,10 +8,12 @@ curve against the single-s kernel at every s, on generated tables and on
 tables that reach its tie and edge cases; ``hpd_window`` against a scan of
 every window. On tables of up to 20 units the support and its
 membership predicate are checked against every grid point's likelihood
-numerator. The row-ratio walk of the likelihood grid and the closed-form
-uniform A weights are checked against the single-point numerator at every
-harmed count, on tables of up to 90 units, and the A weights against the
-oracle's way counts on every science table of up to 8 units. On science
+numerator. The x-run walk of the likelihood grid, the uniform tau column
+sums and the closed-form uniform A weights are checked against the
+single-point numerator at every harmed count, and each row's x range against
+the x whose terms are positive on it, on tables of up to 90 units and on
+corner tables; the A weights also against the oracle's way counts on every
+science table of up to 8 units. On science
 tables of up to 12 units the likelihood kernel, the
 p-value at the true number of responders under control, the oracle's
 integer moments and the moment cell estimates are checked against the
@@ -125,16 +127,112 @@ def _pointwise_rows(obs, n01) -> list:
     ]
 
 
-@PROPERTY
-@given(tables())
-def test_grid_walk_is_the_pointwise_kernel(obs):
+def _assert_grid_walk_is_the_pointwise_kernel(obs):
+    # Every row _grid gives holds _numerator at each of its points, at every
+    # harmed count up to one past the largest feasible one.
     for n01 in range(obs.n10 + obs.n01 + 2):
         expected = _pointwise_rows(obs, n01)
         if not expected:
             with pytest.raises(InfeasibleError):
                 likelihood._grid(obs, n01)
         else:
-            assert list(likelihood._grid(obs, n01)) == expected
+            rows = support_rows(obs, n01)
+            walked = list(likelihood._grid(obs, n01))
+            assert [(n11, n10s) for n11, n10s, _ in walked] == rows
+            assert [
+                (n11, n10, numerator)
+                for n11, n10s, numerators in walked
+                for n10, numerator in zip(n10s, numerators, strict=True)
+            ] == expected
+
+
+def _assert_uniform_tau_is_the_pointwise_pushforward(obs):
+    # The column sums of tau_posterior are the pointwise numerators summed
+    # over n11, at every feasible harmed count.
+    for n01 in range(obs.n10 + obs.n01 + 1):
+        columns = {}
+        for _, n10, numerator in _pointwise_rows(obs, n01):
+            columns[n10] = columns.get(n10, 0) + numerator
+        tau = tau_posterior(obs, n01)
+        assert tau.support == tuple(Fraction(n10 - n01, obs.total) for n10 in sorted(columns))
+        assert tau.weights == tuple(columns[n10] for n10 in sorted(columns))
+
+
+def _x_windows(obs, n01) -> list:
+    """``(n11, n10s, x, window)`` for every x in 0..n11 of every support row:
+    the n10 of the row where the x term of the sum is positive."""
+    total = obs.total
+    windows = []
+    for n11, n10s in support_rows(obs, n01):
+        for x in range(n11 + 1):
+            def positive(n10):
+                c, h = obs.n10 + obs.n01 + x - n01 - n11, n01 + n11 - obs.n01 - x
+                n00 = total - n11 - n10 - n01
+                return 0 <= obs.n11 - x <= n10 and 0 <= h <= n01 and 0 <= c <= n00
+            windows.append((n11, n10s, x, [n10 for n10 in n10s if positive(n10)]))
+    return windows
+
+
+def _assert_x_runs_are_the_positive_windows(obs):
+    # Each row walks exactly the x whose terms are positive somewhere on it,
+    # and each such x is positive on one contiguous run of n10.
+    for n01 in range(obs.n10 + obs.n01 + 1):
+        walked = {}
+        for n11, n10s, x, window in _x_windows(obs, n01):
+            walked.setdefault(n11, likelihood._row_xs(obs, n01, n11, n10s))
+            assert (x in walked[n11]) == bool(window)
+            if window:
+                assert window == list(range(window[0], window[-1] + 1))
+
+
+@PROPERTY
+@given(tables())
+def test_grid_walk_is_the_pointwise_kernel(obs):
+    _assert_grid_walk_is_the_pointwise_kernel(obs)
+
+
+@PROPERTY
+@given(tables())
+def test_uniform_tau_is_the_pushforward_of_the_pointwise_kernel(obs):
+    _assert_uniform_tau_is_the_pointwise_pushforward(obs)
+
+
+@PROPERTY
+@given(tables())
+def test_x_runs_are_the_positive_windows(obs):
+    _assert_x_runs_are_the_positive_windows(obs)
+
+
+# Tables whose likelihood walk meets its corner cases at n01 = 0 and at
+# n01 = n10_obs + n01_obs: one-unit arms, arms of only successes or only
+# failures, rows of one point, and x runs of one point or of none (an x
+# positive in its other binomials but on no point of the row).
+GRID_CORNERS = [
+    ObservedTable(1, 0, 0, 1), ObservedTable(0, 1, 1, 0), ObservedTable(1, 0, 1, 0),
+    ObservedTable(0, 1, 0, 1), ObservedTable(1, 0, 3, 4), ObservedTable(0, 1, 4, 3),
+    ObservedTable(3, 4, 1, 0), ObservedTable(4, 3, 0, 1), ObservedTable(4, 0, 0, 4),
+    ObservedTable(0, 4, 4, 0), ObservedTable(5, 0, 4, 0), ObservedTable(2, 2, 1, 3),
+    ObservedTable(6, 1, 2, 5), ObservedTable(18, 14, 5, 16),
+]
+
+
+def test_grid_corners_reach_their_cases():
+    one_unit_arm = one_point_row = one_point_run = empty_run = False
+    for obs in GRID_CORNERS:
+        one_unit_arm |= 1 in (obs.n_treated, obs.n_control)
+        for n01 in range(obs.n10 + obs.n01 + 1):
+            one_point_row |= any(len(n10s) == 1 for _, n10s in support_rows(obs, n01))
+            for n11, _, x, window in _x_windows(obs, n01):
+                one_point_run |= len(window) == 1
+                empty_run |= not window and 0 <= n01 + n11 - obs.n01 - x <= n01 and x <= obs.n11
+    assert one_unit_arm and one_point_row and one_point_run and empty_run
+
+
+@pytest.mark.parametrize("obs", GRID_CORNERS, ids=repr)
+def test_grid_walk_matches_the_kernel_on_corner_tables(obs):
+    _assert_grid_walk_is_the_pointwise_kernel(obs)
+    _assert_uniform_tau_is_the_pointwise_pushforward(obs)
+    _assert_x_runs_are_the_positive_windows(obs)
 
 
 @PROPERTY
