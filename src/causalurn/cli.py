@@ -15,7 +15,8 @@ starts with it as a ``#`` comment, and a JSON document holds it under
 1 usage error, 2 infeasible request, 3 verification failure, 141 output
 closed by its reader (as in ``causalurn ... | head``; 128 + SIGPIPE, the
 code a shell reports for a process the signal ends). A closed output
-prints no traceback.
+prints no traceback. ``sensitivity --n01-max`` above the table's N is a
+usage error: no population of N units holds more harmed units.
 """
 
 from __future__ import annotations
@@ -191,6 +192,8 @@ def cmd_sensitivity(args) -> int:
             raise UsageError(f"--n01-max must be an integer or 'auto', got {args.n01_max!r}")
         if hi < 0:
             raise UsageError("--n01-max must be nonnegative")
+        if hi > obs.total:  # no population of N units holds more than N harmed
+            raise UsageError(f"--n01-max must be at most N = {obs.total}, got {hi}")
     sweep = moments.sensitivity_sweep(obs, range(hi + 1), args.level)
     rows = [(row, *_bayes_row(obs, row.n01, args.level)) for row in sweep]
     entries = []
@@ -426,7 +429,7 @@ def build_parser() -> _Parser:
                 _OBSERVED, ("text", "csv", "json"))
     p.add_argument(
         "--n01-max", default="auto",
-        help="largest harmed count to scan, or 'auto' for the plug-in bound",
+        help="largest harmed count to scan, at most N, or 'auto' for the plug-in bound",
     )
     p.add_argument("--level", type=float, default=0.95)
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Iterable, NamedTuple, Optional
 
-from .tables import InfeasibleError, IntervalEstimate, ObservedTable, ScienceTable
+from .tables import InfeasibleError, IntervalEstimate, ObservedTable, ScienceTable, _n_control
 
 ASSUMPTIONS = ("frechet", "nonneg-correlation", "nonneg-correlation-and-effect")
 
@@ -78,9 +78,7 @@ def _tau_variance(total: int, n_treated: int, y1, y0, diff, n01) -> Fraction:
     The margins enter as y1 = N p1, y0 = N p0 and diff = N tau: integers for
     a science table, exact ``Fraction``s for the plug-in estimates.
     """
-    if not 1 <= n_treated <= total - 1:
-        raise ValueError("n_treated must leave both arms nonempty")
-    n_control = total - n_treated
+    n_control = _n_control(total, n_treated)
     numerator = (
         y1 * (total - y1) * total * n_control
         + y0 * (total - y0) * total * n_treated
@@ -93,9 +91,7 @@ def _tau_variance(total: int, n_treated: int, y1, y0, diff, n01) -> Fraction:
 def _prediction_mse(total: int, n_treated: int, y0) -> Fraction:
     """N^2 N1 p0 (1 - p0) / (N0 (N - 1)), the variance of A - N1 tau_hat,
     with y0 = N p0 an integer or an exact ``Fraction``."""
-    if not 1 <= n_treated <= total - 1:
-        raise ValueError("n_treated must leave both arms nonempty")
-    return Fraction(n_treated * y0 * (total - y0), (total - n_treated) * (total - 1))
+    return Fraction(n_treated * y0 * (total - y0), _n_control(total, n_treated) * (total - 1))
 
 
 def _plugin_tau_variance(obs: ObservedTable, n01: int) -> Fraction:

@@ -22,10 +22,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .moments import improved_variance, population_tau_variance, tau_hat
-from .tables import ObservedTable, ScienceTable
+from .tables import ObservedTable, ScienceTable, _n_control
 
 ENUM_CAP_ENV = "CAUSALURN_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10**6
@@ -98,10 +98,6 @@ class AssignmentDistribution:
             for obs, weight in _outcome_weights(self.records).items()
         }
 
-    def expectation(self, fn: Callable[[AssignmentRecord], object]) -> Fraction:
-        weighted = sum(record.weight * fn(record) for record in self.records)
-        return weighted / Fraction(self.denominator)
-
     def _moments(self, values: Iterable[int], scale: int) -> tuple:
         # Mean and variance of value / scale from the integer sums of w v
         # and w v^2, one integer value per record.
@@ -165,8 +161,7 @@ def _outcome_weights(records: Iterable[AssignmentRecord]) -> Counter:
 
 def _assignment_count(total: int, n_treated: int) -> int:
     """C(N, N1), after checking both arms are nonempty and it is within the cap."""
-    if not 1 <= n_treated <= total - 1:
-        raise ValueError("n_treated must leave both arms nonempty")
+    _n_control(total, n_treated)
     n_assignments = math.comb(total, n_treated)
     limit = enumeration_cap()
     if n_assignments > limit:
@@ -213,8 +208,7 @@ def monte_carlo(
     taken and tallied in fixed-size chunks, so memory does not grow with
     ``draws``; records come in lexicographic order of composition.
     """
-    if not 1 <= n_treated <= science.total - 1:
-        raise ValueError("n_treated must leave both arms nonempty")
+    _n_control(science.total, n_treated)
     if draws < 1:
         raise ValueError("draws must be positive")
     import numpy as np  # the one numpy user; commands that never sample skip its import

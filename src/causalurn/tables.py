@@ -30,6 +30,13 @@ def _count(value, name: str) -> int:
     return count
 
 
+def _n_control(total: int, n_treated: int) -> int:
+    """N0 = N - N1, after checking that both arms are nonempty."""
+    if not 1 <= n_treated <= total - 1:
+        raise ValueError("n_treated must leave both arms nonempty")
+    return total - n_treated
+
+
 @dataclass(frozen=True)
 class ScienceTable:
     """Counts of units by potential-outcome type.

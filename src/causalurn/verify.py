@@ -1,21 +1,24 @@
 """Oracle-versus-formula identity suite behind ``causalurn verify``.
 
-Sweeps every science table up to a small population size and checks, by
-exhaustive enumeration in exact arithmetic, that the closed-form moments,
-the likelihood, and the feasibility regions agree with brute force. The
-oracle's integer way counts and the likelihood's integer numerators share
-the denominator C(N, N1), so they are compared as integers.
+Sweeps every science table up to a small population size and checks the
+code the commands run against exhaustive enumeration in exact arithmetic:
+the closed-form moments, ``moments.moment_cells``, and the likelihood grid
+as ``likelihood._grid`` walks it, whose points are the support. Designs go
+one (N, N1) at a time, and each observed table is walked once per harmed
+count in its group. Way counts, walked numerators and cells times N1 N0
+are integers over C(N, N1), so those identities compare integers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import likelihood, moments, oracle
-from .tables import ObservedTable, ScienceTable, in_general_support
+from .tables import InfeasibleError, ObservedTable, ScienceTable
 
 _MAX_REPORTED_FAILURES = 5
 
@@ -75,10 +78,16 @@ def science_tables_up_to(max_n: int) -> Iterator[ScienceTable]:
                     yield ScienceTable(n11, n10, n01, total - n11 - n10 - n01)
 
 
-def _designs(max_n: int) -> Iterator[tuple[ScienceTable, int]]:
-    for science in science_tables_up_to(max_n):
-        for n_treated in range(1, science.total):
-            yield science, n_treated
+def _walk(obs: ObservedTable, n01: int, scale: int) -> tuple[dict, tuple]:
+    # likelihood._grid's numerators {(n11, n10): w}, and moment_cells times scale =
+    # N1 N0: integers, unless moment_cells is wrong (a non-integer stays a Fraction).
+    try:
+        walked = {(n11, n10): w for n11, n10s, ws in likelihood._grid(obs, n01)
+                  for n10, w in zip(n10s, ws)}
+    except InfeasibleError:
+        walked = {}
+    cells = (cell * scale for cell in moments.moment_cells(obs, n01))
+    return walked, tuple(c.numerator if c.denominator == 1 else c for c in cells)
 
 
 def run_verification(
@@ -94,65 +103,59 @@ def run_verification(
     lemma = CheckResult("treated-sum moments (constants)")
     mc = CheckResult("monte carlo agrees with exact moments")
 
-    observed: dict = {}  # every observed table of an (N, N1), built once
-    for science, n_treated in _designs(max_n):
-        dist = oracle.enumerate_assignments(science, n_treated)
+    for total, group in itertools.groupby(science_tables_up_to(max_n), lambda s: s.total):
+        sciences = tuple(group)
+        for n_treated in range(1, total):
+            n_control = total - n_treated
+            tables = [ObservedTable(n11, n_treated - n11, n01, n_control - n01)
+                      for n11 in range(n_treated + 1) for n01 in range(n_control + 1)]
+            scale = n_treated * n_control
+            # This (N, N1)'s walks only: every harmed count is some science table's.
+            walks = {(obs, n01): _walk(obs, n01, scale)
+                     for n01 in range(total + 1) for obs in tables}
+            for science in sciences:
+                dist = oracle.enumerate_assignments(science, n_treated)
 
-        def label() -> str:
-            return f"science={science} N1={n_treated}"
+                def label() -> str:
+                    return f"science={science} N1={n_treated}"
 
-        mean, variance = dist.tau_hat_moments()
-        estimator.record(mean == science.tau, lambda: f"{label()}: E(tau_hat)={mean}")
-        estimator.record(
-            variance == moments.population_tau_variance(science, n_treated),
-            lambda: f"{label()}: var(tau_hat)={variance}",
-        )
+                mean, variance = dist.tau_hat_moments()
+                estimator.record(mean == science.tau, lambda: f"{label()}: E(tau_hat)={mean}")
+                estimator.record(
+                    variance == moments.population_tau_variance(science, n_treated),
+                    lambda: f"{label()}: var(tau_hat)={variance}",
+                )
 
-        n = science.total
-        n_control = n - n_treated
-        mean_n01 = dist.expectation(lambda r: r.observed.n01)
-        mean_n10 = dist.expectation(lambda r: r.observed.n10)
-        est_n11 = n * mean_n01 / n_control - science.n01
-        est_n00 = n * mean_n10 / n_treated - science.n01
-        est_n10 = n + science.n01 - n * mean_n01 / n_control - n * mean_n10 / n_treated
-        cells.record(
-            (est_n11, est_n00, est_n10)
-            == (science.n11, science.n00, science.n10),
-            lambda: f"{label()}: cell means {(est_n11, est_n00, est_n10)}",
-        )
+                gap_mean, gap_var = dist.prediction_gap_moments()
+                prediction.record(
+                    gap_mean == 0, lambda: f"{label()}: E(A - N1 tau_hat)={gap_mean}"
+                )
+                prediction.record(
+                    gap_var == moments.population_attributable_mse(science, n_treated),
+                    lambda: f"{label()}: var(A - N1 tau_hat)={gap_var}",
+                )
 
-        gap_mean, gap_var = dist.prediction_gap_moments()
-        prediction.record(
-            gap_mean == 0, lambda: f"{label()}: E(A - N1 tau_hat)={gap_mean}"
-        )
-        prediction.record(
-            gap_var == moments.population_attributable_mse(science, n_treated),
-            lambda: f"{label()}: var(A - N1 tau_hat)={gap_var}",
-        )
-
-        point = science.parameter_point
-        p11, p10, p01 = point.n11, point.n10, point.n01
-        ways = oracle._outcome_weights(dist.records)
-        for obs, weight in ways.items():
-            lik.record(
-                likelihood._numerator(obs, p11, p10, p01) == weight,
-                lambda: f"{label()} obs={obs}: likelihood != probability "
-                f"{Fraction(weight, dist.denominator)}",
-            )
-            support.record(
-                in_general_support(obs, point),
-                lambda: f"{label()} obs={obs}: "
-                "reachable table outside the support region",
-            )
-        if (n, n_treated) not in observed:
-            observed[n, n_treated] = tuple(_all_observed(n, n_treated))
-        for obs in observed[n, n_treated]:
-            if obs not in ways:
-                support.record(
-                    not in_general_support(obs, point)
-                    and likelihood._numerator(obs, p11, p10, p01) == 0,
-                    lambda: f"{label()} obs={obs}: "
-                    "unreachable table inside the support",
+                point = science.n11, science.n10
+                ways = oracle._outcome_weights(dist.records)
+                sums = [0, 0, 0]  # way counts times scaled moment cells
+                for obs in tables:
+                    walked, scaled = walks[obs, science.n01]
+                    weight = ways.get(obs, 0)
+                    support.record((point in walked) == (weight > 0), lambda: (
+                        f"{label()} obs={obs}: reachable table outside the support region"
+                        if weight else f"{label()} obs={obs}: unreachable table inside the support"
+                    ))
+                    if weight:
+                        lik.record(
+                            walked.get(point) == weight,
+                            lambda: f"{label()} obs={obs}: likelihood != probability "
+                            f"{Fraction(weight, dist.denominator)}",
+                        )
+                        sums = [s + weight * c for s, c in zip(sums, scaled)]
+                whole = dist.denominator * scale
+                cells.record(
+                    sums == [whole * science.n11, whole * science.n00, whole * science.n10],
+                    lambda: f"{label()}: cell means {tuple(Fraction(s, whole) for s in sums)}",
                 )
 
     for constants in _constant_families(max_n):
@@ -182,13 +185,6 @@ def run_verification(
         seed=seed,
         results=(estimator, cells, prediction, lik, support, lemma, mc),
     )
-
-
-def _all_observed(total: int, n_treated: int) -> Iterator[ObservedTable]:
-    n_control = total - n_treated
-    for n11 in range(n_treated + 1):
-        for n01 in range(n_control + 1):
-            yield ObservedTable(n11, n_treated - n11, n01, n_control - n01)
 
 
 def _constant_families(max_n: int) -> Iterator[tuple]:

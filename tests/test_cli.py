@@ -338,6 +338,20 @@ class TestSensitivity:
         code, _, _ = run(capsys, "sensitivity", *PIT, "--n01-max", "soon")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("bound", ["54", "20000"])
+    def test_bound_above_n_is_a_usage_error(self, capsys, bound):
+        # No population of N = 53 units holds more than 53 harmed units, so
+        # the sweep stops before its first row instead of printing one per value.
+        assert run(capsys, "sensitivity", *PIT, "--n01-max", bound, "--format", "csv") == (
+            EXIT_USAGE, "", f"error: --n01-max must be at most N = 53, got {bound}\n"
+        )
+
+    def test_bound_at_n_prints_every_row(self, capsys):
+        code, out, _ = run(capsys, "sensitivity", *PIT, "--n01-max", "53", "--format", "csv")
+        assert code == EXIT_OK
+        rows = out.strip().splitlines()[2:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(54))
+
     def test_internal_posterior_error_is_not_printed_as_infeasible(self, capsys, monkeypatch):
         # Only an empty support makes a Bayes column infeasible; any other
         # error inside the posterior ends the command.

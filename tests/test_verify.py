@@ -1,9 +1,11 @@
 """The identity suite passes as shipped and catches injected mutations."""
 
+import inspect
 from fractions import Fraction
 
-from causalurn import likelihood, moments, verify
-from causalurn.tables import ObservedTable
+from causalurn import likelihood, moments
+from causalurn.cli import EXIT_VERIFY, main
+from causalurn.tables import InfeasibleError, ObservedTable
 from causalurn.verify import run_verification, science_tables_up_to
 
 
@@ -59,16 +61,34 @@ def test_report_lines_include_failures(monkeypatch):
     assert any("failure [" in line for line in lines)
 
 
+def _wrap_grid(monkeypatch, rows):
+    # Replaces likelihood._grid by ``rows(obs, n01, walked)``, where
+    # ``walked`` is the shipped walk as {(n11, n10): numerator}, empty when
+    # the support is.
+    original = likelihood._grid
+
+    def mutated(obs, n01):
+        try:
+            walked = {(n11, n10): w for n11, n10s, ws in original(obs, n01)
+                      for n10, w in zip(n10s, ws)}
+        except InfeasibleError:
+            walked = {}
+        return rows(obs, n01, walked)
+
+    monkeypatch.setattr(likelihood, "_grid", mutated)
+
+
 def test_detects_likelihood_off_by_one_on_one_cell(monkeypatch):
     # Science (1, 1, 0, 1) with one treated unit reaches this table with
     # probability 1/3; only this (table, point) pair is made wrong.
-    target = (ObservedTable(1, 0, 0, 2), 1, 1, 0)
-    original = likelihood._numerator
+    target = (ObservedTable(1, 0, 0, 2), 0)
 
-    def mutated(obs, n11, n10, n01):
-        return original(obs, n11, n10, n01) + ((obs, n11, n10, n01) == target)
+    def rows(obs, n01, walked):
+        if (obs, n01) == target:
+            walked[1, 1] += 1
+        return [(n11, range(n10, n10 + 1), [w]) for (n11, n10), w in walked.items()]
 
-    monkeypatch.setattr(likelihood, "_numerator", mutated)
+    _wrap_grid(monkeypatch, rows)
     report = run_verification(max_n=3, mc_draws=5000)
     broken = {r.name: r for r in report.results}
     lik = broken["likelihood equals assignment probability"]
@@ -83,7 +103,14 @@ def test_detects_likelihood_off_by_one_on_one_cell(monkeypatch):
 
 
 def test_detects_support_that_admits_everything(monkeypatch):
-    monkeypatch.setattr(verify, "in_general_support", lambda obs, point: True)
+    # Every (n11, n10) that fits the population is on the grid, with the
+    # walked numerator where the support has one and 0 elsewhere.
+    def rows(obs, n01, walked):
+        room = obs.total - n01
+        grid = [(n11, range(room - n11 + 1)) for n11 in range(room + 1)]
+        return [(n11, n10s, [walked.get((n11, n10), 0) for n10 in n10s]) for n11, n10s in grid]
+
+    _wrap_grid(monkeypatch, rows)
     report = run_verification(max_n=3, mc_draws=5000)
     broken = {r.name: r for r in report.results}
     support = broken["support matches positive probability"]
@@ -96,3 +123,34 @@ def test_detects_support_that_admits_everything(monkeypatch):
     ]
     assert len(failures) == min(support.failed, 5)
     assert all("unreachable table inside the support" in line for line in failures)
+
+
+def _verify_max_n_6(capsys):
+    code = main(["verify", "--max-n", "6", "--draws", "2000"])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_detects_a_window_cut_short_in_the_walk(monkeypatch, capsys):
+    # Each x run of the walk stops one n10 early: likelihood._add_row
+    # rebuilt from its source with that one change.
+    source = inspect.getsource(likelihood._add_row)
+    assert "min(last, m - c)" in source
+    namespace = dict(vars(likelihood))
+    exec(source.replace("min(last, m - c)", "min(last, m - c - 1)"), namespace)
+    monkeypatch.setattr(likelihood, "_add_row", namespace["_add_row"])
+    code, lines = _verify_max_n_6(capsys)
+    assert code == EXIT_VERIFY
+    assert lines[3].startswith("FAIL  likelihood equals assignment probability:")
+
+
+def test_detects_cells_that_add_the_harmed_count(monkeypatch, capsys):
+    original = moments.moment_cells
+
+    def mutated(obs, n01=0):
+        cells = original(obs, n01)
+        return cells._replace(n10=cells.n10 + n01)
+
+    monkeypatch.setattr(moments, "moment_cells", mutated)
+    code, lines = _verify_max_n_6(capsys)
+    assert code == EXIT_VERIFY
+    assert [line[:4] for line in lines[:7]] == ["PASS", "FAIL"] + ["PASS"] * 5
