@@ -18,6 +18,7 @@ from .bayes import (
     hpd_window,
     posterior_points,
     tau_posterior,
+    tau_posterior_sweep,
 )
 from .attributable import (
     PValueCurve,
@@ -119,4 +120,5 @@ __all__ = [
     "standardized_pvalues",
     "tau_hat",
     "tau_posterior",
+    "tau_posterior_sweep",
 ]

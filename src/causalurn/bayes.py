@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .likelihood import _columns, _grid, _numerator, _row_sums
 from .tables import (
+    InfeasibleError,
     IntervalEstimate,
     ObservedTable,
     _count,
@@ -159,20 +160,46 @@ def tau_posterior(
 ) -> DiscreteDistribution:
     """Posterior of the average causal effect, on the grid (k - n01)/N.
 
-    Under the uniform prior each row's x runs (the x term on [max(first, j),
-    min(last, m - c)], seeded once, stepped along n10 by an exact ratio; see
-    ``likelihood``) go straight into n10 columns, at a cost of the grid's
-    terms plus one seed per (n11, x). A table prior weighs its own points.
+    Under the uniform prior the weights are the likelihood's n10 columns,
+    built as the one-slot case of :func:`tau_posterior_sweep`. With
+    s = n11 + n01, the x term at (n11, n10) is a_x(n01) C(n10, j)
+    C(N - s - n10, c), whose n10 run on [j, N - s - c] depends on (s, x)
+    alone (see ``likelihood``): only the seed a_x(n01) depends on the harmed
+    count. The sweep walks each (s, x) run once, every count's seed in its own
+    slot of w bits, w the bit length of (N + 1) C(N, N1); a slot holds one
+    column, at most N + 1 numerators of at most C(N, N1) each, so none
+    carries into the next. A sweep costs the terms of its distinct (s, x)
+    runs. A table prior weighs its own points. Raises InfeasibleError when
+    the support is empty.
     """
     total = obs.total
     if prior.weights is None:
-        base, columns = _columns(obs, n01)
-        pairs = [(Fraction(base + k - n01, total), w) for k, w in enumerate(columns) if w]
-        return DiscreteDistribution(*zip(*pairs))
+        n01 = _count(n01, "n01")
+        (dist,) = tau_posterior_sweep(obs, range(n01, n01 + 1))
+        if dist is None:
+            raise InfeasibleError(f"empty likelihood support at n01={n01}")
+        return dist
     return _pushforward(
         ((n10, w) for _, n10, w in _weighted(obs, n01, prior)),
         lambda n10: Fraction(n10 - n01, total),
     )
+
+
+def tau_posterior_sweep(
+    obs: ObservedTable, n01s: range
+) -> Iterator[Optional[DiscreteDistribution]]:
+    """Yields the uniform-prior tau posterior at each harmed count of the
+    consecutive ``n01s`` in order, None where that count is infeasible.
+
+    One walk of the likelihood's (s, x) runs, made before the first value,
+    serves every count (see :func:`tau_posterior`), so the sweep costs the
+    terms of its distinct runs, not one grid walk per harmed count. Each
+    distribution is built as it is read.
+    """
+    total = obs.total
+    for n01, columns in zip(n01s, _columns(obs, n01s)):
+        pairs = [(Fraction(n10 - n01, total), w) for n10, w in enumerate(columns) if w]
+        yield DiscreteDistribution(*zip(*pairs)) if pairs else None
 
 
 def a_posterior(

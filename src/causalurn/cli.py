@@ -155,16 +155,6 @@ def cmd_estimate(args) -> int:
     )
 
 
-def _bayes_row(obs: ObservedTable, n01: int, level: float):
-    """Posterior median (the reported Bayes point; see README), mode and HPD
-    interval of tau; three Nones when the harmed count is infeasible."""
-    try:
-        dist = bayes.tau_posterior(obs, n01)
-    except InfeasibleError:
-        return None, None, None
-    return dist.median(), dist.mode(), bayes.hpd_interval(dist, level)
-
-
 def _ends(estimate: Optional[IntervalEstimate]) -> tuple:
     if estimate is None:
         return None, None, None
@@ -195,7 +185,12 @@ def cmd_sensitivity(args) -> int:
         if hi > obs.total:  # no population of N units holds more than N harmed
             raise UsageError(f"--n01-max must be at most N = {obs.total}, got {hi}")
     sweep = moments.sensitivity_sweep(obs, range(hi + 1), args.level)
-    rows = [(row, *_bayes_row(obs, row.n01, args.level)) for row in sweep]
+    # The reported Bayes point is the posterior median (see README).
+    rows = [
+        (row, None, None, None) if dist is None
+        else (row, dist.median(), dist.mode(), bayes.hpd_interval(dist, args.level))
+        for row, dist in zip(sweep, bayes.tau_posterior_sweep(obs, range(hi + 1)))
+    ]
     entries = []
     for row, med, mode, hpd in rows:
         entry = {"n01": row.n01, "point": _machine(row.point), "feasible": row.feasible}

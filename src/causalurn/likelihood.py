@@ -16,23 +16,38 @@ evaluated as an exact integer numerator at every population size: argmax
 sets and posterior masses are decided on those integers, and a float
 appears only when a caller asks for a log-likelihood.
 
-The support is walked row by row. With n11 fixed, write j = n11_obs - x,
-c = n10_obs + n01_obs + x - n01 - n11 and m = N - n11 - n01 (so n00 = m - n10).
-The x term a_x C(n10, j) C(m - n10, c), a_x = C(n11, x) C(n01, n01 + n11 -
-n01_obs - x), is one hypergeometric run in n10, positive exactly on
-[max(first, j), min(last, m - c)] for the row's first and last n10. A run is
-seeded once from its binomials; from n10 = n to n + 1 its term t steps to
+The support is walked in runs. Write s = n11 + n01, j = n11_obs - x,
+c = n10_obs + n01_obs - s + x and m = N - s (so n00 = m - n10). The x term
+is a_x C(n10, j) C(m - n10, c) with a_x = C(s - n01, x) C(n01, k) and
+k = s - n01_obs - x, so its n10 profile, the (s, x) run, depends on s and x
+alone. The run is positive exactly on the window [j, m - c], which always
+holds n00_obs + 1 points (m - c = j + n00_obs); when a_x > 0 every point of
+the window has a positive term, so the window lies inside the support row.
+A run is seeded at n10 = j, where it is a_x C(m - j, c); from n10 = n to
+n + 1 its term t steps to
 
     t (n + 1) (m - n - c) // ((n + 1 - j) (m - n)),
 
-every division exact. The runs are added elementwise into the row, or into
-n10-indexed columns for the effect posterior, so a grid costs its inner-sum
-terms plus one seed per (n11, x). A row's sum over n10 has a closed form:
-Chu-Vandermonde, sum_n10 C(n10, j) C(m - n10, c) = C(m + 1, j + c + 1), gives
+every division exact. A grid at one harmed count adds each row's runs, one
+per x, into the row, at a cost of its inner-sum terms.
+
+Only the seed factor depends on the harmed count, and a_x(n01) is positive
+for n01 in [k, k + n01_obs]. A sensitivity sweep over n01 in [lo, hi]
+therefore walks each (s, x) run once, from the seeds of every count it
+reaches packed into one integer, sum_n01 a_x(n01) 2^(w (n01 - lo)) with w
+the bit length of (N + 1) C(N, N1). The exact step holds on the packed
+integer: every slot steps by the same ratio and is divisible on its own. No
+slot carries into the next: a slot adds up one n10 column of one harmed
+count, at most N + 1 rows of numerators of at most C(N, N1) each, which is
+below 2^w. So a sweep costs the terms of its distinct (s, x) runs, not one
+grid walk per harmed count, and a run packs only the slots it reaches.
+
+A row's sum over n10 has a closed form: Chu-Vandermonde,
+sum_n10 C(n10, j) C(m - n10, c) = C(m + 1, j + c + 1), gives
 
     sum_x C(n11, x) C(n01, n01 + n11 - n01_obs - x) C(m + 1, j + c + 1)
 
-where j + c = N - n00_obs - n01 - n11 is the same at every x.
+where j + c = N - n00_obs - s is the same at every x.
 """
 
 from __future__ import annotations
@@ -46,6 +61,7 @@ from .tables import (
     InfeasibleError,
     ObservedTable,
     ParameterPoint,
+    _count,
     support_rows,
 )
 
@@ -90,45 +106,65 @@ def _row_xs(obs: ObservedTable, n01: int, n11: int, n10s: range) -> range:
     return range(_x_range(obs, n11, n10s[-1], n01)[0], _x_range(obs, n11, n10s[0], n01)[1] + 1)
 
 
-def _add_row(obs: ObservedTable, n01: int, n11: int, n10s: range, into: list, at: int) -> list:
-    # Adds the row's numerators into into[at:at + len(n10s)], one x run at a
-    # time: seeded from its binomials at its window's start, then stepped
-    # along n10 by the exact ratio and added in the same pass. Returns ``into``.
-    first, last = n10s[0], n10s[-1]
-    m = obs.total - n11 - n01  # n00 = m - n10
-    c0 = obs.n10 + obs.n01 - n01 - n11  # c = c0 + x
-    for x in _row_xs(obs, n01, n11, n10s):
-        j, c = obs.n11 - x, c0 + x
-        start, stop = max(first, j), min(last, m - c)
-        t = (math.comb(n11, x) * math.comb(n01, n01 + n11 - obs.n01 - x)
-             * math.comb(start, j) * math.comb(m - start, c))
-        lo, hi = at + start - first, at + stop - first + 1
-        into[lo] += t
-        # n + 1, m - n - c, n + 1 - j and m - n for n = start, ..., stop - 1
-        steps = zip(into[lo + 1:hi], range(start + 1, stop + 1),
-                    range(m - c - start, m - c - stop, -1), range(start + 1 - j, stop + 1 - j),
-                    range(m - start, m - stop, -1))
-        into[lo + 1:hi] = [w + (t := t * (a * b) // (d * e)) for w, a, b, d, e in steps]
-    return into
+def _add_run(obs: ObservedTable, s: int, x: int, seed: int, into: list, base: int) -> None:
+    # Adds the (s, x) run seed * C(n10, j) C(m - n10, c) into into[n10 - base]
+    # over its window j <= n10 <= m - c: seeded at n10 = j, where C(j, j) = 1,
+    # then stepped along n10 by the exact ratio and added in the same pass.
+    m = obs.total - s  # n00 = m - n10
+    j, c = obs.n11 - x, obs.n10 + obs.n01 - s + x
+    stop = m - c
+    lo, hi = j - base, stop - base + 1
+    t = seed * math.comb(m - j, c)
+    into[lo] += t
+    # n + 1, m - n - c, n + 1 - j and m - n for n = j, ..., stop - 1
+    steps = zip(into[lo + 1:hi], range(j + 1, stop + 1), range(m - c - j, m - c - stop, -1),
+                range(1, stop + 1 - j), range(m - j, m - stop, -1))
+    into[lo + 1:hi] = [w + (t := t * (a * b) // (d * e)) for w, a, b, d, e in steps]
 
 
 def _grid(obs: ObservedTable, n01: int) -> Iterator[tuple[int, range, list[int]]]:
     """``(n11, n10s, numerators)`` per support row, ``numerators[i]`` positive and
     :func:`_numerator` at ``(n11, n10s[i])``. Raises InfeasibleError, before
     the walk starts, when the support is empty."""
-    rows = _rows(obs, n01)
-    return ((n11, n10s, _add_row(obs, n01, n11, n10s, [0] * len(n10s), 0)) for n11, n10s in rows)
+    def row(n11: int, n10s: range) -> list[int]:
+        numerators = [0] * len(n10s)
+        for x in _row_xs(obs, n01, n11, n10s):
+            seed = math.comb(n11, x) * math.comb(n01, n01 + n11 - obs.n01 - x)
+            _add_run(obs, n11 + n01, x, seed, numerators, n10s[0])
+        return numerators
+
+    return ((n11, n10s, row(n11, n10s)) for n11, n10s in _rows(obs, n01))
 
 
-def _columns(obs: ObservedTable, n01: int) -> tuple[int, list[int]]:
-    """``(first n10, column sums)``: every row's x runs added into one
-    n10-indexed list. Raises InfeasibleError when the support is empty."""
-    rows = _rows(obs, n01)
-    base = min(n10s[0] for _, n10s in rows)
-    columns = [0] * (max(n10s[-1] for _, n10s in rows) + 1 - base)
-    for n11, n10s in rows:
-        _add_row(obs, n01, n11, n10s, columns, n10s[0] - base)
-    return base, columns
+def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
+    """Per harmed count of the consecutive ``n01s``, its column sums:
+    element n10 is the sum over n11 of the numerators at (n11, n10), and
+    every element is 0 when that harmed count is infeasible.
+
+    Each (s, x) run is walked once for the whole range, at the call, its
+    seeds for every harmed count it reaches packed into one integer, one
+    slot per count; each count's columns are unpacked as they are read.
+    """
+    if not n01s:
+        return iter(())
+    lo, hi = _count(n01s[0], "n01"), n01s[-1]
+    width = ((obs.total + 1) * math.comb(obs.total, obs.n_treated)).bit_length()
+    packed = [0] * (obs.n11 + obs.n00 + 1)  # every window ends by n10 = n11_obs + n00_obs
+    # The runs go by descending k = s - n01_obs - x, the least count a run
+    # reaches (c = n10_obs - k >= 0), so slot 0 holds n01 = max(lo, k) and a
+    # run packs no slot below it: the accumulator moves up a slot as k falls.
+    top = min(hi, obs.n10)
+    for k in range(top, max(0, lo - obs.n01) - 1, -1):
+        if lo <= k < top:
+            packed = [v << width for v in packed]
+        first, last = max(lo, k), min(hi, k + obs.n01)
+        for x in range(obs.n11 + 1):
+            s = k + obs.n01 + x
+            seed = sum(math.comb(s - n01, x) * math.comb(n01, k) << width * (n01 - first)
+                       for n01 in range(first, last + 1))
+            _add_run(obs, s, x, seed, packed, 0)
+    mask = (1 << width) - 1
+    return ([v >> width * i & mask for v in packed] for i in range(len(n01s)))
 
 
 def _row_sums(obs: ObservedTable, n01: int) -> list[tuple[int, int]]:

@@ -216,6 +216,7 @@ GOLDEN_FILES = {
         "attributable_1800_1400_500_1600_curve.json",
     "sensitivity 144 112 40 128 --n01-max 10 --format csv":
         "sensitivity_144_112_40_128_n01_10.csv",
+    "sensitivity 144 112 40 128 --format csv": "sensitivity_144_112_40_128.csv",
 }
 
 
@@ -358,26 +359,27 @@ class TestSensitivity:
         def broken(*args, **kwargs):
             raise ValueError("boom")
 
-        monkeypatch.setattr("causalurn.cli.bayes.tau_posterior", broken)
+        monkeypatch.setattr("causalurn.cli.bayes.tau_posterior_sweep", broken)
         assert run(capsys, "sensitivity", *PIT, "--n01-max", "1") == (
             EXIT_USAGE, "", "error: boom\n"
         )
 
     def test_walks_each_grid_once(self, capsys, monkeypatch):
-        # Each feasible harmed count's grid is walked once, row by row, and
-        # the uniform tau posterior never takes the pointwise kernel or a
-        # pushforward of points.
+        # The sweep walks each (s, x) run of the likelihood, s = n11 + n01,
+        # once for every harmed count, and walks exactly the runs of the
+        # feasible counts' rows. The uniform tau posterior never takes the
+        # pointwise kernel or a pushforward of points.
         walked = []
-        original = causalurn.likelihood._add_row
+        original = causalurn.likelihood._add_run
 
-        def counted(obs, n01, n11, *rest):
-            walked.append((n01, n11))
-            return original(obs, n01, n11, *rest)
+        def counted(obs, s, x, *rest):
+            walked.append((s, x))
+            return original(obs, s, x, *rest)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("pointwise path taken")
 
-        monkeypatch.setattr(causalurn.likelihood, "_add_row", counted)
+        monkeypatch.setattr(causalurn.likelihood, "_add_run", counted)
         monkeypatch.setattr(causalurn.likelihood, "_numerator", forbidden)
         monkeypatch.setattr(causalurn.bayes, "_numerator", forbidden)
         monkeypatch.setattr(causalurn.bayes, "_pushforward", forbidden)
@@ -386,7 +388,14 @@ class TestSensitivity:
         obs = causalurn.ObservedTable(18, 14, 5, 16)
         rows = [(n01, support_rows(obs, n01)) for n01 in range(22)]
         assert [n01 for n01, grid in rows if grid] == list(range(20))
-        assert walked == [(n01, n11) for n01, grid in rows for n11, _ in grid]
+        runs = {
+            (n11 + n01, x)
+            for n01, grid in rows
+            for n11, n10s in grid
+            for x in causalurn.likelihood._row_xs(obs, n01, n11, n10s)
+        }
+        assert len(walked) == len(set(walked))
+        assert set(walked) == runs
 
 
 class TestPosterior:

@@ -13,7 +13,10 @@ sums and the closed-form uniform A weights are checked against the
 single-point numerator at every harmed count, and each row's x range against
 the x whose terms are positive on it, on tables of up to 90 units and on
 corner tables; the A weights also against the oracle's way counts on every
-science table of up to 8 units. On science
+science table of up to 8 units. The packed sweep's column sums over a
+window of harmed counts are checked against the single-point numerator on
+drawn windows of generated tables, on corner tables, and on every table
+with counts 0..5 and every window. On science
 tables of up to 12 units the likelihood kernel, the
 p-value at the true number of responders under control, the oracle's
 integer moments and the moment cell estimates are checked against the
@@ -26,6 +29,7 @@ forms at estimated margins, against those formulas in p1_hat, p0_hat and
 tau_hat on observed tables of up to 90 units.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from statistics import NormalDist
@@ -66,6 +70,7 @@ from causalurn import (
     sensitivity_variance,
     standardized_pvalues,
     tau_posterior,
+    tau_posterior_sweep,
 )
 from causalurn.attributable import _pvalue_numerator
 from causalurn.tables import support_rows
@@ -127,6 +132,14 @@ def _pointwise_rows(obs, n01) -> list:
     ]
 
 
+def _pointwise_columns(obs, n01) -> dict:
+    """``{n10: the numerators at n10 summed over n11}`` on the support."""
+    columns = {}
+    for _, n10, numerator in _pointwise_rows(obs, n01):
+        columns[n10] = columns.get(n10, 0) + numerator
+    return columns
+
+
 def _assert_grid_walk_is_the_pointwise_kernel(obs):
     # Every row _grid gives holds _numerator at each of its points, at every
     # harmed count up to one past the largest feasible one.
@@ -150,9 +163,7 @@ def _assert_uniform_tau_is_the_pointwise_pushforward(obs):
     # The column sums of tau_posterior are the pointwise numerators summed
     # over n11, at every feasible harmed count.
     for n01 in range(obs.n10 + obs.n01 + 1):
-        columns = {}
-        for _, n10, numerator in _pointwise_rows(obs, n01):
-            columns[n10] = columns.get(n10, 0) + numerator
+        columns = _pointwise_columns(obs, n01)
         tau = tau_posterior(obs, n01)
         assert tau.support == tuple(Fraction(n10 - n01, obs.total) for n10 in sorted(columns))
         assert tau.weights == tuple(columns[n10] for n10 in sorted(columns))
@@ -233,6 +244,63 @@ def test_grid_walk_matches_the_kernel_on_corner_tables(obs):
     _assert_grid_walk_is_the_pointwise_kernel(obs)
     _assert_uniform_tau_is_the_pointwise_pushforward(obs)
     _assert_x_runs_are_the_positive_windows(obs)
+
+
+def _assert_sweep_is_the_pointwise_columns(obs, n01s):
+    # One packed sweep over n01s gives each harmed count its pointwise
+    # columns, and no distribution where the count is infeasible.
+    swept = likelihood._columns(obs, n01s)
+    taus = tau_posterior_sweep(obs, n01s)
+    for n01, columns, tau in zip(n01s, swept, taus, strict=True):
+        expected = _pointwise_columns(obs, n01)
+        assert {n10: w for n10, w in enumerate(columns) if w} == expected
+        if not expected:
+            assert tau is None
+        else:
+            assert tau.support == tuple(Fraction(n10 - n01, obs.total) for n10 in sorted(expected))
+            assert tau.weights == tuple(expected[n10] for n10 in sorted(expected))
+
+
+@st.composite
+def swept_tables(draw):
+    """A table and a window lo <= hi <= N of harmed counts, which may start
+    or end past the largest feasible count n10_obs + n01_obs."""
+    obs = draw(tables())
+    hi = draw(st.integers(0, obs.total))
+    return obs, range(draw(st.integers(0, hi)), hi + 1)
+
+
+@PROPERTY
+@given(swept_tables())
+def test_sweep_is_the_pointwise_columns(swept):
+    _assert_sweep_is_the_pointwise_columns(*swept)
+
+
+@pytest.mark.parametrize("obs", GRID_CORNERS, ids=repr)
+def test_sweep_matches_the_kernel_on_corner_tables(obs):
+    # Every window whose ends are among 0, 1, the largest feasible count,
+    # its neighbours and N.
+    feasible = obs.n10 + obs.n01
+    ends = sorted({0, 1, feasible - 1, feasible, feasible + 1, obs.total} & set(range(obs.total + 1)))
+    for hi in ends:
+        for lo in ends[:ends.index(hi) + 1]:
+            _assert_sweep_is_the_pointwise_columns(obs, range(lo, hi + 1))
+
+
+def test_sweep_is_the_pointwise_columns_on_every_small_table_and_window():
+    # Every table with counts 0..5 and every window lo <= hi <= N; each
+    # count's pointwise columns are built once per table.
+    for counts in itertools.product(range(6), repeat=4):
+        if counts[0] + counts[1] == 0 or counts[2] + counts[3] == 0:
+            continue  # an empty arm
+        obs = ObservedTable(*counts)
+        expected = [_pointwise_columns(obs, n01) for n01 in range(obs.total + 1)]
+        for hi in range(obs.total + 1):
+            for lo in range(hi + 1):
+                swept = likelihood._columns(obs, range(lo, hi + 1))
+                assert [
+                    {n10: w for n10, w in enumerate(columns) if w} for columns in swept
+                ] == expected[lo:hi + 1], (counts, lo, hi)
 
 
 @PROPERTY

@@ -131,13 +131,14 @@ def _verify_max_n_6(capsys):
 
 
 def test_detects_a_window_cut_short_in_the_walk(monkeypatch, capsys):
-    # Each x run of the walk stops one n10 early: likelihood._add_row
-    # rebuilt from its source with that one change.
-    source = inspect.getsource(likelihood._add_row)
-    assert "min(last, m - c)" in source
+    # Each (s, x) run of the walk stops one n10 early: likelihood._add_run,
+    # the kernel behind both the grid and the sweep, rebuilt from its source
+    # with that one change.
+    source = inspect.getsource(likelihood._add_run)
+    assert "stop = m - c\n" in source
     namespace = dict(vars(likelihood))
-    exec(source.replace("min(last, m - c)", "min(last, m - c - 1)"), namespace)
-    monkeypatch.setattr(likelihood, "_add_row", namespace["_add_row"])
+    exec(source.replace("stop = m - c\n", "stop = m - c - 1\n"), namespace)
+    monkeypatch.setattr(likelihood, "_add_run", namespace["_add_run"])
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
     assert lines[3].startswith("FAIL  likelihood equals assignment probability:")
