@@ -18,13 +18,12 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .likelihood import _columns, _grid, _numerator, _row_sums
+from .likelihood import _columns, _grid, _numerator, _row_sums, _rows
 from .tables import (
-    InfeasibleError,
     IntervalEstimate,
     ObservedTable,
+    ParameterPoint,
     _count,
-    general_support,
 )
 
 
@@ -107,25 +106,21 @@ UNIFORM = Prior()
 
 def _weighted(
     obs: ObservedTable, n01: int, prior: Prior
-) -> Iterable[tuple[int, int, int]]:
-    """``(n11, n10, prior weight x likelihood numerator)`` wherever positive.
-
-    A table prior is evaluated on its own weighted points only, scaled to
-    integers by the lcm of its denominators. Raises InfeasibleError on an
-    empty support and ValueError when the prior annihilates all of it.
+) -> list[tuple[int, int, int]]:
+    """``(n11, n10, prior weight x likelihood numerator)`` at the table prior's
+    points wherever positive, the weights scaled to integers by the lcm of
+    their denominators; no run of the grid is walked. Raises InfeasibleError
+    on an empty support and ValueError when the prior annihilates all of it.
     """
-    # _grid checks the support at once but walks it only as rows are read.
-    rows = ((n11, n10, w) for n11, n10s, ws in _grid(obs, n01) for n10, w in zip(n10s, ws))
-    if prior.weights is not None:
-        scale = math.lcm(*(w.denominator for w in prior.weights.values()))
-        rows = [
-            (n11, n10, w.numerator * (scale // w.denominator) * _numerator(obs, n11, n10, n01))
-            for (n11, n10), w in prior.weights.items()
-            if w > 0
-        ]
-        rows = [row for row in rows if row[2]]
-        if not rows:
-            raise ValueError("prior assigns zero weight to the entire support")
+    _rows(obs, n01)
+    scale = math.lcm(*(w.denominator for w in prior.weights.values()))
+    rows = [
+        (n11, n10, w.numerator * (scale // w.denominator) * _numerator(obs, n11, n10, n01))
+        for (n11, n10), w in prior.weights.items()
+    ]
+    rows = [row for row in rows if row[2]]
+    if not rows:
+        raise ValueError("prior assigns zero weight to the entire support")
     return rows
 
 
@@ -138,12 +133,15 @@ def posterior_points(
     prior the posterior is exactly the normalized likelihood. Raises when
     the support is empty or the prior annihilates all of it.
     """
-    weights = {(n11, n10): w for n11, n10, w in _weighted(obs, n01, prior)}
-    support = general_support(obs, n01)
-    return DiscreteDistribution(
-        support=support,
-        weights=tuple(weights.get((p.n11, p.n10), 0) for p in support),
-    )
+    if prior.weights is None:
+        rows = _grid(obs, n01)
+    else:
+        table = {(n11, n10): w for n11, n10, w in _weighted(obs, n01, prior)}
+        rows = ((n11, n10s, [table.get((n11, n10), 0) for n10 in n10s])
+                for n11, n10s in _rows(obs, n01))
+    return DiscreteDistribution(*zip(*(
+        (ParameterPoint(n11, n10, n01), w) for n11, n10s, ws in rows for n10, w in zip(n10s, ws)
+    )))
 
 
 def _pushforward(pairs: Iterable[tuple[int, int]], fn: Callable) -> DiscreteDistribution:
@@ -161,24 +159,15 @@ def tau_posterior(
     """Posterior of the average causal effect, on the grid (k - n01)/N.
 
     Under the uniform prior the weights are the likelihood's n10 columns,
-    built as the one-slot case of :func:`tau_posterior_sweep`. With
-    s = n11 + n01, the x term at (n11, n10) is a_x(n01) C(n10, j)
-    C(N - s - n10, c), whose n10 run on [j, N - s - c] depends on (s, x)
-    alone (see ``likelihood``): only the seed a_x(n01) depends on the harmed
-    count. The sweep walks each (s, x) run once, every count's seed in its own
-    slot of w bits, w the bit length of (N + 1) C(N, N1); a slot holds one
-    column, at most N + 1 numerators of at most C(N, N1) each, so none
-    carries into the next. A sweep costs the terms of its distinct (s, x)
-    runs. A table prior weighs its own points. Raises InfeasibleError when
-    the support is empty.
+    built as the one-slot case of :func:`tau_posterior_sweep`; the
+    ``likelihood`` module docstring gives the runs that sweep walks, its
+    slot width and its cost. A table prior weighs its own points. Raises
+    InfeasibleError when the support is empty.
     """
     total = obs.total
     if prior.weights is None:
-        n01 = _count(n01, "n01")
-        (dist,) = tau_posterior_sweep(obs, range(n01, n01 + 1))
-        if dist is None:
-            raise InfeasibleError(f"empty likelihood support at n01={n01}")
-        return dist
+        _rows(obs, n01)  # InfeasibleError on an empty support
+        return next(tau_posterior_sweep(obs, range(n01, n01 + 1)))
     return _pushforward(
         ((n10, w) for _, n10, w in _weighted(obs, n01, prior)),
         lambda n10: Fraction(n10 - n01, total),
@@ -191,15 +180,15 @@ def tau_posterior_sweep(
     """Yields the uniform-prior tau posterior at each harmed count of the
     consecutive ``n01s`` in order, None where that count is infeasible.
 
-    One walk of the likelihood's (s, x) runs, made before the first value,
-    serves every count (see :func:`tau_posterior`), so the sweep costs the
-    terms of its distinct runs, not one grid walk per harmed count. Each
-    distribution is built as it is read.
+    One walk of the likelihood's (s, x) runs, made at the call, serves every
+    count (see ``likelihood``), so the sweep costs the terms of its distinct
+    runs, not one grid walk per harmed count. Each distribution is built as
+    it is read. Raises ValueError unless ``n01s`` is a range stepping by +1.
     """
     total = obs.total
-    for n01, columns in zip(n01s, _columns(obs, n01s)):
-        pairs = [(Fraction(n10 - n01, total), w) for n10, w in enumerate(columns) if w]
-        yield DiscreteDistribution(*zip(*pairs)) if pairs else None
+    pairs = ([(Fraction(n10 - n01, total), w) for n10, w in enumerate(columns) if w]
+             for n01, columns in zip(n01s, _columns(obs, n01s)))
+    return (DiscreteDistribution(*zip(*p)) if p else None for p in pairs)
 
 
 def a_posterior(

@@ -35,12 +35,17 @@ Only the seed factor depends on the harmed count, and a_x(n01) is positive
 for n01 in [k, k + n01_obs]. A sensitivity sweep over n01 in [lo, hi]
 therefore walks each (s, x) run once, from the seeds of every count it
 reaches packed into one integer, sum_n01 a_x(n01) 2^(w (n01 - lo)) with w
-the bit length of (N + 1) C(N, N1). The exact step holds on the packed
-integer: every slot steps by the same ratio and is divisible on its own. No
-slot carries into the next: a slot adds up one n10 column of one harmed
-count, at most N + 1 rows of numerators of at most C(N, N1) each, which is
-below 2^w. So a sweep costs the terms of its distinct (s, x) runs, not one
-grid walk per harmed count, and a run packs only the slots it reaches.
+the bit length of C(N, N1). The exact step holds on the packed integer:
+every slot steps by the same ratio and is divisible on its own. No slot
+carries into the next: a slot adds up one n10 column of one harmed count,
+which is at most C(N, N1) < 2^w. Proof: with n10 and n01 fixed, label the
+units so that raising n11 by one turns one never-responder into an
+always-responder; whichever arm that unit is in, the observed successes
+n11_obs + n01_obs rise by one. So each of the C(N, N1) treatment
+assignments yields the observed table for at most one n11, and the column
+counts those (assignment, n11) pairs. A sweep costs the terms of its
+distinct (s, x) runs, not one grid walk per harmed count, and a run packs
+only the slots it reaches.
 
 A row's sum over n10 has a closed form: Chu-Vandermonde,
 sum_n10 C(n10, j) C(m - n10, c) = C(m + 1, j + c + 1), gives
@@ -100,10 +105,19 @@ def _rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
     return rows
 
 
-def _row_xs(obs: ObservedTable, n01: int, n11: int, n10s: range) -> range:
-    # The x range falls as n10 grows, and an x with j, c, a_x > 0 has a positive term
-    # at n10 = j (j + c <= m): the row's x run from lo at its last point to hi at its first.
-    return range(_x_range(obs, n11, n10s[-1], n01)[0], _x_range(obs, n11, n10s[0], n01)[1] + 1)
+def _seed(obs: ObservedTable, s: int, x: int, n01s: range, width: int) -> int:
+    # The (s, x) run's seed a_x(n01) = C(s - n01, x) C(n01, s - n01_obs - x) at each
+    # of the consecutive n01s, n01s[i] in slot i of ``width`` bits.
+    return sum([math.comb(s - n01, x) * math.comb(n01, s - obs.n01 - x)
+                << width * (n01 - n01s.start) for n01 in n01s])
+
+
+def _row_runs(obs: ObservedTable, n01: int, n11: int, n10s: range) -> list[tuple[int, int]]:
+    # (x, a_x) per x positive on the support row. The x range falls as n10 grows, and an
+    # x with j, c, a_x > 0 has a positive term at n10 = j (j + c <= m): the row's x run
+    # goes from lo at its last point to hi at its first.
+    lo, hi = _x_range(obs, n11, n10s[-1], n01)[0], _x_range(obs, n11, n10s[0], n01)[1]
+    return [(x, _seed(obs, n11 + n01, x, range(n01, n01 + 1), 0)) for x in range(lo, hi + 1)]
 
 
 def _add_run(obs: ObservedTable, s: int, x: int, seed: int, into: list, base: int) -> None:
@@ -128,8 +142,7 @@ def _grid(obs: ObservedTable, n01: int) -> Iterator[tuple[int, range, list[int]]
     the walk starts, when the support is empty."""
     def row(n11: int, n10s: range) -> list[int]:
         numerators = [0] * len(n10s)
-        for x in _row_xs(obs, n01, n11, n10s):
-            seed = math.comb(n11, x) * math.comb(n01, n01 + n11 - obs.n01 - x)
+        for x, seed in _row_runs(obs, n01, n11, n10s):
             _add_run(obs, n11 + n01, x, seed, numerators, n10s[0])
         return numerators
 
@@ -144,11 +157,14 @@ def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
     Each (s, x) run is walked once for the whole range, at the call, its
     seeds for every harmed count it reaches packed into one integer, one
     slot per count; each count's columns are unpacked as they are read.
+    Raises ValueError unless ``n01s`` is a range stepping by +1.
     """
+    if not isinstance(n01s, range) or n01s.step != 1:
+        raise ValueError(f"harmed counts must be a range stepping by +1, got {n01s!r}")
     if not n01s:
         return iter(())
     lo, hi = _count(n01s[0], "n01"), n01s[-1]
-    width = ((obs.total + 1) * math.comb(obs.total, obs.n_treated)).bit_length()
+    width = math.comb(obs.total, obs.n_treated).bit_length()  # a column is at most C(N, N1)
     packed = [0] * (obs.n11 + obs.n00 + 1)  # every window ends by n10 = n11_obs + n00_obs
     # The runs go by descending k = s - n01_obs - x, the least count a run
     # reaches (c = n10_obs - k >= 0), so slot 0 holds n01 = max(lo, k) and a
@@ -157,12 +173,10 @@ def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
     for k in range(top, max(0, lo - obs.n01) - 1, -1):
         if lo <= k < top:
             packed = [v << width for v in packed]
-        first, last = max(lo, k), min(hi, k + obs.n01)
+        reached = range(max(lo, k), min(hi, k + obs.n01) + 1)
         for x in range(obs.n11 + 1):
             s = k + obs.n01 + x
-            seed = sum(math.comb(s - n01, x) * math.comb(n01, k) << width * (n01 - first)
-                       for n01 in range(first, last + 1))
-            _add_run(obs, s, x, seed, packed, 0)
+            _add_run(obs, s, x, _seed(obs, s, x, reached, width), packed, 0)
     mask = (1 << width) - 1
     return ([v >> width * i & mask for v in packed] for i in range(len(n01s)))
 
@@ -179,10 +193,8 @@ def _row_sums(obs: ObservedTable, n01: int) -> list[tuple[int, int]]:
     for n11, n10s in _rows(obs, n01):
         m = total - n11 - n01
         width = total - obs.n00 - n01 - n11  # j + c, the same at every x
-        sums.append((n11, math.comb(m + 1, width + 1) * sum(
-            math.comb(n11, x) * math.comb(n01, n01 + n11 - obs.n01 - x)
-            for x in _row_xs(obs, n01, n11, n10s)
-        )))
+        seeds = sum(seed for _, seed in _row_runs(obs, n01, n11, n10s))
+        sums.append((n11, math.comb(m + 1, width + 1) * seeds))
     return sums
 
 

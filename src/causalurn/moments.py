@@ -106,10 +106,8 @@ def improved_variance(obs: ObservedTable) -> Fraction:
 
 def neyman_variance(obs: ObservedTable) -> Fraction:
     """Baseline variance: the improved formula without the subtracted term."""
-    p1, p0 = obs.p1_hat, obs.p0_hat
-    return Fraction(obs.total, obs.total - 1) * (
-        p1 * (1 - p1) / obs.n_treated + p0 * (1 - p0) / obs.n_control
-    )
+    y1, y0 = obs.total * obs.p1_hat, obs.total * obs.p0_hat
+    return _tau_variance(obs.total, obs.n_treated, y1, y0, 0, 0)
 
 
 def classic_neyman_variance(obs: ObservedTable) -> Fraction:

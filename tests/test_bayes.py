@@ -19,6 +19,7 @@ from causalurn import (
     likelihood_exact,
     posterior_points,
     tau_posterior,
+    tau_posterior_sweep,
 )
 
 
@@ -183,6 +184,15 @@ class TestTauPosterior:
             for point, mass in zip(points.support, points.mass)
         )
         assert sum(v * m for v, m in zip(dist.support, dist.mass)) == grid_sum
+
+
+    @pytest.mark.parametrize("n01s", [range(0, 10, 3), range(5, 0, -1), range(3, 3, 2),
+                                      [0, 3, 6]], ids=repr)
+    def test_sweep_rejects_a_range_not_stepping_by_one(self, pit, n01s):
+        # The sweep gives the count n01s[0] + i its slot i; with any other
+        # step it would label posteriors with the wrong counts.
+        with pytest.raises(ValueError, match=r"must be a range stepping by \+1"):
+            tau_posterior_sweep(pit, n01s)
 
 
 class TestAPosterior:

@@ -19,6 +19,7 @@ from causalurn.cli import (
     main,
 )
 from causalurn.tables import support_rows
+from test_properties import _x_windows
 
 PIT = ["18", "14", "5", "16"]
 SUBCOMMANDS = ("estimate", "sensitivity", "posterior", "attributable", "verify", "simulate")
@@ -206,6 +207,7 @@ GOLDEN_JSON = {
 # walked by its row ratio, and at N = 5300, recorded before the p-value curve
 # was walked along s; each must stay byte for byte.
 DATA = Path(__file__).parent / "data"
+# The prior-file goldens echo the prior's path, relative to the checkout root.
 GOLDEN_FILES = {
     "sensitivity 72 56 20 64 --format csv": "sensitivity_72_56_20_64.csv",
     "posterior 144 112 40 128 --target tau --n01 20 --format json":
@@ -217,6 +219,12 @@ GOLDEN_FILES = {
     "sensitivity 144 112 40 128 --n01-max 10 --format csv":
         "sensitivity_144_112_40_128_n01_10.csv",
     "sensitivity 144 112 40 128 --format csv": "sensitivity_144_112_40_128.csv",
+    "posterior 144 112 40 128 --target tau --format json"
+    " --prior-file tests/data/prior_144_112_40_128.json":
+        "posterior_144_112_40_128_tau_prior.json",
+    "posterior 144 112 40 128 --target A --format json"
+    " --prior-file tests/data/prior_144_112_40_128.json":
+        "posterior_144_112_40_128_A_prior.json",
 }
 
 
@@ -390,9 +398,9 @@ class TestSensitivity:
         assert [n01 for n01, grid in rows if grid] == list(range(20))
         runs = {
             (n11 + n01, x)
-            for n01, grid in rows
-            for n11, n10s in grid
-            for x in causalurn.likelihood._row_xs(obs, n01, n11, n10s)
+            for n01 in range(22)
+            for n11, _, x, window in _x_windows(obs, n01)
+            if window
         }
         assert len(walked) == len(set(walked))
         assert set(walked) == runs
@@ -433,6 +441,22 @@ class TestPosterior:
         payload = json.loads(out)
         assert payload["mass"] == [1.0]
         assert payload["support"] == [pytest.approx(17 / 53)]
+
+    @pytest.mark.parametrize("target", ["tau", "A"])
+    def test_table_prior_walks_no_run(self, capsys, monkeypatch, tmp_path, target):
+        # A table prior takes the pointwise numerator at its own points; the
+        # support check walks no run of the likelihood grid.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a run of the grid walked")
+
+        monkeypatch.setattr(causalurn.likelihood, "_add_run", forbidden)
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"points": [{"n11": 13, "n10": 17, "weight": 2},
+                                                {"n11": 16, "n10": 12, "weight": 0.5}]}))
+        code, out, _ = run(capsys, "posterior", *PIT, "--target", target,
+                           "--prior-file", str(prior), "--format", "json")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["mass"]) == 2
 
     def test_malformed_prior_lists_offenders(self, capsys, tmp_path):
         prior = tmp_path / "prior.json"
@@ -606,7 +630,8 @@ class TestGolden:
         assert run(capsys, *command.split()) == (EXIT_OK, expected, "")
 
     @pytest.mark.parametrize("command", sorted(GOLDEN_FILES))
-    def test_large_population_file(self, capsys, command):
+    def test_large_population_file(self, capsys, monkeypatch, command):
+        monkeypatch.chdir(DATA.parents[1])
         expected = (DATA / GOLDEN_FILES[command]).read_text()
         assert run(capsys, *command.split()) == (EXIT_OK, expected, "")
 
@@ -666,6 +691,20 @@ class TestUsage:
         monkeypatch.setattr("causalurn.cli.verify.run_verification", no_work)
         monkeypatch.setattr("causalurn.cli.oracle.monte_carlo", no_work)
         assert run(capsys, *command, flag, value) == (EXIT_USAGE, "", message)
+
+
+@pytest.mark.parametrize("command", ["estimate", "sensitivity", "posterior", "attributable"])
+def test_commands_that_never_sample_leave_numpy_unloaded(command):
+    # numpy is imported by the sampler alone, so the other commands start
+    # without paying for it.
+    src = str(Path(causalurn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = (f"import sys\nfrom causalurn.cli import main\ncode = main({[command, *PIT]!r})\n"
+              "print(code, 'numpy' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          timeout=60)
+    assert proc.stderr.decode().split() == [str(EXIT_OK), "False"]
 
 
 class TestClosedOutput:

@@ -10,13 +10,14 @@ every window. On tables of up to 20 units the support and its
 membership predicate are checked against every grid point's likelihood
 numerator. The x-run walk of the likelihood grid, the uniform tau column
 sums and the closed-form uniform A weights are checked against the
-single-point numerator at every harmed count, and each row's x range against
-the x whose terms are positive on it, on tables of up to 90 units and on
-corner tables; the A weights also against the oracle's way counts on every
+single-point numerator at every harmed count, and each row's x runs and
+their seeds against the x whose terms are positive on it, on tables of up
+to 90 units and on corner tables; the A weights also against the oracle's way counts on every
 science table of up to 8 units. The packed sweep's column sums over a
 window of harmed counts are checked against the single-point numerator on
 drawn windows of generated tables, on corner tables, and on every table
-with counts 0..5 and every window. On science
+with counts 0..5 and every window; every swept column is at most C(N, N1),
+the bound behind the sweep's slot width. On science
 tables of up to 12 units the likelihood kernel, the
 p-value at the true number of responders under control, the oracle's
 integer moments and the moment cell estimates are checked against the
@@ -186,14 +187,17 @@ def _x_windows(obs, n01) -> list:
 
 def _assert_x_runs_are_the_positive_windows(obs):
     # Each row walks exactly the x whose terms are positive somewhere on it,
-    # and each such x is positive on one contiguous run of n10.
+    # each seeded with a_x = C(n11, x) C(n01, n01 + n11 - n01_obs - x), and
+    # each such x is positive on one contiguous run of n10.
     for n01 in range(obs.n10 + obs.n01 + 1):
         walked = {}
         for n11, n10s, x, window in _x_windows(obs, n01):
-            walked.setdefault(n11, likelihood._row_xs(obs, n01, n11, n10s))
+            walked.setdefault(n11, dict(likelihood._row_runs(obs, n01, n11, n10s)))
             assert (x in walked[n11]) == bool(window)
             if window:
                 assert window == list(range(window[0], window[-1] + 1))
+                seed = math.comb(n11, x) * math.comb(n01, n01 + n11 - obs.n01 - x)
+                assert walked[n11][x] == seed
 
 
 @PROPERTY
@@ -274,6 +278,16 @@ def swept_tables(draw):
 @given(swept_tables())
 def test_sweep_is_the_pointwise_columns(swept):
     _assert_sweep_is_the_pointwise_columns(*swept)
+
+
+@PROPERTY
+@given(tables())
+def test_every_swept_column_is_at_most_the_assignment_count(obs):
+    # The sweep's slot width, the bit length of C(N, N1), rests on this bound:
+    # for fixed n10 and n01 an assignment yields the table for at most one n11.
+    bound = math.comb(obs.total, obs.n_treated)
+    for columns in likelihood._columns(obs, range(obs.total + 1)):
+        assert max(columns) <= bound
 
 
 @pytest.mark.parametrize("obs", GRID_CORNERS, ids=repr)

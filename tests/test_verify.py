@@ -144,6 +144,24 @@ def test_detects_a_window_cut_short_in_the_walk(monkeypatch, capsys):
     assert lines[3].startswith("FAIL  likelihood equals assignment probability:")
 
 
+def test_detects_a_wrong_seed_in_the_walk(monkeypatch, capsys):
+    # Every run's seed a_x(n01) = C(s - n01, x) C(n01, k) takes C(n01, k + 1):
+    # likelihood._seed, the one seed behind the grid, the row sums and the
+    # sensitivity sweep, rebuilt from its source with that one change.
+    source = inspect.getsource(likelihood._seed)
+    right = "math.comb(n01, s - obs.n01 - x)"
+    assert right in source
+    obs, n01s = ObservedTable(2, 1, 1, 2), range(0, 4)
+    swept = list(likelihood._columns(obs, n01s))
+    namespace = dict(vars(likelihood))
+    exec(source.replace(right, "math.comb(n01, s - obs.n01 - x + 1)"), namespace)
+    monkeypatch.setattr(likelihood, "_seed", namespace["_seed"])
+    assert list(likelihood._columns(obs, n01s)) != swept
+    code, lines = _verify_max_n_6(capsys)
+    assert code == EXIT_VERIFY
+    assert lines[3].startswith("FAIL  likelihood equals assignment probability:")
+
+
 def test_detects_cells_that_add_the_harmed_count(monkeypatch, capsys):
     original = moments.moment_cells
 
