@@ -161,7 +161,7 @@ def _ends(estimate: Optional[IntervalEstimate]) -> tuple:
     return estimate.lower, estimate.upper, estimate.length
 
 
-def _columns(point: str, estimate: Optional[IntervalEstimate]) -> str:
+def _interval_cells(point: str, estimate: Optional[IntervalEstimate]) -> str:
     """Point, interval and length columns of one sensitivity text row."""
     if estimate is None:
         return f"{point:>6}  {'infeasible':>16}  {'':>6}"
@@ -220,8 +220,8 @@ def cmd_sensitivity(args) -> int:
             f"{'n01':>4}  {'point':>6}  {'interval':>16}  {'length':>6}  "
             f"{'bayes':>6}  {'bayes hpd':>16}  {'length':>6}",
         ] + [
-            f"{row.n01:>4}  {_columns(_fmt(row.point), row.interval)}  "
-            f"{_columns('' if med is None else _fmt(med), hpd)}"
+            f"{row.n01:>4}  {_interval_cells(_fmt(row.point), row.interval)}  "
+            f"{_interval_cells('' if med is None else _fmt(med), hpd)}"
             for row, med, _, hpd in rows
         ],
     )

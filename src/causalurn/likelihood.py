@@ -20,11 +20,9 @@ The support is walked in runs. Write s = n11 + n01, j = n11_obs - x,
 c = n10_obs + n01_obs - s + x and m = N - s (so n00 = m - n10). The x term
 is a_x C(n10, j) C(m - n10, c) with a_x = C(s - n01, x) C(n01, k) and
 k = s - n01_obs - x, so its n10 profile, the (s, x) run, depends on s and x
-alone. The run is positive exactly on the window [j, m - c], which always
-holds n00_obs + 1 points (m - c = j + n00_obs); when a_x > 0 every point of
-the window has a positive term, so the window lies inside the support row.
-A run is seeded at n10 = j, where it is a_x C(m - j, c); from n10 = n to
-n + 1 its term t steps to
+alone. Which runs have a_x > 0, their rows and their windows [j, m - c] are
+the run box of the ``tables`` module docstring. A run is seeded at n10 = j,
+where it is a_x C(m - j, c); from n10 = n to n + 1 its term t steps to
 
     t (n + 1) (m - n - c) // ((n + 1 - j) (m - n)),
 
@@ -32,27 +30,26 @@ every division exact. A grid at one harmed count adds each row's runs, one
 per x, into the row, at a cost of its inner-sum terms.
 
 Only the seed factor depends on the harmed count, and a_x(n01) is positive
-for n01 in [k, k + n01_obs]. A sensitivity sweep over n01 in [lo, hi]
-therefore walks each (s, x) run once, from the seeds of every count it
-reaches packed into one integer, sum_n01 a_x(n01) 2^(w (n01 - lo)) with w
-the bit length of C(N, N1). The exact step holds on the packed integer:
-every slot steps by the same ratio and is divisible on its own. No slot
-carries into the next: a slot adds up one n10 column of one harmed count,
-which is at most C(N, N1) < 2^w. Proof: with n10 and n01 fixed, label the
-units so that raising n11 by one turns one never-responder into an
-always-responder; whichever arm that unit is in, the observed successes
-n11_obs + n01_obs rise by one. So each of the C(N, N1) treatment
-assignments yields the observed table for at most one n11, and the column
-counts those (assignment, n11) pairs. A sweep costs the terms of its
-distinct (s, x) runs, not one grid walk per harmed count, and a run packs
-only the slots it reaches.
+for n01 in [k, k + n01_obs], the box's k bounds read the other way. A
+sensitivity sweep over n01 in [lo, hi] therefore walks each (s, x) run
+once, from the seeds of every count it reaches packed into one integer,
+sum_n01 a_x(n01) 2^(w (n01 - lo)) with w the bit length of C(N, N1). The
+exact step holds on the packed integer: every slot steps by the same ratio
+and is divisible on its own. No slot carries into the next: a slot adds up
+one n10 column of one harmed count, which is at most C(N, N1) < 2^w. Proof:
+with n10 and n01 fixed, label the units so that raising n11 by one turns
+one never-responder into an always-responder; whichever arm that unit is
+in, the observed successes n11_obs + n01_obs rise by one. So each of the
+C(N, N1) treatment assignments yields the observed table for at most one
+n11, and the column counts those (assignment, n11) pairs. A sweep costs the
+terms of its distinct (s, x) runs, not one grid walk per harmed count, and
+a run packs only the slots it reaches.
 
 A row's sum over n10 has a closed form: Chu-Vandermonde,
-sum_n10 C(n10, j) C(m - n10, c) = C(m + 1, j + c + 1), gives
+sum_n10 C(n10, j) C(m - n10, c) = C(m + 1, j + c + 1) = C(m + 1, n00_obs)
+as m - c = j + n00_obs, gives
 
-    sum_x C(n11, x) C(n01, n01 + n11 - n01_obs - x) C(m + 1, j + c + 1)
-
-where j + c = N - n00_obs - s is the same at every x.
+    C(m + 1, n00_obs) sum_x C(n11, x) C(n01, n01 + n11 - n01_obs - x).
 """
 
 from __future__ import annotations
@@ -67,6 +64,8 @@ from .tables import (
     ObservedTable,
     ParameterPoint,
     _count,
+    _row_xs,
+    _run_box,
     support_rows,
 )
 
@@ -100,7 +99,7 @@ def _numerator(obs: ObservedTable, n11: int, n10: int, n01: int) -> int:
 def _rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
     # The support rows; InfeasibleError when they hold no point.
     rows = support_rows(obs, n01)
-    if not any(n10s for _, n10s in rows):
+    if not rows:
         raise InfeasibleError(f"empty likelihood support at n01={n01}")
     return rows
 
@@ -112,12 +111,10 @@ def _seed(obs: ObservedTable, s: int, x: int, n01s: range, width: int) -> int:
                 << width * (n01 - n01s.start) for n01 in n01s])
 
 
-def _row_runs(obs: ObservedTable, n01: int, n11: int, n10s: range) -> list[tuple[int, int]]:
-    # (x, a_x) per x positive on the support row. The x range falls as n10 grows, and an
-    # x with j, c, a_x > 0 has a positive term at n10 = j (j + c <= m): the row's x run
-    # goes from lo at its last point to hi at its first.
-    lo, hi = _x_range(obs, n11, n10s[-1], n01)[0], _x_range(obs, n11, n10s[0], n01)[1]
-    return [(x, _seed(obs, n11 + n01, x, range(n01, n01 + 1), 0)) for x in range(lo, hi + 1)]
+def _row_runs(obs: ObservedTable, n01: int, n11: int) -> list[tuple[int, int]]:
+    # (x, a_x) per run of the support row n11: the run box's diagonal.
+    return [(x, _seed(obs, n11 + n01, x, range(n01, n01 + 1), 0))
+            for x in _row_xs(obs, n01, n11, *_run_box(obs, n01, n01))]
 
 
 def _add_run(obs: ObservedTable, s: int, x: int, seed: int, into: list, base: int) -> None:
@@ -142,7 +139,7 @@ def _grid(obs: ObservedTable, n01: int) -> Iterator[tuple[int, range, list[int]]
     the walk starts, when the support is empty."""
     def row(n11: int, n10s: range) -> list[int]:
         numerators = [0] * len(n10s)
-        for x, seed in _row_runs(obs, n01, n11, n10s):
+        for x, seed in _row_runs(obs, n01, n11):
             _add_run(obs, n11 + n01, x, seed, numerators, n10s[0])
         return numerators
 
@@ -169,12 +166,12 @@ def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
     # The runs go by descending k = s - n01_obs - x, the least count a run
     # reaches (c = n10_obs - k >= 0), so slot 0 holds n01 = max(lo, k) and a
     # run packs no slot below it: the accumulator moves up a slot as k falls.
-    top = min(hi, obs.n10)
-    for k in range(top, max(0, lo - obs.n01) - 1, -1):
-        if lo <= k < top:
+    ks, xs = _run_box(obs, lo, hi)
+    for k in reversed(ks):
+        if lo <= k < ks[-1]:
             packed = [v << width for v in packed]
         reached = range(max(lo, k), min(hi, k + obs.n01) + 1)
-        for x in range(obs.n11 + 1):
+        for x in xs:
             s = k + obs.n01 + x
             _add_run(obs, s, x, _seed(obs, s, x, reached, width), packed, 0)
     mask = (1 << width) - 1
@@ -188,14 +185,8 @@ def _row_sums(obs: ObservedTable, n01: int) -> list[tuple[int, int]]:
     the module docstring, in time linear in the row's x range. Raises
     InfeasibleError when the support is empty.
     """
-    total = obs.total
-    sums = []
-    for n11, n10s in _rows(obs, n01):
-        m = total - n11 - n01
-        width = total - obs.n00 - n01 - n11  # j + c, the same at every x
-        seeds = sum(seed for _, seed in _row_runs(obs, n01, n11, n10s))
-        sums.append((n11, math.comb(m + 1, width + 1) * seeds))
-    return sums
+    return [(n11, math.comb(obs.total - n11 - n01 + 1, obs.n00)  # C(m + 1, n00_obs)
+             * sum(seed for _, seed in _row_runs(obs, n01, n11))) for n11, _ in _rows(obs, n01)]
 
 
 def _log_likelihood(obs: ObservedTable, numerator: int) -> float:

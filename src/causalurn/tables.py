@@ -7,6 +7,23 @@ observed outcome. These two tables, the parameter points used by the
 likelihood machinery, and the feasibility regions that connect them all
 live here. Everything is exact integer arithmetic: region predicates never
 touch floating point.
+
+The likelihood at (n11, n10) given n01 harmed units counts the assignments
+that yield the observed table; run (k, x) holds those that treat k harmed
+units and x always-responders. Their treated successes are x
+always-responders and j = n11_obs - x helped units, their treated failures
+k harmed and n10_obs - k never-responders, and their control successes
+n11 - x always-responders and n01 - k harmed units. So the runs form the box
+
+    max(0, n01 - n01_obs) <= k <= min(n01, n10_obs),   0 <= x <= n11_obs,
+
+and over the harmed counts lo..hi, k runs from max(0, lo - n01_obs) to
+min(hi, n10_obs). Run (k, x) lies in row n11 = k + x + n01_obs - n01 and is
+positive on the n10 window [j, j + n00_obs], as the control failures hold
+the other n10 - j helped units. A support row is a diagonal of the box, its
+n10 range the union of its runs' windows. The box is empty exactly when
+n01 > n10_obs + n01_obs; at n01 = 0 each row holds one run, so the support
+has (n11_obs + 1) * (n00_obs + 1) points.
 """
 
 from __future__ import annotations
@@ -178,32 +195,22 @@ class IntervalEstimate:
 
 
 def monotone_support(obs: ObservedTable) -> tuple[ParameterPoint, ...]:
-    """All (n11, n10) with positive likelihood when no unit is harmed.
-
-    The region is ``n01_obs <= n11 <= n11_obs + n01_obs <= n10 + n11
-    <= N - n10_obs`` and always contains exactly
-    ``(n11_obs + 1) * (n00_obs + 1)`` points: the general support at
-    ``n01 = 0``.
-    """
+    """All (n11, n10) with positive likelihood when no unit is harmed: the
+    general support at ``n01 = 0``, always ``(n11_obs + 1) * (n00_obs + 1)``
+    points (see the module docstring)."""
     return general_support(obs, 0)
 
 
-def _n11_span(obs: ObservedTable, n01: int) -> tuple[int, int]:
-    # The support's n11 values given n01 harmed units, as range() bounds;
-    # empty when n01 is infeasible, exactly when n01 > n10_obs + n01_obs.
-    if n01 > obs.n10 + obs.n01:
-        return 0, 0
-    return max(0, obs.n01 - n01), min(obs.n01 + obs.n11, obs.total - obs.n00 - n01) + 1
+def _run_box(obs: ObservedTable, lo: int, hi: int) -> tuple[range, range]:
+    # The runs (k, x) at the harmed counts lo..hi (see the module docstring).
+    return range(max(0, lo - obs.n01), min(hi, obs.n10) + 1), range(obs.n11 + 1)
 
 
-def _n10_span(obs: ObservedTable, n01: int, n11: int) -> tuple[int, int]:
-    # The support's n10 values in row n11, as range() bounds: n10 + n11 runs
-    # from max(n11_obs + n01_obs - n01, n11_obs) to N - n10_obs, n10 is at
-    # most N - n01_obs - n10_obs, and n00 = N - n11 - n10 - n01 >= 0.
-    total = obs.total
-    lo = max(0, obs.n11 + obs.n01 - n01 - n11, obs.n11 - n11)
-    hi = min(total - obs.n01 - obs.n10, total - obs.n10 - n11, total - n01 - n11)
-    return lo, hi + 1
+def _row_xs(obs: ObservedTable, n01: int, n11: int, ks: range, xs: range) -> range:
+    # The x of the runs in row n11 of the box ks x xs at harmed count n01, its
+    # diagonal k + x = n11 + n01 - n01_obs; empty when the box is.
+    d = n11 + n01 - obs.n01
+    return range(max(xs.start, d - ks.stop + 1), min(xs.stop, d - ks.start + 1))
 
 
 def support_rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
@@ -213,15 +220,18 @@ def support_rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
     units, and no other point does. Empty when ``n01`` is infeasible.
     """
     n01 = _count(n01, "n01")
-    return [(n11, range(*_n10_span(obs, n01, n11))) for n11 in range(*_n11_span(obs, n01))]
+    ks, xs = _run_box(obs, n01, n01)
+    n11s = range(ks.start + obs.n01 - n01, ks.stop + xs[-1] + obs.n01 - n01)
+    rows = ((n11, _row_xs(obs, n01, n11, ks, xs)) for n11 in n11s)
+    return [(n11, range(obs.n11 - row[-1], obs.n11 + obs.n00 - row[0] + 1))
+            for n11, row in rows if row]
 
 
 def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
     """All (n11, n10) with positive likelihood given ``n01`` harmed units.
 
     Returns the empty tuple when ``n01`` is infeasible for this data, which
-    happens exactly when ``n01 > n10_obs + n01_obs``; sensitivity sweeps can
-    then skip the value gracefully. At ``n01 = 0`` this is
+    happens exactly when ``n01 > n10_obs + n01_obs``. At ``n01 = 0`` this is
     :func:`monotone_support`.
     """
     return tuple(
@@ -233,8 +243,5 @@ def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
 
 def in_general_support(obs: ObservedTable, point: ParameterPoint) -> bool:
     """O(1) membership test equivalent to ``point in general_support(...)``."""
-    start, stop = _n11_span(obs, point.n01)
-    if not start <= point.n11 < stop:
-        return False
-    start, stop = _n10_span(obs, point.n01, point.n11)
-    return start <= point.n10 < stop
+    row = _row_xs(obs, point.n01, point.n11, *_run_box(obs, point.n01, point.n01))
+    return bool(row) and obs.n11 - row[-1] <= point.n10 <= obs.n11 + obs.n00 - row[0]

@@ -1,9 +1,9 @@
 """Oracle-versus-formula identity suite behind ``causalurn verify``.
 
-Sweeps every science table up to a small population size and checks the
-code the commands run against exhaustive enumeration in exact arithmetic:
-the closed-form moments, ``moments.moment_cells``, and the likelihood grid
-as ``likelihood._grid`` walks it, whose points are the support. Designs go
+Sweeps every science table up to a small population size and checks, by
+exhaustive enumeration in exact arithmetic, the closed-form moments,
+``moments.moment_cells`` and ``likelihood._grid``: its points are the
+support, its run box, seeds and steps those of the sweep. Designs go
 one (N, N1) at a time, and each observed table is walked once per harmed
 count in its group. Way counts, walked numerators and cells times N1 N0
 are integers over C(N, N1), so those identities compare integers.

@@ -17,7 +17,9 @@ science table of up to 8 units. The packed sweep's column sums over a
 window of harmed counts are checked against the single-point numerator on
 drawn windows of generated tables, on corner tables, and on every table
 with counts 0..5 and every window; every swept column is at most C(N, N1),
-the bound behind the sweep's slot width. On science
+the bound behind the sweep's slot width. The run box is the set of runs
+the sweep and the grid step, each once, from a positive seed over its
+n00_obs + 1 window points, on drawn windows of generated tables. On science
 tables of up to 12 units the likelihood kernel, the
 p-value at the true number of responders under control, the oracle's
 integer moments and the moment cell estimates are checked against the
@@ -74,7 +76,7 @@ from causalurn import (
     tau_posterior_sweep,
 )
 from causalurn.attributable import _pvalue_numerator
-from causalurn.tables import support_rows
+from causalurn.tables import _run_box, support_rows
 
 PROPERTY = settings(max_examples=30, deadline=None)
 ORACLE = settings(max_examples=100, deadline=None)
@@ -192,7 +194,7 @@ def _assert_x_runs_are_the_positive_windows(obs):
     for n01 in range(obs.n10 + obs.n01 + 1):
         walked = {}
         for n11, n10s, x, window in _x_windows(obs, n01):
-            walked.setdefault(n11, dict(likelihood._row_runs(obs, n01, n11, n10s)))
+            walked.setdefault(n11, dict(likelihood._row_runs(obs, n01, n11)))
             assert (x in walked[n11]) == bool(window)
             if window:
                 assert window == list(range(window[0], window[-1] + 1))
@@ -288,6 +290,58 @@ def test_every_swept_column_is_at_most_the_assignment_count(obs):
     bound = math.comb(obs.total, obs.n_treated)
     for columns in likelihood._columns(obs, range(obs.total + 1)):
         assert max(columns) <= bound
+
+
+def _recorded_runs(walk) -> list:
+    """``(s, x, seed, points)`` per ``_add_run`` call of ``walk()``, points the
+    number of entries the call changed: its inner-sum terms."""
+    runs, add_run = [], likelihood._add_run
+
+    def recorded(obs, s, x, seed, into, base):
+        before = list(into)
+        add_run(obs, s, x, seed, into, base)
+        runs.append((s, x, seed, sum(a != b for a, b in zip(before, into, strict=True))))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(likelihood, "_add_run", recorded)
+        walk()
+    return runs
+
+
+def _positive_runs(obs, n01s) -> set:
+    """The (s, x) whose seed C(s - n01, x) C(n01, k), k = s - n01_obs - x, is
+    positive at some n01 of ``n01s`` and whose window has c = n10_obs - k >= 0."""
+    return {
+        (s, x) for n01 in n01s for s in range(n01, obs.total + 1) for x in range(obs.n11 + 1)
+        if 0 <= s - obs.n01 - x <= obs.n10
+        and math.comb(s - n01, x) * math.comb(n01, s - obs.n01 - x) > 0
+    }
+
+
+def _assert_walk_is_the_run_box(obs, n01s, walk):
+    # The walk steps each run of the box once, from a positive seed, over its
+    # n00_obs + 1 window points, and the box's runs are the positive ones.
+    ks, xs = _run_box(obs, n01s[0], n01s[-1])
+    runs = _recorded_runs(walk)
+    assert len(runs) == len(ks) * len(xs)
+    assert {(s, x) for s, x, _, _ in runs} == _positive_runs(obs, n01s)
+    assert len({(s, x) for s, x, _, _ in runs}) == len(runs)
+    assert all(seed > 0 and points == obs.n00 + 1 for _, _, seed, points in runs)
+
+
+@PROPERTY
+@given(swept_tables())
+def test_the_run_box_is_the_runs_the_walks_step(swept):
+    # The box is the sweep's run set and, one count at a time, the grid's.
+    obs, n01s = swept
+    _assert_walk_is_the_run_box(obs, n01s, lambda: likelihood._columns(obs, n01s))
+    for n01 in n01s:
+        if not _run_box(obs, n01, n01)[0]:
+            with pytest.raises(InfeasibleError):
+                likelihood._grid(obs, n01)
+        else:
+            _assert_walk_is_the_run_box(obs, range(n01, n01 + 1),
+                                        lambda: list(likelihood._grid(obs, n01)))
 
 
 @pytest.mark.parametrize("obs", GRID_CORNERS, ids=repr)

@@ -1,9 +1,10 @@
 """The identity suite passes as shipped and catches injected mutations."""
 
 import inspect
+import sys
 from fractions import Fraction
 
-from causalurn import likelihood, moments
+from causalurn import likelihood, moments, tables
 from causalurn.cli import EXIT_VERIFY, main
 from causalurn.tables import InfeasibleError, ObservedTable
 from causalurn.verify import run_verification, science_tables_up_to
@@ -160,6 +161,29 @@ def test_detects_a_wrong_seed_in_the_walk(monkeypatch, capsys):
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
     assert lines[3].startswith("FAIL  likelihood equals assignment probability:")
+
+
+def test_detects_a_run_box_one_harmed_count_short(monkeypatch, capsys):
+    # The box's top k = min(hi, n10_obs) one lower: tables._run_box, the one
+    # statement of the runs behind the support rows, the grid, the row sums
+    # and the sensitivity sweep, rebuilt from its source with that one change
+    # and patched into every module that binds it.
+    source = inspect.getsource(tables._run_box)
+    right = "min(hi, obs.n10) + 1"
+    assert right in source
+    obs, n01s = ObservedTable(2, 1, 1, 2), range(0, 4)
+    swept = list(likelihood._columns(obs, n01s))
+    namespace = dict(vars(tables))
+    exec(source.replace(right, "min(hi, obs.n10)"), namespace)
+    bound = [module for name, module in sys.modules.items() if name.startswith("causalurn")
+             and getattr(module, "_run_box", None) is tables._run_box]
+    assert {tables, likelihood} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "_run_box", namespace["_run_box"])
+    assert list(likelihood._columns(obs, n01s)) != swept
+    code, lines = _verify_max_n_6(capsys)
+    assert code == EXIT_VERIFY
+    assert lines[4].startswith("FAIL  support matches positive probability:")
 
 
 def test_detects_cells_that_add_the_harmed_count(monkeypatch, capsys):
