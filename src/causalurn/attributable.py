@@ -33,7 +33,7 @@ from fractions import Fraction
 from statistics import median
 
 from .bayes import DiscreteDistribution
-from .moments import _prediction_mse, confidence_interval, tau_hat
+from .moments import _plugin_margins, _prediction_mse, confidence_interval, tau_hat
 from .tables import IntervalEstimate, ObservedTable
 
 
@@ -168,8 +168,8 @@ def neyman_predict(
     the README. The prediction is not rounded to integers: out-of-range
     values are the moment method's documented behavior.
     """
-    rate = obs.p1_hat if compat_paper_mse else obs.p0_hat
-    mse = _prediction_mse(obs.total, obs.n_treated, obs.total * rate)
+    y1, y0, _ = _plugin_margins(obs)
+    mse = _prediction_mse(obs.total, obs.n_treated, y1 if compat_paper_mse else y0)
     return confidence_interval(obs.n_treated * tau_hat(obs), mse, level, method="prediction")
 
 

@@ -185,9 +185,11 @@ def tau_posterior_sweep(
     runs, not one grid walk per harmed count. Each distribution is built as
     it is read. Raises ValueError unless ``n01s`` is a range stepping by +1.
     """
-    total = obs.total
-    pairs = ([(Fraction(n10 - n01, total), w) for n10, w in enumerate(columns) if w]
-             for n01, columns in zip(n01s, _columns(obs, n01s)))
+    sweep = zip(n01s, _columns(obs, n01s))  # ValueError unless a +1 range
+    lo, hi = n01s.start, n01s.stop - 1  # n10 - n01 runs over -hi..n11_obs + n00_obs - lo
+    taus = [Fraction(t, obs.total) for t in range(-hi, obs.n11 + obs.n00 - lo + 1)]
+    pairs = ([(taus[n10 - n01 + hi], w) for n10, w in enumerate(columns) if w]
+             for n01, columns in sweep)
     return (DiscreteDistribution(*zip(*p)) if p else None for p in pairs)
 
 

@@ -7,15 +7,18 @@ causal effect. Its exact randomization variance, for a population with
     N/(N-1) * { p1(1-p1)/N1 + p0(1-p0)/N0 - tau(1-tau)/N - 2*n01/N^2 }
 
 which is identified once ``n01`` is fixed. ``_tau_variance`` states it
-once: ``population_tau_variance`` evaluates it at a science table's
-integer margins, and the plug-ins (``improved_variance``,
-``sensitivity_variance``) at the estimated margins N p1_hat, N p0_hat and
-N tau_hat, so they run the very formula that ``causalurn verify`` checks
-against enumeration. ``_prediction_mse`` does the same for the mean squared
-error of the attributable-effect prediction. The module also holds
-normal-approximation intervals, the feasible range for ``n01``, and a
-sweep over candidate ``n01`` values. All estimators return exact
-rationals; intervals convert to floats at the very end.
+once, on integers: every margin N p enters scaled by N1 N0, so N p1_hat
+and N p0_hat are N n11_obs N0 and N n01_obs N1, and a science table's
+margins are its counts times N1 N0. ``population_tau_variance`` and the
+plug-ins (``improved_variance``, ``neyman_variance``,
+``sensitivity_variance``) make that one call; ``_prediction_mse`` does the
+same for the attributable-effect prediction. ``causalurn verify`` checks
+the population calls against enumeration for every design up to its
+``--max-n``; a property test checks the plug-ins, ``tau_hat``,
+``classic_neyman_variance`` and every sweep row against ``Fraction``
+formulas in p1_hat and p0_hat. The module also holds normal intervals, the
+feasible range for ``n01`` and a sweep over candidate ``n01`` values. Every
+estimator builds one exact ``Fraction``; intervals become floats last.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ def normal_quantile(level: float) -> float:
 
 def tau_hat(obs: ObservedTable) -> Fraction:
     """Difference in response rates, n11/N1 - n01/N0."""
-    return obs.p1_hat - obs.p0_hat
+    return Fraction(obs.n11 * obs.n_control - obs.n01 * obs.n_treated,
+                    obs.n_treated * obs.n_control)
 
 
 class CellEstimates(NamedTuple):
@@ -71,42 +75,47 @@ def moment_cells(obs: ObservedTable, n01: int = 0) -> CellEstimates:
     )
 
 
-def _tau_variance(total: int, n_treated: int, y1, y0, diff, n01) -> Fraction:
+def _tau_variance(total: int, n_treated: int, y1: int, y0: int, diff: int, n01: int) -> Fraction:
     """N / (N - 1) times p1 (1 - p1) / N1 + p0 (1 - p0) / N0 - tau (1 - tau) / N
-    - 2 n01 / N^2, put over the one integer denominator N^2 (N - 1) N1 N0.
+    - 2 n01 / N^2, put over the one integer denominator N^2 (N - 1) (N1 N0)^3.
 
-    The margins enter as y1 = N p1, y0 = N p0 and diff = N tau: integers for
-    a science table, exact ``Fraction``s for the plug-in estimates.
+    The margins enter as integers scaled by N1 N0: y1 = N p1 N1 N0,
+    y0 = N p0 N1 N0 and diff = N tau N1 N0.
     """
     n_control = _n_control(total, n_treated)
+    scale = n_treated * n_control
+    top = total * scale
     numerator = (
-        y1 * (total - y1) * total * n_control
-        + y0 * (total - y0) * total * n_treated
-        - diff * (total - diff) * n_treated * n_control
-        - 2 * n01 * total * n_treated * n_control
+        y1 * (top - y1) * total * n_control
+        + y0 * (top - y0) * total * n_treated
+        - diff * (top - diff) * scale
+        - 2 * n01 * total * scale * scale * scale
     )
-    return Fraction(numerator, total * total * (total - 1) * n_treated * n_control)
+    return Fraction(numerator, total * total * (total - 1) * scale * scale * scale)
 
 
-def _prediction_mse(total: int, n_treated: int, y0) -> Fraction:
+def _prediction_mse(total: int, n_treated: int, y0: int) -> Fraction:
     """N^2 N1 p0 (1 - p0) / (N0 (N - 1)), the variance of A - N1 tau_hat,
-    with y0 = N p0 an integer or an exact ``Fraction``."""
-    return Fraction(n_treated * y0 * (total - y0), _n_control(total, n_treated) * (total - 1))
+    with the margin scaled as in ``_tau_variance``: y0 = N p0 N1 N0."""
+    n_control = _n_control(total, n_treated)
+    scale = n_treated * n_control
+    return Fraction(n_treated * y0 * (total * scale - y0), n_control * (total - 1) * scale * scale)
 
 
-def _plugin_tau_variance(obs: ObservedTable, n01: int) -> Fraction:
-    y1, y0 = obs.total * obs.p1_hat, obs.total * obs.p0_hat
-    return _tau_variance(obs.total, obs.n_treated, y1, y0, y1 - y0, n01)
+def _plugin_margins(obs: ObservedTable) -> tuple[int, int, int]:
+    """N p1_hat N1 N0 = N n11 N0, N p0_hat N1 N0 = N n01 N1, and their difference."""
+    y1, y0 = obs.total * obs.n11 * obs.n_control, obs.total * obs.n01 * obs.n_treated
+    return y1, y0, y1 - y0
 
 
 def improved_variance(obs: ObservedTable) -> Fraction:
     """Plug-in variance with the tau(1-tau)/N correction (no harmed units)."""
-    return _plugin_tau_variance(obs, 0)
+    return _tau_variance(obs.total, obs.n_treated, *_plugin_margins(obs), 0)
 
 
 def neyman_variance(obs: ObservedTable) -> Fraction:
     """Baseline variance: the improved formula without the subtracted term."""
-    y1, y0 = obs.total * obs.p1_hat, obs.total * obs.p0_hat
+    y1, y0, _ = _plugin_margins(obs)
     return _tau_variance(obs.total, obs.n_treated, y1, y0, 0, 0)
 
 
@@ -118,8 +127,9 @@ def classic_neyman_variance(obs: ObservedTable) -> Fraction:
     """
     if obs.n_treated < 2 or obs.n_control < 2:
         raise InfeasibleError("per-arm sample variances need two units per arm")
-    p1, p0 = obs.p1_hat, obs.p0_hat
-    return p1 * (1 - p1) / (obs.n_treated - 1) + p0 * (1 - p0) / (obs.n_control - 1)
+    n11, n1, n01, n0 = obs.n11, obs.n_treated, obs.n01, obs.n_control
+    return Fraction(n11 * (n1 - n11) * n0 * n0 * (n0 - 1) + n01 * (n0 - n01) * n1 * n1 * (n1 - 1),
+                    n1 * n1 * (n1 - 1) * n0 * n0 * (n0 - 1))
 
 
 def sensitivity_variance(obs: ObservedTable, n01: int) -> Fraction:
@@ -131,7 +141,7 @@ def sensitivity_variance(obs: ObservedTable, n01: int) -> Fraction:
     """
     if n01 < 0:
         raise ValueError("n01 must be nonnegative")
-    value = _plugin_tau_variance(obs, n01)
+    value = _tau_variance(obs.total, obs.n_treated, *_plugin_margins(obs), n01)
     if value < 0:
         raise InfeasibleError(
             f"plug-in variance is negative at n01={n01}; "
@@ -232,15 +242,13 @@ def sensitivity_sweep(
 
 def population_tau_variance(science: ScienceTable, n_treated: int) -> Fraction:
     """Exact randomization variance of the rate difference, any science table."""
-    return _tau_variance(
-        science.total, n_treated,
-        science.n11 + science.n10,  # units succeeding under treatment: N p1
-        science.n11 + science.n01,  # under control: N p0
-        science.n10 - science.n01,  # N tau
-        science.n01,
-    )
+    scale = n_treated * _n_control(science.total, n_treated)
+    # Units succeeding under treatment, N p1, and under control, N p0.
+    y1, y0 = (science.n11 + science.n10) * scale, (science.n11 + science.n01) * scale
+    return _tau_variance(science.total, n_treated, y1, y0, y1 - y0, science.n01)
 
 
 def population_attributable_mse(science: ScienceTable, n_treated: int) -> Fraction:
     """Exact variance of A - N1 * tau_hat; free of the outcome association."""
-    return _prediction_mse(science.total, n_treated, science.n11 + science.n01)
+    scale = n_treated * _n_control(science.total, n_treated)
+    return _prediction_mse(science.total, n_treated, (science.n11 + science.n01) * scale)

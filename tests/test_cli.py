@@ -209,6 +209,12 @@ GOLDEN_JSON = {
 DATA = Path(__file__).parent / "data"
 # The prior-file goldens echo the prior's path, relative to the checkout root.
 GOLDEN_FILES = {
+    "estimate 18 14 5 16 --method all --format json": "estimate_18_14_5_16_all.json",
+    "estimate 2 3 1 4 --method all --n01 1 --level 0.9 --format json":
+        "estimate_2_3_1_4_all_n01_1_level_0.9.json",
+    "sensitivity 18 14 5 16 --format json": "sensitivity_18_14_5_16.json",
+    "sensitivity 5 17 26 12 --format json": "sensitivity_5_17_26_12.json",
+    "posterior 18 14 5 16 --target tau --format json": "posterior_18_14_5_16_tau.json",
     "sensitivity 72 56 20 64 --format csv": "sensitivity_72_56_20_64.csv",
     "posterior 144 112 40 128 --target tau --n01 20 --format json":
         "posterior_144_112_40_128_tau_n01_20.json",
@@ -272,6 +278,19 @@ class TestEstimate:
                            "--n01", "18")
         assert code == EXIT_INFEASIBLE
         assert "infeasible" in err
+
+    @pytest.mark.parametrize("method", ["all", "neyman-classic"])
+    def test_one_unit_arm_has_no_classic_variance(self, capsys, method):
+        # One treated unit: the classic variance would divide by N1 - 1 = 0.
+        code, out, err = run(capsys, "estimate", "1", "0", "3", "2", "--method", method)
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err == "infeasible: per-arm sample variances need two units per arm\n"
+
+    @pytest.mark.parametrize("method", ["improved", "sensitivity"])
+    def test_one_unit_arm_keeps_the_plugin_variances(self, capsys, method):
+        code, out, _ = run(capsys, "estimate", "1", "0", "3", "2", "--method", method)
+        assert code == EXIT_OK
+        assert "[0.208, 0.592]" in out
 
     def test_bad_counts_exit_1(self, capsys):
         code, _, err = run(capsys, "estimate", "1", "1", "0", "0")

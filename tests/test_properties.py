@@ -26,10 +26,12 @@ integer moments and the moment cell estimates are checked against the
 enumerated assignments, and the Monte Carlo tally against a row-wise
 ``np.unique``.
 The closed-form population variances are checked against the ``Fraction``
-formulas they replaced, on science tables of up to 400 units, and the
-plug-in variances and prediction intervals, which evaluate the same closed
-forms at estimated margins, against those formulas in p1_hat, p0_hat and
-tau_hat on observed tables of up to 90 units.
+formulas they replaced, on science tables of up to 400 units. The plug-in
+variances, which evaluate the same closed form on integer margins scaled by
+N1 N0, the classic variance, tau_hat, every row of a sensitivity sweep over
+n01 = 0..N and the prediction intervals are checked against those formulas
+in p1_hat, p0_hat and tau_hat on observed tables of up to 90 units, about
+half of them with a one-unit arm.
 """
 
 import itertools
@@ -46,11 +48,13 @@ from causalurn import (
     UNIFORM,
     DiscreteDistribution,
     InfeasibleError,
+    IntervalEstimate,
     ObservedTable,
     ParameterPoint,
     Prior,
     ScienceTable,
     a_posterior,
+    classic_neyman_variance,
     enumerate_assignments,
     general_support,
     hl_estimate,
@@ -70,8 +74,10 @@ from causalurn import (
     posterior_points,
     pvalue_curve,
     pvalue_exact,
+    sensitivity_sweep,
     sensitivity_variance,
     standardized_pvalues,
+    tau_hat,
     tau_posterior,
     tau_posterior_sweep,
 )
@@ -83,10 +89,12 @@ ORACLE = settings(max_examples=100, deadline=None)
 
 
 @st.composite
-def tables(draw, min_total=2, max_total=90):
-    """An observed table with min_total <= N <= max_total."""
+def tables(draw, min_total=2, max_total=90, one_unit_arm=False):
+    """An observed table with min_total <= N <= max_total; with
+    ``one_unit_arm``, one of its arms holds a single unit."""
     total = draw(st.integers(min_total, max_total))
-    n_treated = draw(st.integers(1, total - 1))
+    n_treated = draw(st.sampled_from((1, total - 1)) if one_unit_arm
+                     else st.integers(1, total - 1))
     n11 = draw(st.integers(0, n_treated))
     n01 = draw(st.integers(0, total - n_treated))
     return ObservedTable(n11, n_treated - n11, n01, total - n_treated - n01)
@@ -725,27 +733,56 @@ def _reference_plugins(obs, n01):
     )
 
 
+def _or_infeasible(estimator, *args):
+    """The estimator's value, or None where it raises InfeasibleError."""
+    try:
+        return estimator(*args)
+    except InfeasibleError:
+        return None
+
+
 @PROPERTY
-@given(tables())
+@given(st.one_of(tables(), tables(one_unit_arm=True)))
 def test_plugins_are_the_fraction_formulas_at_estimated_margins(obs):
+    # Every harmed count 0..N, the sweep's rows included; tables with a
+    # one-unit arm, where the classic variance has no per-arm sample
+    # variance, are drawn as often as the others.
     level = 0.9
     z = NormalDist().inv_cdf((1 + level) / 2)
-    centre = float(obs.n_treated * (obs.p1_hat - obs.p0_hat))
-    for n01 in range(obs.n10 + obs.n01 + 1):
-        neyman, improved, sensitivity, mse, compat_mse = _reference_plugins(obs, n01)
+    p1, p0 = obs.p1_hat, obs.p0_hat
+    assert tau_hat(obs) == p1 - p0
+    classic = None
+    if min(obs.n_treated, obs.n_control) >= 2:
+        classic = p1 * (1 - p1) / (obs.n_treated - 1) + p0 * (1 - p0) / (obs.n_control - 1)
+    assert _or_infeasible(classic_neyman_variance, obs) == classic
+    rows = sensitivity_sweep(obs, range(obs.total + 1), level)
+    for n01, row in zip(range(obs.total + 1), rows, strict=True):
+        neyman, improved, sensitivity, _, _ = _reference_plugins(obs, n01)
         assert neyman_variance(obs) == neyman
         assert improved_variance(obs) == improved
-        if sensitivity < 0:
-            with pytest.raises(InfeasibleError):
-                sensitivity_variance(obs, n01)
-        else:
-            assert sensitivity_variance(obs, n01) == sensitivity
-        for compat, expected in ((False, mse), (True, compat_mse)):
-            prediction = neyman_predict(obs, level, compat_paper_mse=compat)
-            half = z * math.sqrt(expected)
-            assert (prediction.point, prediction.lower, prediction.upper) == (
-                centre, centre - half, centre + half
+        feasible = sensitivity >= 0
+        assert _or_infeasible(sensitivity_variance, obs, n01) == (sensitivity if feasible else None)
+        assert (row.n01, row.point, row.feasible) == (n01, float(p1 - p0), feasible)
+        if feasible:
+            half = z * math.sqrt(sensitivity)
+            assert row.variance == float(sensitivity_variance(obs, n01))
+            assert row.interval == IntervalEstimate(
+                float(p1 - p0), float(p1 - p0) - half, float(p1 - p0) + half,
+                level, "improved" if n01 == 0 else "sensitivity",
             )
+        else:
+            assert (row.variance, row.interval, row.note) == (None, None, (
+                f"plug-in variance is negative at n01={n01}; "
+                "the value is implausible for this data"
+            ))
+    _, _, _, mse, compat_mse = _reference_plugins(obs, 0)
+    centre = float(obs.n_treated * (p1 - p0))
+    for compat, expected in ((False, mse), (True, compat_mse)):
+        prediction = neyman_predict(obs, level, compat_paper_mse=compat)
+        half = z * math.sqrt(expected)
+        assert (prediction.point, prediction.lower, prediction.upper) == (
+            centre, centre - half, centre + half
+        )
 
 
 @ORACLE

@@ -4,10 +4,13 @@ import inspect
 import sys
 from fractions import Fraction
 
+import pytest
+
 from causalurn import likelihood, moments, tables
 from causalurn.cli import EXIT_VERIFY, main
 from causalurn.tables import InfeasibleError, ObservedTable
 from causalurn.verify import run_verification, science_tables_up_to
+import test_properties
 
 
 def test_science_table_family_count():
@@ -35,6 +38,25 @@ def test_detects_variance_off_by_one(monkeypatch):
     broken = {r.name: r for r in report.results}
     assert not broken["rate-difference mean and variance"].ok
     assert not report.ok
+
+
+def test_detects_a_harmed_count_term_short_of_one_scale_factor(monkeypatch, capsys):
+    # The 2 n01 / N^2 term loses one factor of the N1 N0 scale that every
+    # margin carries: moments._tau_variance, the one variance formula behind
+    # the population variance verify checks and every plug-in, rebuilt from
+    # its source with that one change. verify and the plug-in property test
+    # both catch it.
+    source = inspect.getsource(moments._tau_variance)
+    right = "2 * n01 * total * scale * scale * scale"
+    assert right in source
+    namespace = dict(vars(moments))
+    exec(source.replace(right, "2 * n01 * total * scale * scale"), namespace)
+    monkeypatch.setattr(moments, "_tau_variance", namespace["_tau_variance"])
+    code, lines = _verify_max_n_6(capsys)
+    assert code == EXIT_VERIFY
+    assert [line[:4] for line in lines[:7]] == ["FAIL"] + ["PASS"] * 6
+    with pytest.raises(AssertionError):
+        test_properties.test_plugins_are_the_fraction_formulas_at_estimated_margins()
 
 
 def test_detects_wrong_prediction_mse(monkeypatch):
