@@ -13,6 +13,8 @@ none of these functions take a harmed count.
 the shared denominator C(N, N0); ``hl_estimate``, ``interval_A`` and
 ``standardized_pvalues`` read that one curve in integer arithmetic, so ties
 in the Hodges-Lehmann-type maximization are genuine, not float artifacts.
+``pvalue_exact`` reads one p(s) off it too. ``_pvalue_numerator``, the
+direct per-s sum, is the reference the tests compare the walk against.
 Only s in [n01_obs, n01_obs + N1] keep the observed count in the law's
 support, so only those s can have a positive p-value.
 
@@ -34,27 +36,17 @@ from statistics import median
 
 from .bayes import DiscreteDistribution
 from .moments import _plugin_margins, _prediction_mse, confidence_interval, tau_hat
-from .tables import IntervalEstimate, ObservedTable
+from .tables import IntervalEstimate, ObservedTable, _count
 
 
 def _pvalue_numerator(obs: ObservedTable, s: int) -> int:
-    """p(s) times C(N, N0): the summed weights C(s, h) C(N - s, N0 - h) of
-    the control-success counts h no likelier than the observed one.
-
-    Zero when the observed count is off the support of h.
+    """The reference ``pvalue_curve`` is tested against: p(s) times C(N, N0),
+    the weights C(s, h) C(N - s, N0 - h) summed straight over the counts h
+    no likelier than the observed one (zero if it is off the support).
     """
     total, draws = obs.total, obs.n_control
-    if not 0 <= s <= total:
-        raise ValueError(f"s must lie in [0, {total}], got {s}")
-    lo, hi = max(0, s - obs.n_treated), min(s, draws)
-    if not lo <= obs.n01 <= hi:
-        return 0
-    weight = math.comb(s, lo) * math.comb(total - s, draws - lo)
-    weights = [weight]
-    for h in range(lo, hi):
-        weight = weight * (s - h) * (draws - h) // ((h + 1) * (total - s - draws + h + 1))
-        weights.append(weight)
-    observed = weights[obs.n01 - lo]
+    weights = [math.comb(s, h) * math.comb(total - s, draws - h) for h in range(draws + 1)]
+    observed = weights[obs.n01]
     return sum(w for w in weights if w <= observed)
 
 
@@ -114,9 +106,16 @@ def pvalue_curve(obs: ObservedTable) -> PValueCurve:
 def pvalue_exact(obs: ObservedTable, s: int) -> Fraction:
     """Two-sided p-value for s: total mass no likelier than the observed count.
 
-    Zero when the observed control-success count is impossible under s.
+    Read from ``pvalue_curve(obs)``; zero where the curve holds no A for s,
+    since the observed control-success count is then impossible under s.
+    Raises TypeError unless s is an integer, ValueError off [0, N].
     """
-    return Fraction(_pvalue_numerator(obs, s), math.comb(obs.total, obs.n_control))
+    s = _count(s, "s")
+    if s > obs.total:
+        raise ValueError(f"s must be at most N = {obs.total}, got {s}")
+    curve = pvalue_curve(obs)
+    at = obs.n_treated + obs.n01 - s  # the index of A = n11_obs + n01_obs - s
+    return Fraction(curve.numerators[at] if 0 <= at <= obs.n_treated else 0, curve.denominator)
 
 
 def hl_estimate(curve: PValueCurve) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .likelihood import _columns, _grid, _numerator, _row_sums, _rows
 from .tables import (
+    InfeasibleError,
     IntervalEstimate,
     ObservedTable,
     ParameterPoint,
@@ -110,7 +111,7 @@ def _weighted(
     """``(n11, n10, prior weight x likelihood numerator)`` at the table prior's
     points wherever positive, the weights scaled to integers by the lcm of
     their denominators; no run of the grid is walked. Raises InfeasibleError
-    on an empty support and ValueError when the prior annihilates all of it.
+    on an empty support and when the prior annihilates all of it.
     """
     _rows(obs, n01)
     scale = math.lcm(*(w.denominator for w in prior.weights.values()))
@@ -120,7 +121,7 @@ def _weighted(
     ]
     rows = [row for row in rows if row[2]]
     if not rows:
-        raise ValueError("prior assigns zero weight to the entire support")
+        raise InfeasibleError("prior assigns zero weight to the entire support")
     return rows
 
 
@@ -130,8 +131,8 @@ def posterior_points(
     """Posterior over support points: prior times likelihood, normalized.
 
     Weights are prior weight times likelihood numerator; under the uniform
-    prior the posterior is exactly the normalized likelihood. Raises when
-    the support is empty or the prior annihilates all of it.
+    prior the posterior is exactly the normalized likelihood. Raises
+    InfeasibleError on an empty support or one the prior annihilates.
     """
     if prior.weights is None:
         rows = _grid(obs, n01)
@@ -162,7 +163,7 @@ def tau_posterior(
     built as the one-slot case of :func:`tau_posterior_sweep`; the
     ``likelihood`` module docstring gives the runs that sweep walks, its
     slot width and its cost. A table prior weighs its own points. Raises
-    InfeasibleError when the support is empty.
+    InfeasibleError when the support is empty or the prior annihilates it.
     """
     total = obs.total
     if prior.weights is None:

@@ -178,10 +178,9 @@ def enumerate_assignments(science: ScienceTable, n_treated: int) -> AssignmentDi
     records = []
     for x11 in range(min(science.n11, n_treated) + 1):
         for x10 in range(min(science.n10, n_treated - x11) + 1):
-            for x01 in range(min(science.n01, n_treated - x11 - x10) + 1):
-                x00 = n_treated - x11 - x10 - x01
-                if x00 > science.n00:
-                    continue
+            rest = n_treated - x11 - x10  # x01 + x00, with x00 at most n00
+            for x01 in range(max(0, rest - science.n00), min(science.n01, rest) + 1):
+                x00 = rest - x01
                 ways = (
                     math.comb(science.n11, x11)
                     * math.comb(science.n10, x10)

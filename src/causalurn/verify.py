@@ -53,8 +53,6 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    max_n: int
-    seed: int
     results: tuple[CheckResult, ...]
 
     @property
@@ -180,11 +178,7 @@ def run_verification(
             f"vs tau {float(science.tau):.5f}",
         )
 
-    return VerificationReport(
-        max_n=max_n,
-        seed=seed,
-        results=(estimator, cells, prediction, lik, support, lemma, mc),
-    )
+    return VerificationReport((estimator, cells, prediction, lik, support, lemma, mc))
 
 
 def _constant_families(max_n: int) -> Iterator[tuple]:

@@ -1,6 +1,7 @@
 """Attributable-effect inference: exact tests, prediction, p-value curve."""
 
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from causalurn import (
     pvalue_exact,
     standardized_pvalues,
 )
+from causalurn import attributable
+from causalurn.attributable import _pvalue_numerator
 
 
 class TestPvalue:
@@ -42,6 +45,23 @@ class TestPvalue:
             pvalue_exact(pit, -1)
         with pytest.raises(ValueError):
             pvalue_exact(pit, 54)
+
+    @pytest.mark.parametrize("s", [2.5, 7.5, 7.0, "7"])
+    def test_non_integer_s_raises(self, pit, s):
+        # No law has a fractional number of responders: an error, not p = 0.
+        with pytest.raises(TypeError):
+            pvalue_exact(pit, s)
+
+    def test_reads_the_walked_curve(self, pit, monkeypatch):
+        # One kernel: the per-s row rebuild is the tests' reference only.
+        def forbidden(*args):
+            raise AssertionError("pvalue_exact rebuilt a row")
+
+        monkeypatch.setattr(attributable, "_pvalue_numerator", forbidden)
+        curve = pvalue_curve(pit)
+        by_s = {pit.n11 + pit.n01 - a: num for a, num in zip(curve.values, curve.numerators)}
+        for s in range(pit.total + 1):
+            assert pvalue_exact(pit, s) == Fraction(by_s.get(s, 0), curve.denominator)
 
     def test_worked_example_plateau(self, pit):
         # p(s) = 1 exactly where the observed count is modal: s in 12..14.
@@ -70,12 +90,12 @@ class TestHodgesLehmann:
 
     def test_matches_direct_maximization(self):
         for obs in (ObservedTable(2, 1, 1, 2), ObservedTable(3, 2, 1, 4)):
-            best = max(pvalue_exact(obs, s) for s in range(obs.total + 1))
+            best = max(_pvalue_numerator(obs, s) for s in range(obs.total + 1))
             expected = tuple(
                 sorted(
                     obs.n11 + obs.n01 - s
                     for s in range(obs.total + 1)
-                    if pvalue_exact(obs, s) == best
+                    if _pvalue_numerator(obs, s) == best
                 )
             )
             assert hl_estimate(pvalue_curve(obs)) == expected
@@ -99,8 +119,9 @@ class TestIntervalA:
         alpha = 0.11
         _, retained = interval_A(pvalue_curve(obs), alpha)
         retained_s = {obs.n11 + obs.n01 - a for a in retained}
+        whole = math.comb(obs.total, obs.n_control)
         for s in range(obs.total + 1):
-            assert (pvalue_exact(obs, s) > alpha) == (s in retained_s)
+            assert (Fraction(_pvalue_numerator(obs, s), whole) > alpha) == (s in retained_s)
 
     def test_alpha_is_compared_exactly(self):
         # p(s = 1) is exactly 1/4 and only p > alpha keeps s; p(s = 0) = 1.

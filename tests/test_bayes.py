@@ -32,6 +32,10 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution(support=(1, 1), weights=(1, 1))
 
+    def test_rejects_an_empty_support(self):
+        with pytest.raises(ValueError, match="empty distribution"):
+            DiscreteDistribution((), ())
+
     def test_rejects_bad_weights(self):
         # Negative, non-integer and all-zero weights.
         bad = [(1, -1), (3, -2), (1, 0.5), (1.0, 1.0), (Fraction(1, 2), 1), (0, 0)]
@@ -117,6 +121,11 @@ class TestPosteriorPoints:
         prior = Prior({(50, 1): 1})
         with pytest.raises(ValueError):
             posterior_points(pit, 0, prior)
+        # Nothing is left to weigh: the request is infeasible, as an empty
+        # support is.
+        for posterior in (posterior_points, tau_posterior, a_posterior):
+            with pytest.raises(InfeasibleError, match="zero weight to the entire support"):
+                posterior(pit, 0, prior)
 
     def test_empty_support_raises(self, pit):
         with pytest.raises(InfeasibleError):
@@ -193,6 +202,9 @@ class TestTauPosterior:
         # step it would label posteriors with the wrong counts.
         with pytest.raises(ValueError, match=r"must be a range stepping by \+1"):
             tau_posterior_sweep(pit, n01s)
+
+    def test_empty_sweep_yields_nothing(self, pit):
+        assert list(tau_posterior_sweep(pit, range(0))) == []
 
 
 class TestAPosterior:

@@ -321,6 +321,10 @@ class TestEstimate:
 
 
 class TestSensitivity:
+    def test_negative_n01_max_exit_1(self, capsys):
+        assert run(capsys, "sensitivity", *PIT, "--n01-max", "-1") == (
+            EXIT_USAGE, "", "error: --n01-max must be nonnegative\n")
+
     def test_auto_bound_gives_six_rows(self, capsys):
         code, out, _ = run(capsys, "sensitivity", *PIT, "--format", "csv")
         assert code == EXIT_OK
@@ -426,6 +430,30 @@ class TestSensitivity:
 
 
 class TestPosterior:
+    @pytest.mark.parametrize("content,message", [
+        ("[1]", 'prior file must be an object {"points": [...]}'),
+        ('{"points": [7]}', "malformed prior entries:\nentry 0: not an object"),
+        ('{"points": []}', "prior file assigns no positive weight"),
+    ], ids=["not-an-object", "entry-not-an-object", "no-points"])
+    def test_prior_file_shape_exit_1(self, capsys, tmp_path, content, message):
+        prior = tmp_path / "prior.json"
+        prior.write_text(content)
+        assert run(capsys, "posterior", *PIT, "--prior-file", str(prior)) == (
+            EXIT_USAGE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("n01", ["0", "60"])
+    def test_annihilating_prior_is_infeasible(self, capsys, tmp_path, n01):
+        # (0, 0) has zero likelihood for 18 14 5 16 at n01 = 0, and no point
+        # is feasible at n01 = 60: either way nothing is left to weigh.
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"points": [{"n11": 0, "n10": 0, "weight": 1}]}))
+        code, out, err = run(capsys, "posterior", *PIT, "--n01", n01,
+                             "--prior-file", str(prior))
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err.startswith("infeasible: ")
+        if n01 == "0":
+            assert err == "infeasible: prior assigns zero weight to the entire support\n"
+
     @pytest.mark.parametrize("n01", [0, 2, 5])
     @pytest.mark.parametrize("target", ["tau", "A"])
     def test_emitted_masses_sum_to_one(self, capsys, n01, target):
@@ -536,6 +564,11 @@ class TestPosterior:
 
 
 class TestAttributable:
+    @pytest.mark.parametrize("alpha,shown", [("0", "0.0"), ("nan", "nan")], ids=["0", "nan"])
+    def test_alpha_outside_unit_interval_exit_1(self, capsys, alpha, shown):
+        assert run(capsys, "attributable", *PIT, "--alpha", alpha) == (
+            EXIT_USAGE, "", f"error: alpha must be in (0, 1), got {shown}\n")
+
     def test_worked_example_report(self, capsys):
         code, out, _ = run(capsys, "attributable", *PIT)
         assert code == EXIT_OK
@@ -600,6 +633,16 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "all identities hold" not in out
         assert "--max-n" in err
+
+    @pytest.mark.parametrize("cap,message", [
+        ("abc", "must be an integer, got 'abc'"),
+        ("0", "must be positive, got 0"),
+    ], ids=["abc", "0"])
+    def test_bad_enumeration_cap_exit_1(self, capsys, monkeypatch, cap, message):
+        monkeypatch.setenv("CAUSALURN_ENUM_CAP", cap)
+        code, out, err = run(capsys, "verify", "--max-n", "3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: CAUSALURN_ENUM_CAP {message}\n"
 
     def test_failing_suite_exits_3(self, capsys, monkeypatch):
         from fractions import Fraction

@@ -53,6 +53,11 @@ class TestMomentCells:
         assert cells.n11 == 0
         assert cells.n10 == 0
 
+    def test_negative_harmed_count_raises(self, pit):
+        for fn in (moment_cells, sensitivity_variance):
+            with pytest.raises(ValueError, match="n01 must be nonnegative"):
+                fn(pit, -1)
+
     def test_estimates_are_unconstrained(self):
         # Out-of-support values are returned as-is; that deficiency is the
         # point of comparison with the likelihood methods.

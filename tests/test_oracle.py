@@ -78,6 +78,10 @@ class TestMonteCarlo:
         assert a.records == b.records
         assert a.rng == b.rng
 
+    def test_no_draws_raises(self):
+        with pytest.raises(ValueError, match="draws must be positive"):
+            monte_carlo(ScienceTable(3, 4, 1, 5), 6, 0, 1)
+
     def test_different_seed_differs(self):
         science = ScienceTable(3, 4, 1, 5)
         a = monte_carlo(science, 6, draws=2000, seed=1)
@@ -148,6 +152,10 @@ class TestLemma1:
 
     def test_balanced_binary_case(self):
         assert lemma1_check([1, 1, 0, 0], 2).matches
+
+    def test_one_constant_raises(self):
+        with pytest.raises(ValueError, match="need at least 2 constants"):
+            lemma1_check([1], 1)
 
     def test_fractional_constants(self):
         assert lemma1_check([0.5, 0.25, 1.0, 0.0, 2.0], 2).matches

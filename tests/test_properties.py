@@ -454,6 +454,9 @@ def _reference_pvalues(obs) -> list:
 def test_pvalue_curve_matches_the_fraction_reference(obs):
     reference = _reference_pvalues(obs)
     assert [pvalue_exact(obs, s) for s in range(obs.total + 1)] == reference
+    # The reference kernel at every s, those off the curve (p = 0) included.
+    whole = math.comb(obs.total, obs.n_control)
+    assert [Fraction(_pvalue_numerator(obs, s), whole) for s in range(obs.total + 1)] == reference
 
     # The curve holds every positive p(s), indexed by A = base - s.
     base = obs.n11 + obs.n01
@@ -652,9 +655,9 @@ def test_moment_cells_are_unbiased_over_the_assignments(science):
 @ORACLE
 @given(sciences())
 def test_pvalue_is_the_enumerated_control_success_law(science):
-    # Under the true s = n11 + n01 responders under control, p(s) is the
-    # enumerated probability of the control-success counts no likelier
-    # than the observed one.
+    # Under the true s = n11 + n01 responders under control, p(s) read off
+    # the walked curve is the enumerated probability of the control-success
+    # counts no likelier than the observed one.
     responders = science.n11 + science.n01
     for n_treated in range(1, science.total):
         dist = enumerate_assignments(science, n_treated)
