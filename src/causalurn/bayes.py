@@ -18,13 +18,14 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .likelihood import _columns, _grid, _numerator, _row_sums, _rows
+from .likelihood import _check_support, _columns, _grid, _point_numerator, _row_sums
 from .tables import (
     InfeasibleError,
     IntervalEstimate,
     ObservedTable,
     ParameterPoint,
     _count,
+    support_rows,
 )
 
 
@@ -63,9 +64,8 @@ class DiscreteDistribution:
     def median(self):
         """Smallest support value whose cumulative mass reaches one half.
 
-        On these skewed discrete posteriors the median is the stable point
-        summary: for the worked example it stays on the same grid value
-        across the whole sensitivity sweep, which the mode does not.
+        For the worked example it stays at 16/53 for n01 = 0..10, as the mode
+        stays at 17/53; both move at n01 = 11.
         """
         total = self.total
         for value, cumulative in zip(self.support, accumulate(self.weights)):
@@ -110,13 +110,13 @@ def _weighted(
 ) -> list[tuple[int, int, int]]:
     """``(n11, n10, prior weight x likelihood numerator)`` at the table prior's
     points wherever positive, the weights scaled to integers by the lcm of
-    their denominators; no run of the grid is walked. Raises InfeasibleError
-    on an empty support and when the prior annihilates all of it.
+    their denominators, each numerator read off its point's row runs. Raises
+    InfeasibleError on an empty support and when the prior annihilates it.
     """
-    _rows(obs, n01)
+    _check_support(obs, n01)
     scale = math.lcm(*(w.denominator for w in prior.weights.values()))
     rows = [
-        (n11, n10, w.numerator * (scale // w.denominator) * _numerator(obs, n11, n10, n01))
+        (n11, n10, w.numerator * (scale // w.denominator) * _point_numerator(obs, n11, n10, n01))
         for (n11, n10), w in prior.weights.items()
     ]
     rows = [row for row in rows if row[2]]
@@ -139,7 +139,7 @@ def posterior_points(
     else:
         table = {(n11, n10): w for n11, n10, w in _weighted(obs, n01, prior)}
         rows = ((n11, n10s, [table.get((n11, n10), 0) for n10 in n10s])
-                for n11, n10s in _rows(obs, n01))
+                for n11, n10s in support_rows(obs, n01))
     return DiscreteDistribution(*zip(*(
         (ParameterPoint(n11, n10, n01), w) for n11, n10s, ws in rows for n10, w in zip(n10s, ws)
     )))
@@ -167,7 +167,7 @@ def tau_posterior(
     """
     total = obs.total
     if prior.weights is None:
-        _rows(obs, n01)  # InfeasibleError on an empty support
+        _check_support(obs, n01)
         return next(tau_posterior_sweep(obs, range(n01, n01 + 1)))
     return _pushforward(
         ((n10, w) for _, n10, w in _weighted(obs, n01, prior)),

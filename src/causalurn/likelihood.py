@@ -27,7 +27,9 @@ where it is a_x C(m - j, c); from n10 = n to n + 1 its term t steps to
     t (n + 1) (m - n - c) // ((n + 1 - j) (m - n)),
 
 every division exact. A grid at one harmed count adds each row's runs, one
-per x, into the row, at a cost of its inner-sum terms.
+per x, into the row, at a cost of its inner-sum terms; one point sums its
+row's run terms at its n10. Every numerator here reads ``_row_runs`` and
+``_seed``; ``_numerator``, the plain sum above, is the tests' reference.
 
 Only the seed factor depends on the harmed count, and a_x(n01) is positive
 for n01 in [k, k + n01_obs], the box's k bounds read the other way. A
@@ -73,48 +75,42 @@ from .tables import (
 LOG_ZERO = float("-inf")
 
 
-def _x_range(obs: ObservedTable, n11: int, n10: int, n01: int) -> tuple[int, int]:
-    # Bounds on the number of always-responders assigned to treatment; the
-    # point has positive likelihood exactly when lo <= hi.
-    lo = max(0, obs.n11 - n10, n11 - obs.n01, n01 + n11 - obs.n10 - obs.n01)
-    hi = min(n11, obs.n11, n01 + n11 - obs.n01, obs.total - n10 - obs.n10 - obs.n01)
-    return lo, hi
-
-
 def _numerator(obs: ObservedTable, n11: int, n10: int, n01: int) -> int:
-    """The likelihood times C(N, N1), an exact integer; 0 off the support."""
+    """The likelihood times C(N, N1) as the plain urn sum: the tests' reference."""
     n00 = obs.total - n11 - n10 - n01
     if n00 < 0:
         return 0
-    lo, hi = _x_range(obs, n11, n10, n01)
-    return sum(
-        math.comb(n11, x)
-        * math.comb(n10, obs.n11 - x)
-        * math.comb(n01, n01 + n11 - obs.n01 - x)
-        * math.comb(n00, obs.n10 + obs.n01 + x - n01 - n11)
-        for x in range(lo, hi + 1)
-    )
+    d = n01 + n11 - obs.n01  # k + x, over the x where every lower index is in range
+    return sum(math.comb(n11, x) * math.comb(n10, obs.n11 - x) * math.comb(n01, d - x)
+               * math.comb(n00, obs.n10 - d + x)
+               for x in range(max(0, d - n01, d - obs.n10), min(n11, obs.n11, d) + 1))
 
 
-def _rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
-    # The support rows; InfeasibleError when they hold no point.
-    rows = support_rows(obs, n01)
-    if not rows:
+def _check_support(obs: ObservedTable, n01: int) -> None:
+    # InfeasibleError when the support holds no point: its run box is empty.
+    if not _run_box(obs, _count(n01, "n01"), n01)[0]:
         raise InfeasibleError(f"empty likelihood support at n01={n01}")
-    return rows
 
 
-def _seed(obs: ObservedTable, s: int, x: int, n01s: range, width: int) -> int:
-    # The (s, x) run's seed a_x(n01) = C(s - n01, x) C(n01, s - n01_obs - x) at each
-    # of the consecutive n01s, n01s[i] in slot i of ``width`` bits.
-    return sum([math.comb(s - n01, x) * math.comb(n01, s - obs.n01 - x)
-                << width * (n01 - n01s.start) for n01 in n01s])
+def _seed(obs: ObservedTable, s: int, x: int, n01: int) -> int:
+    # The (s, x) run's seed a_x(n01) = C(s - n01, x) C(n01, s - n01_obs - x).
+    return math.comb(s - n01, x) * math.comb(n01, s - obs.n01 - x)
 
 
 def _row_runs(obs: ObservedTable, n01: int, n11: int) -> list[tuple[int, int]]:
     # (x, a_x) per run of the support row n11: the run box's diagonal.
-    return [(x, _seed(obs, n11 + n01, x, range(n01, n01 + 1), 0))
+    return [(x, _seed(obs, n11 + n01, x, n01))
             for x in _row_xs(obs, n01, n11, *_run_box(obs, n01, n01))]
+
+
+def _point_numerator(obs: ObservedTable, n11: int, n10: int, n01: int) -> int:
+    # The numerator at one point: its row's run terms at n10; 0 when n00 < 0.
+    m = obs.total - n11 - n01
+    if n10 > m:
+        return 0
+    d = obs.n10 + obs.n01 - n11 - n01  # c - x
+    return sum(seed * math.comb(n10, obs.n11 - x) * math.comb(m - n10, d + x)
+               for x, seed in _row_runs(obs, n01, n11))
 
 
 def _add_run(obs: ObservedTable, s: int, x: int, seed: int, into: list, base: int) -> None:
@@ -143,7 +139,8 @@ def _grid(obs: ObservedTable, n01: int) -> Iterator[tuple[int, range, list[int]]
             _add_run(obs, n11 + n01, x, seed, numerators, n10s[0])
         return numerators
 
-    return ((n11, n10s, row(n11, n10s)) for n11, n10s in _rows(obs, n01))
+    _check_support(obs, n01)
+    return ((n11, n10s, row(n11, n10s)) for n11, n10s in support_rows(obs, n01))
 
 
 def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
@@ -173,7 +170,8 @@ def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
         reached = range(max(lo, k), min(hi, k + obs.n01) + 1)
         for x in xs:
             s = k + obs.n01 + x
-            _add_run(obs, s, x, _seed(obs, s, x, reached, width), packed, 0)
+            seed = sum([_seed(obs, s, x, n01) << width * i for i, n01 in enumerate(reached)])
+            _add_run(obs, s, x, seed, packed, 0)
     mask = (1 << width) - 1
     return ([v >> width * i & mask for v in packed] for i in range(len(n01s)))
 
@@ -185,8 +183,9 @@ def _row_sums(obs: ObservedTable, n01: int) -> list[tuple[int, int]]:
     the module docstring, in time linear in the row's x range. Raises
     InfeasibleError when the support is empty.
     """
+    _check_support(obs, n01)
     return [(n11, math.comb(obs.total - n11 - n01 + 1, obs.n00)  # C(m + 1, n00_obs)
-             * sum(seed for _, seed in _row_runs(obs, n01, n11))) for n11, _ in _rows(obs, n01)]
+             * sum(a for _, a in _row_runs(obs, n01, n11))) for n11, _ in support_rows(obs, n01)]
 
 
 def _log_likelihood(obs: ObservedTable, numerator: int) -> float:
@@ -197,7 +196,7 @@ def _log_likelihood(obs: ObservedTable, numerator: int) -> float:
 
 def likelihood_exact(obs: ObservedTable, point: ParameterPoint) -> Fraction:
     """The likelihood as an exact rational; 0 off the support."""
-    numerator = _numerator(obs, point.n11, point.n10, point.n01)
+    numerator = _point_numerator(obs, point.n11, point.n10, point.n01)
     return Fraction(numerator, math.comb(obs.total, obs.n_treated))
 
 
@@ -207,7 +206,7 @@ def loglik_general(obs: ObservedTable, point: ParameterPoint) -> float:
     The exact numerator and denominator are each logged once; LOG_ZERO
     wherever the point lies off the feasible region.
     """
-    return _log_likelihood(obs, _numerator(obs, point.n11, point.n10, point.n01))
+    return _log_likelihood(obs, _point_numerator(obs, point.n11, point.n10, point.n01))
 
 
 def loglik_monotone(obs: ObservedTable, point: ParameterPoint) -> float:

@@ -29,7 +29,8 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Iterable, NamedTuple, Optional
 
-from .tables import InfeasibleError, IntervalEstimate, ObservedTable, ScienceTable, _n_control
+from .tables import (InfeasibleError, IntervalEstimate, ObservedTable, ScienceTable, _count,
+                     _n_control)
 
 ASSUMPTIONS = ("frechet", "nonneg-correlation", "nonneg-correlation-and-effect")
 
@@ -63,8 +64,7 @@ def moment_cells(obs: ObservedTable, n01: int = 0) -> CellEstimates:
     outside [0, N]. That is the documented deficiency of the moment method
     relative to likelihood-based inference, kept on purpose.
     """
-    if n01 < 0:
-        raise ValueError("n01 must be nonnegative")
+    n01 = _count(n01, "n01")
     total = obs.total
     from_control = Fraction(total * obs.n01, obs.n_control)
     from_treated = Fraction(total * obs.n10, obs.n_treated)
@@ -139,8 +139,7 @@ def sensitivity_variance(obs: ObservedTable, n01: int) -> Fraction:
     :class:`InfeasibleError` when the plug-in value goes negative, which
     signals an ``n01`` outside the plausible range for this data.
     """
-    if n01 < 0:
-        raise ValueError("n01 must be nonnegative")
+    n01 = _count(n01, "n01")
     value = _tau_variance(obs.total, obs.n_treated, *_plugin_margins(obs), n01)
     if value < 0:
         raise InfeasibleError(

@@ -3,9 +3,10 @@
 Sweeps every science table up to a small population size and checks, by
 exhaustive enumeration in exact arithmetic, the closed-form moments,
 ``moments.moment_cells`` and ``likelihood._grid``: its points are the
-support, its run box, seeds and steps those of the sweep. Designs go
-one (N, N1) at a time, and each observed table is walked once per harmed
-count in its group. Way counts, walked numerators and cells times N1 N0
+support, its box and steps the sweep's, its ``_row_runs`` and ``_seed``
+those every numerator the library returns reads, one point's included.
+Designs go one (N, N1) at a time, and each observed table is walked once
+per harmed count in its group. Way counts, walked numerators and cells times N1 N0
 are integers over C(N, N1), so those identities compare integers.
 """
 

@@ -16,11 +16,11 @@ from causalurn import (
     general_support,
     hpd_interval,
     hpd_window,
-    likelihood_exact,
     posterior_points,
     tau_posterior,
     tau_posterior_sweep,
 )
+from test_properties import _reference_likelihood
 
 
 class TestDiscreteDistribution:
@@ -105,7 +105,7 @@ class TestPrior:
 class TestPosteriorPoints:
     def test_uniform_posterior_is_normalized_likelihood(self, pit):
         dist = posterior_points(pit, 0)
-        likelihoods = [likelihood_exact(pit, p) for p in dist.support]
+        likelihoods = [_reference_likelihood(pit, p) for p in dist.support]
         total = sum(likelihoods)
         for mass, lik in zip(dist.mass, likelihoods):
             assert mass == lik / total  # exact rational equality
@@ -153,7 +153,7 @@ class TestPosteriorFloatPath:
         obs = ObservedTable(40, 25, 12, 29)
         assert obs.total > 60
         dist = posterior_points(obs, 2)
-        likelihoods = [likelihood_exact(obs, p) for p in dist.support]
+        likelihoods = [_reference_likelihood(obs, p) for p in dist.support]
         total = sum(likelihoods)
         for mass, lik in zip(dist.mass, likelihoods):
             assert mass == lik / total  # exact rational equality

@@ -231,6 +231,12 @@ GOLDEN_FILES = {
     "posterior 144 112 40 128 --target A --format json"
     " --prior-file tests/data/prior_144_112_40_128.json":
         "posterior_144_112_40_128_A_prior.json",
+    "posterior 144 112 40 128 --n01 10 --target tau --format json"
+    " --prior-file tests/data/prior_144_112_40_128.json":
+        "posterior_144_112_40_128_tau_prior_n01_10.json",
+    "posterior 144 112 40 128 --n01 10 --target A --format json"
+    " --prior-file tests/data/prior_144_112_40_128.json":
+        "posterior_144_112_40_128_A_prior_n01_10.json",
 }
 
 
@@ -398,8 +404,8 @@ class TestSensitivity:
     def test_walks_each_grid_once(self, capsys, monkeypatch):
         # The sweep walks each (s, x) run of the likelihood, s = n11 + n01,
         # once for every harmed count, and walks exactly the runs of the
-        # feasible counts' rows. The uniform tau posterior never takes the
-        # pointwise kernel or a pushforward of points.
+        # feasible counts' rows. The uniform tau posterior never takes a
+        # single point's numerator, the reference or a pushforward of points.
         walked = []
         original = causalurn.likelihood._add_run
 
@@ -412,7 +418,8 @@ class TestSensitivity:
 
         monkeypatch.setattr(causalurn.likelihood, "_add_run", counted)
         monkeypatch.setattr(causalurn.likelihood, "_numerator", forbidden)
-        monkeypatch.setattr(causalurn.bayes, "_numerator", forbidden)
+        monkeypatch.setattr(causalurn.likelihood, "_point_numerator", forbidden)
+        monkeypatch.setattr(causalurn.bayes, "_point_numerator", forbidden)
         monkeypatch.setattr(causalurn.bayes, "_pushforward", forbidden)
         code, _, _ = run(capsys, "sensitivity", *PIT, "--n01-max", "21")
         assert code == EXIT_OK

@@ -21,6 +21,7 @@ from causalurn import (
     monotone_support,
 )
 from causalurn.verify import science_tables_up_to
+from test_properties import _reference_likelihood
 
 
 class TestMonotoneLikelihood:
@@ -165,8 +166,8 @@ class TestMaxLikelihood:
     def test_maximizes_exact_likelihood(self):
         for obs in (ObservedTable(2, 1, 1, 2), ObservedTable(1, 2, 2, 1)):
             result = mle(obs, 1)
-            best = max(likelihood_exact(obs, p) for p in general_support(obs, 1))
-            assert all(likelihood_exact(obs, p) == best for p in result.points)
+            best = max(_reference_likelihood(obs, p) for p in general_support(obs, 1))
+            assert all(_reference_likelihood(obs, p) == best for p in result.points)
 
     def test_empty_support_raises(self, pit):
         with pytest.raises(InfeasibleError):
@@ -177,8 +178,8 @@ class TestMaxLikelihood:
         obs = ObservedTable(40, 25, 12, 29)  # N = 106
         assert obs.total > 60
         result = mle(obs, 3)
-        best = max(likelihood_exact(obs, p) for p in general_support(obs, 3))
-        assert all(likelihood_exact(obs, p) == best for p in result.points)
+        best = max(_reference_likelihood(obs, p) for p in general_support(obs, 3))
+        assert all(_reference_likelihood(obs, p) == best for p in result.points)
 
     def test_tie_kept_above_old_split(self):
         # N = 70: both points have the same exact likelihood, and both
@@ -186,4 +187,4 @@ class TestMaxLikelihood:
         obs = ObservedTable(10, 3, 30, 27)
         result = mle(obs, 0)
         assert [(p.n11, p.n10) for p in result.points] == [(37, 16), (37, 17)]
-        assert len({likelihood_exact(obs, p) for p in result.points}) == 1
+        assert len({_reference_likelihood(obs, p) for p in result.points}) == 1

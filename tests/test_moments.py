@@ -1,5 +1,6 @@
 """Moment estimators, variance formulas, bounds, and the sensitivity sweep."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,8 +56,19 @@ class TestMomentCells:
 
     def test_negative_harmed_count_raises(self, pit):
         for fn in (moment_cells, sensitivity_variance):
-            with pytest.raises(ValueError, match="n01 must be nonnegative"):
+            with pytest.raises(ValueError, match="n01 must be nonnegative, got -1$"):
                 fn(pit, -1)
+
+    @pytest.mark.parametrize("n01", [1.5, 2.0, Fraction(1, 2), "1"])
+    def test_non_integer_harmed_count_raises(self, pit, n01):
+        # Checked as every likelihood and posterior entry point checks it,
+        # not turned into float cells or a TypeError from inside Fraction.
+        message = f"n01 must be an integer, got {n01!r}"
+        for fn in (moment_cells, sensitivity_variance):
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                fn(pit, n01)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            sensitivity_sweep(pit, [0, n01])
 
     def test_estimates_are_unconstrained(self):
         # Out-of-support values are returned as-is; that deficiency is the

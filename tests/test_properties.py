@@ -1,26 +1,28 @@
 """Property tests of the integer kernels on generated tables.
 
 Populations run up to 90 units. The likelihood properties are checked
-against a brute-force computation from ``likelihood_exact`` over
-``general_support``; the p-value properties against a ``Fraction``
-hypergeometric law built from ``math.comb``, and the walk of the p-value
-curve against the single-s kernel at every s, on generated tables and on
-tables that reach its tie and edge cases; ``hpd_window`` against a scan of
-every window. On tables of up to 20 units the support and its
-membership predicate are checked against every grid point's likelihood
-numerator. The x-run walk of the likelihood grid, the uniform tau column
-sums and the closed-form uniform A weights are checked against the
-single-point numerator at every harmed count, and each row's x runs and
-their seeds against the x whose terms are positive on it, on tables of up
-to 90 units and on corner tables; the A weights also against the oracle's way counts on every
-science table of up to 8 units. The packed sweep's column sums over a
-window of harmed counts are checked against the single-point numerator on
+against a brute-force computation from the reference urn sum
+``likelihood._numerator`` over ``general_support``, and ``likelihood_exact``
+and ``loglik_general``, the single-point view of the row runs, against it
+at every point of [0, N + 1]^2 on tables of up to 40 units; the p-value
+properties against a ``Fraction`` hypergeometric law built from
+``math.comb``, and the walk of the p-value curve against the single-s
+kernel at every s, on generated tables and on tables that reach its tie and
+edge cases; ``hpd_window`` against a scan of every window. On tables of up
+to 20 units the support and its membership predicate are checked against
+every grid point's reference numerator. The x-run walk of the likelihood
+grid, the uniform tau column sums and the closed-form uniform A weights are
+checked against the reference numerator at every harmed count, and each
+row's x runs and their seeds against the x whose terms are positive on it,
+on tables of up to 90 units and on corner tables; the A weights also
+against the oracle's way counts on every science table of up to 8 units.
+The packed sweep's column sums over a window of harmed counts are checked against the reference numerator on
 drawn windows of generated tables, on corner tables, and on every table
 with counts 0..5 and every window; every swept column is at most C(N, N1),
 the bound behind the sweep's slot width. The run box is the set of runs
 the sweep and the grid step, each once, from a positive seed over its
 n00_obs + 1 window points, on drawn windows of generated tables. On science
-tables of up to 12 units the likelihood kernel, the
+tables of up to 12 units the reference numerator, the
 p-value at the true number of responders under control, the oracle's
 integer moments and the moment cell estimates are checked against the
 enumerated assignments, and the Monte Carlo tally against a row-wise
@@ -45,6 +47,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalurn import (
+    LOG_ZERO,
     UNIFORM,
     DiscreteDistribution,
     InfeasibleError,
@@ -64,6 +67,7 @@ from causalurn import (
     interval_A,
     likelihood,
     likelihood_exact,
+    loglik_general,
     mle,
     moment_cells,
     monte_carlo,
@@ -132,6 +136,29 @@ def test_support_is_the_positive_likelihood_grid(obs):
                 if inside:
                     positive.append((n11, n10))
         assert [(p.n11, p.n10) for p in general_support(obs, n01)] == positive
+
+
+def _reference_likelihood(obs, point) -> Fraction:
+    """The likelihood at ``point`` from the reference urn sum ``_numerator``."""
+    numerator = likelihood._numerator(obs, point.n11, point.n10, point.n01)
+    return Fraction(numerator, math.comb(obs.total, obs.n_treated))
+
+
+@PROPERTY
+@given(tables(max_total=40), st.data())
+def test_point_likelihood_is_the_reference_sum(obs, data):
+    # Every (n11, n10) in [0, N + 1]^2 at a drawn harmed count in [0, N + 1],
+    # on and off the support: likelihood_exact, the point view of the row
+    # runs the walks step, equals the plain urn sum, and loglik_general logs it.
+    n01 = data.draw(st.integers(0, obs.total + 1), label="n01")
+    whole = math.comb(obs.total, obs.n_treated)
+    for n11 in range(obs.total + 2):
+        for n10 in range(obs.total + 2):
+            point = ParameterPoint(n11, n10, n01)
+            numerator = likelihood._numerator(obs, n11, n10, n01)
+            assert likelihood_exact(obs, point) == Fraction(numerator, whole)
+            assert loglik_general(obs, point) == (
+                math.log(numerator) - math.log(whole) if numerator else LOG_ZERO)
 
 
 def _pointwise_rows(obs, n01) -> list:
@@ -398,7 +425,7 @@ def test_uniform_a_weights_are_the_pointwise_row_sums(obs):
 @given(designs())
 def test_mle_is_the_brute_force_argmax(design):
     obs, harmed = design
-    values = {p: likelihood_exact(obs, p) for p in general_support(obs, harmed)}
+    values = {p: _reference_likelihood(obs, p) for p in general_support(obs, harmed)}
     best = max(values.values())
     ties = tuple(p for p, value in values.items() if value == best)
     assert mle(obs, harmed).points == ties
@@ -417,7 +444,7 @@ def test_posteriors_are_the_normalized_likelihood(design, data):
         weight = st.fractions(min_value=Fraction(1, 12), max_value=10, max_denominator=12)
         weights = {p: data.draw(weight) for p in chosen}
         prior = Prior({(p.n11, p.n10): w for p, w in weights.items()})
-    raw = {p: weights.get(p, 0) * likelihood_exact(obs, p) for p in support}
+    raw = {p: weights.get(p, 0) * _reference_likelihood(obs, p) for p in support}
     total = sum(raw.values())
 
     points = posterior_points(obs, harmed, prior)

@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from causalurn import likelihood, moments, tables
+from causalurn import (
+    ParameterPoint,
+    Prior,
+    likelihood,
+    likelihood_exact,
+    moments,
+    tables,
+    tau_posterior,
+)
 from causalurn.cli import EXIT_VERIFY, main
 from causalurn.tables import InfeasibleError, ObservedTable
 from causalurn.verify import run_verification, science_tables_up_to
@@ -169,17 +177,23 @@ def test_detects_a_window_cut_short_in_the_walk(monkeypatch, capsys):
 
 def test_detects_a_wrong_seed_in_the_walk(monkeypatch, capsys):
     # Every run's seed a_x(n01) = C(s - n01, x) C(n01, k) takes C(n01, k + 1):
-    # likelihood._seed, the one seed behind the grid, the row sums and the
-    # sensitivity sweep, rebuilt from its source with that one change.
+    # likelihood._seed, the one seed behind the grid, the row sums, the
+    # sensitivity sweep and every single point, rebuilt from its source with
+    # that one change. The single point reaches it through likelihood_exact
+    # and a table prior's posterior, at a harmed count above 0.
     source = inspect.getsource(likelihood._seed)
     right = "math.comb(n01, s - obs.n01 - x)"
     assert right in source
     obs, n01s = ObservedTable(2, 1, 1, 2), range(0, 4)
+    point, prior = ParameterPoint(1, 2, 1), Prior({(1, 2): 1, (2, 1): 3})
     swept = list(likelihood._columns(obs, n01s))
+    exact, weighted = likelihood_exact(obs, point), tau_posterior(obs, 1, prior)
     namespace = dict(vars(likelihood))
     exec(source.replace(right, "math.comb(n01, s - obs.n01 - x + 1)"), namespace)
     monkeypatch.setattr(likelihood, "_seed", namespace["_seed"])
     assert list(likelihood._columns(obs, n01s)) != swept
+    assert likelihood_exact(obs, point) != exact
+    assert tau_posterior(obs, 1, prior) != weighted
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
     assert lines[3].startswith("FAIL  likelihood equals assignment probability:")
