@@ -12,11 +12,11 @@ text only. Human output uses 3 decimals. CSV and JSON carry 12 significant
 digits and the versioned schema tag ``causalurn.<command>.v1``: a CSV
 starts with it as a ``#`` comment, and a JSON document holds it under
 ``schema`` beside an ``input`` echo of the request. Exit codes: 0 success,
-1 usage error, 2 infeasible request, 3 verification failure, 141 output
-closed by its reader (as in ``causalurn ... | head``; 128 + SIGPIPE, the
-code a shell reports for a process the signal ends). A closed output
-prints no traceback. ``sensitivity --n01-max`` above the table's N is a
-usage error: no population of N units holds more harmed units.
+1 usage error, 2 infeasible request or counts too large to evaluate,
+3 verification failure, 141 output closed by its reader, with no traceback
+(as in ``causalurn ... | head``; 128 + SIGPIPE, the code a shell reports
+for a process the signal ends). ``sensitivity --n01-max`` above the
+table's N is a usage error: no population of N units holds more harmed units.
 """
 
 from __future__ import annotations
@@ -340,11 +340,8 @@ def cmd_verify(args) -> int:
     if args.max_n < 2:
         raise UsageError("--max-n must be at least 2; smaller populations have no designs")
     _check_draws_and_seed(args)
-    report = verify.run_verification(
-        max_n=args.max_n, seed=args.seed, mc_draws=args.draws
-    )
-    for line in report.lines():
-        print(line)
+    report = verify.run_verification(max_n=args.max_n, seed=args.seed, mc_draws=args.draws)
+    print("\n".join(report.lines()))
     if report.ok:
         print(f"all identities hold for every science table with N <= {args.max_n}")
         return EXIT_OK
@@ -497,6 +494,9 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except (InfeasibleError, oracle.EnumerationCapError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except OverflowError:  # a count too large for a list length or a float
+        print("infeasible: the counts are too large to evaluate", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValueError as exc:
         # UsageError, and contract violations from library calls (negative

@@ -65,13 +65,11 @@ def moment_cells(obs: ObservedTable, n01: int = 0) -> CellEstimates:
     relative to likelihood-based inference, kept on purpose.
     """
     n01 = _count(n01, "n01")
-    total = obs.total
-    from_control = Fraction(total * obs.n01, obs.n_control)
-    from_treated = Fraction(total * obs.n10, obs.n_treated)
-    return CellEstimates(
-        n11=from_control - n01,
-        n00=from_treated - n01,
-        n10=total + n01 - from_control - from_treated,
+    total, n1, n0 = obs.total, obs.n_treated, obs.n_control
+    return CellEstimates(  # N n01_obs / N0 - n01, N n10_obs / N1 - n01, N + n01 - both
+        n11=Fraction(total * obs.n01 - n01 * n0, n0),
+        n00=Fraction(total * obs.n10 - n01 * n1, n1),
+        n10=Fraction((total + n01) * n1 * n0 - total * (obs.n01 * n1 + obs.n10 * n0), n1 * n0),
     )
 
 

@@ -47,6 +47,12 @@ def _count(value, name: str) -> int:
     return count
 
 
+def _counts(table, names: tuple) -> None:
+    for name in names:  # each field through _count, unless a plain nonnegative int already
+        if type(value := getattr(table, name)) is not int or value < 0:
+            object.__setattr__(table, name, _count(value, name))
+
+
 def _n_control(total: int, n_treated: int) -> int:
     """N0 = N - N1, after checking that both arms are nonempty."""
     if not 1 <= n_treated <= total - 1:
@@ -70,8 +76,7 @@ class ScienceTable:
     n00: int
 
     def __post_init__(self) -> None:
-        for name in ("n11", "n10", "n01", "n00"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
+        _counts(self, ("n11", "n10", "n01", "n00"))
         if self.total < 2:
             raise ValueError("science table needs at least 2 units")
 
@@ -111,8 +116,7 @@ class ObservedTable:
     n00: int
 
     def __post_init__(self) -> None:
-        for name in ("n11", "n10", "n01", "n00"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
+        _counts(self, ("n11", "n10", "n01", "n00"))
         if self.n_treated < 1 or self.n_control < 1:
             raise ValueError("both arms must contain at least one unit")
 
@@ -152,8 +156,7 @@ class ParameterPoint:
     n01: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n11", "n10", "n01"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
+        _counts(self, ("n11", "n10", "n01"))
 
 
 INTERVAL_METHODS = (

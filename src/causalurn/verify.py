@@ -5,9 +5,10 @@ exhaustive enumeration in exact arithmetic, the closed-form moments,
 ``moments.moment_cells`` and ``likelihood._grid``: its points are the
 support, its box and steps the sweep's, its ``_row_runs`` and ``_seed``
 those every numerator the library returns reads, one point's included.
-Designs go one (N, N1) at a time, and each observed table is walked once
-per harmed count in its group. Way counts, walked numerators and cells times N1 N0
-are integers over C(N, N1), so those identities compare integers.
+Designs go one (N, N1) at a time; each numbers its observed tables once,
+i = n11_obs (N0 + 1) + n01_obs, and lists walks (one per harmed count) and
+way counts by i. Way counts, walked numerators and cells times N1 N0 are
+integers over C(N, N1), so those identities compare integers.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def science_tables_up_to(max_n: int) -> Iterator[ScienceTable]:
                     yield ScienceTable(n11, n10, n01, total - n11 - n10 - n01)
 
 
-def _walk(obs: ObservedTable, n01: int, scale: int) -> tuple[dict, tuple]:
+def _walk(obs: ObservedTable, n01: int, scale: int) -> tuple[dict, list]:
     # likelihood._grid's numerators {(n11, n10): w}, and moment_cells times scale =
     # N1 N0: integers, unless moment_cells is wrong (a non-integer stays a Fraction).
     try:
@@ -85,13 +86,12 @@ def _walk(obs: ObservedTable, n01: int, scale: int) -> tuple[dict, tuple]:
                   for n10, w in zip(n10s, ws)}
     except InfeasibleError:
         walked = {}
-    cells = (cell * scale for cell in moments.moment_cells(obs, n01))
-    return walked, tuple(c.numerator if c.denominator == 1 else c for c in cells)
+    cells = moments.moment_cells(obs, n01)
+    parts = [divmod(cell.numerator * scale, cell.denominator) for cell in cells]
+    return walked, [cell * scale if rest else whole for cell, (whole, rest) in zip(cells, parts)]
 
 
-def run_verification(
-    max_n: int = 8, seed: int = 0, mc_draws: int = 20_000
-) -> VerificationReport:
+def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> VerificationReport:
     """Run the full identity suite over all designs with N <= ``max_n``."""
 
     estimator = CheckResult("rate-difference mean and variance")
@@ -109,9 +109,8 @@ def run_verification(
             tables = [ObservedTable(n11, n_treated - n11, n01, n_control - n01)
                       for n11 in range(n_treated + 1) for n01 in range(n_control + 1)]
             scale = n_treated * n_control
-            # This (N, N1)'s walks only: every harmed count is some science table's.
-            walks = {(obs, n01): _walk(obs, n01, scale)
-                     for n01 in range(total + 1) for obs in tables}
+            # walks[n01][i] for tables[i], i = n11_obs (N0 + 1) + n01_obs: this design's only.
+            walks = [[_walk(obs, n01, scale) for obs in tables] for n01 in range(total + 1)]
             for science in sciences:
                 dist = oracle.enumerate_assignments(science, n_treated)
 
@@ -126,20 +125,20 @@ def run_verification(
                 )
 
                 gap_mean, gap_var = dist.prediction_gap_moments()
-                prediction.record(
-                    gap_mean == 0, lambda: f"{label()}: E(A - N1 tau_hat)={gap_mean}"
-                )
+                prediction.record(gap_mean == 0,
+                                  lambda: f"{label()}: E(A - N1 tau_hat)={gap_mean}")
                 prediction.record(
                     gap_var == moments.population_attributable_mse(science, n_treated),
                     lambda: f"{label()}: var(A - N1 tau_hat)={gap_var}",
                 )
 
                 point = science.n11, science.n10
-                ways = oracle._outcome_weights(dist.records)
+                ways = [0] * len(tables)  # ways[i]: the assignments that yield table i
+                for record in dist.records:
+                    obs = record.observed
+                    ways[obs.n11 * (n_control + 1) + obs.n01] += record.weight
                 sums = [0, 0, 0]  # way counts times scaled moment cells
-                for obs in tables:
-                    walked, scaled = walks[obs, science.n01]
-                    weight = ways.get(obs, 0)
+                for obs, (walked, scaled), weight in zip(tables, walks[science.n01], ways):
                     support.record((point in walked) == (weight > 0), lambda: (
                         f"{label()} obs={obs}: reachable table outside the support region"
                         if weight else f"{label()} obs={obs}: unreachable table inside the support"

@@ -730,6 +730,23 @@ class TestUsage:
         assert err.startswith("error: level 0.9999999999999999")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["posterior", "99999999999999999999", "1", "1", "1"],
+        ["sensitivity", "4", "3", "2", "99999999999999999999", "--n01-max", "2"],
+    ], ids=["posterior", "sensitivity"])
+    def test_counts_too_large_to_evaluate_exit_2(self, capsys, argv):
+        # The walks allocate one list slot per n10, which no list this large holds.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err == "infeasible: the counts are too large to evaluate\n"
+        assert "Traceback" not in err
+
+    def test_counts_too_large_to_walk_still_estimate(self, capsys):
+        # The moment estimates need no walk, so they take counts of any size.
+        code, out, err = run(capsys, "estimate", "99999999999999999999", "1", "1", "1")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("tau-hat: 0.500\n")
+
     @pytest.mark.parametrize("command", COUNTED)
     @pytest.mark.parametrize("given", [0, 2, 3])
     def test_missing_counts_exit_1(self, capsys, command, given):

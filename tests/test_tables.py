@@ -69,6 +69,40 @@ class TestObservedTable:
         assert pit.p0_hat == Fraction(5, 21)
 
 
+@pytest.mark.parametrize("table", [ObservedTable, ScienceTable])
+class TestCountValidation:
+    FIELDS = ("n11", "n10", "n01", "n00")
+
+    def test_stores_true_as_plain_int(self, table):
+        cells = table(True, 1, 1, 1)
+        assert cells.n11 == 1 and type(cells.n11) is int
+
+    def test_stores_numpy_integers_as_plain_ints(self, table):
+        cells = table(*(np.int64(1) for _ in self.FIELDS))
+        assert all(type(getattr(cells, name)) is int for name in self.FIELDS)
+        assert cells.total == 4
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("bad, error, shown", [
+        (-1, ValueError, "must be nonnegative, got -1"),
+        (1.5, TypeError, "must be an integer, got 1.5"),
+        ("1", TypeError, "must be an integer, got '1'"),
+    ], ids=["negative", "float", "string"])
+    def test_rejects_each_field_with_its_message(self, table, index, bad, error, shown):
+        counts = [1, 1, 1, 1]
+        counts[index] = bad
+        with pytest.raises(error) as raised:
+            table(*counts)
+        assert type(raised.value) is error
+        assert str(raised.value) == f"{self.FIELDS[index]} {shown}"
+
+
+@pytest.mark.parametrize("counts", [(0, 0, 1, 1), (1, 1, 0, 0)])
+def test_observed_table_with_an_empty_arm_is_rejected(counts):
+    with pytest.raises(ValueError, match="both arms must contain at least one unit"):
+        ObservedTable(*counts)
+
+
 class TestParameterPoint:
     def test_ordering_is_lexicographic_in_n11_n10(self):
         points = [ParameterPoint(2, 0), ParameterPoint(1, 5), ParameterPoint(1, 2)]

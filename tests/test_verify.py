@@ -233,3 +233,63 @@ def test_detects_cells_that_add_the_harmed_count(monkeypatch, capsys):
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
     assert [line[:4] for line in lines[:7]] == ["PASS", "FAIL"] + ["PASS"] * 5
+
+
+# The whole report of verify --max-n 5 --draws 2000 with every seed taking
+# C(n01, k + 1): its counts, failure text and failure order.
+_SEED_OFF_BY_ONE_MAX_N_5 = [
+    "PASS  rate-difference mean and variance: 758 identities checked",
+    "PASS  cell estimators are unbiased: 379 identities checked",
+    "PASS  attributable prediction moments: 758 identities checked",
+    "FAIL  likelihood equals assignment probability: 198 identities checked, 829 failed",
+    "PASS  support matches positive probability: 3619 identities checked",
+    "PASS  treated-sum moments (constants): 21 identities checked",
+    "PASS  monte carlo agrees with exact moments: 2 identities checked",
+    "  failure [likelihood equals assignment probability]: "
+    "science=ScienceTable(n11=0, n10=0, n01=0, n00=2) N1=1 "
+    "obs=ObservedTable(n11=0, n10=1, n01=0, n00=1): likelihood != probability 1",
+    "  failure [likelihood equals assignment probability]: "
+    "science=ScienceTable(n11=0, n10=0, n01=1, n00=1) N1=1 "
+    "obs=ObservedTable(n11=0, n10=1, n01=0, n00=1): likelihood != probability 1/2",
+    "  failure [likelihood equals assignment probability]: "
+    "science=ScienceTable(n11=0, n10=0, n01=2, n00=0) N1=1 "
+    "obs=ObservedTable(n11=0, n10=1, n01=1, n00=0): likelihood != probability 1",
+    "  failure [likelihood equals assignment probability]: "
+    "science=ScienceTable(n11=0, n10=1, n01=0, n00=1) N1=1 "
+    "obs=ObservedTable(n11=0, n10=1, n01=0, n00=1): likelihood != probability 1/2",
+    "  failure [likelihood equals assignment probability]: "
+    "science=ScienceTable(n11=0, n10=1, n01=0, n00=1) N1=1 "
+    "obs=ObservedTable(n11=1, n10=0, n01=0, n00=1): likelihood != probability 1/2",
+]
+
+
+def test_a_failing_report_is_pinned_line_for_line(monkeypatch, capsys):
+    source = inspect.getsource(likelihood._seed)
+    right = "math.comb(n01, s - obs.n01 - x)"
+    assert right in source
+    namespace = dict(vars(likelihood))
+    exec(source.replace(right, "math.comb(n01, s - obs.n01 - x + 1)"), namespace)
+    monkeypatch.setattr(likelihood, "_seed", namespace["_seed"])
+    code = main(["verify", "--max-n", "5", "--draws", "2000"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (EXIT_VERIFY, "")
+    assert captured.out.splitlines() == _SEED_OFF_BY_ONE_MAX_N_5
+
+
+def test_detects_cells_off_by_half_a_unit_of_the_scale(monkeypatch, capsys):
+    # n11 gains 1 / (2 N1 N0): times N1 N0 the cell is off by 1/2, so the
+    # walk's integer scaling must keep it a Fraction rather than round it.
+    original = moments.moment_cells
+
+    def mutated(obs, n01=0):
+        cells = original(obs, n01)
+        return cells._replace(n11=cells.n11 + Fraction(1, 2 * obs.n_treated * obs.n_control))
+
+    monkeypatch.setattr(moments, "moment_cells", mutated)
+    code = main(["verify", "--max-n", "5", "--draws", "2000"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert (code, captured.err) == (EXIT_VERIFY, "")
+    assert [line[:4] for line in lines[:7]] == ["PASS", "FAIL"] + ["PASS"] * 5
+    assert lines[1].startswith("FAIL  cell estimators are unbiased:")
+    assert all(line.startswith("  failure [cell estimators are unbiased]: ") for line in lines[7:])
