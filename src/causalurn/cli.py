@@ -495,7 +495,7 @@ def main(argv=None) -> int:
     except (InfeasibleError, oracle.EnumerationCapError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except OverflowError:  # a count too large for a list length or a float
+    except (OverflowError, MemoryError):  # a count too large for a list or a float
         print("infeasible: the counts are too large to evaluate", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValueError as exc:

@@ -28,7 +28,7 @@ where it is a_x C(m - j, c); from n10 = n to n + 1 its term t steps to
 
 every division exact. A grid at one harmed count adds each row's runs, one
 per x, into the row, at a cost of its inner-sum terms; one point sums its
-row's run terms at its n10. Every numerator here reads ``_row_runs`` and
+row's run terms at its n10. One-count numerators read ``tables._rows`` and
 ``_seed``; ``_numerator``, the plain sum above, is the tests' reference.
 
 Only the seed factor depends on the harmed count, and a_x(n01) is positive
@@ -66,9 +66,8 @@ from .tables import (
     ObservedTable,
     ParameterPoint,
     _count,
-    _row_xs,
+    _rows,
     _run_box,
-    support_rows,
 )
 
 #: Log of an impossible event; compares below every finite log-likelihood.
@@ -97,20 +96,14 @@ def _seed(obs: ObservedTable, s: int, x: int, n01: int) -> int:
     return math.comb(s - n01, x) * math.comb(n01, s - obs.n01 - x)
 
 
-def _row_runs(obs: ObservedTable, n01: int, n11: int) -> list[tuple[int, int]]:
-    # (x, a_x) per run of the support row n11: the run box's diagonal.
-    return [(x, _seed(obs, n11 + n01, x, n01))
-            for x in _row_xs(obs, n01, n11, *_run_box(obs, n01, n01))]
-
-
 def _point_numerator(obs: ObservedTable, n11: int, n10: int, n01: int) -> int:
     # The numerator at one point: its row's run terms at n10; 0 when n00 < 0.
-    m = obs.total - n11 - n01
+    s = n11 + n01
+    m, d = obs.total - s, obs.n10 + obs.n01 - s  # n00 = m - n10, d = c - x
     if n10 > m:
         return 0
-    d = obs.n10 + obs.n01 - n11 - n01  # c - x
-    return sum(seed * math.comb(n10, obs.n11 - x) * math.comb(m - n10, d + x)
-               for x, seed in _row_runs(obs, n01, n11))
+    return sum(_seed(obs, s, x, n01) * math.comb(n10, obs.n11 - x) * math.comb(m - n10, d + x)
+               for _, _, xs in _rows(obs, n01, range(n11, n11 + 1)) for x in xs)
 
 
 def _add_run(obs: ObservedTable, s: int, x: int, seed: int, into: list, base: int) -> None:
@@ -133,14 +126,14 @@ def _grid(obs: ObservedTable, n01: int) -> Iterator[tuple[int, range, list[int]]
     """``(n11, n10s, numerators)`` per support row, ``numerators[i]`` positive and
     :func:`_numerator` at ``(n11, n10s[i])``. Raises InfeasibleError, before
     the walk starts, when the support is empty."""
-    def row(n11: int, n10s: range) -> list[int]:
+    def row(s: int, n10s: range, xs: range) -> list[int]:
         numerators = [0] * len(n10s)
-        for x, seed in _row_runs(obs, n01, n11):
-            _add_run(obs, n11 + n01, x, seed, numerators, n10s[0])
+        for x in xs:
+            _add_run(obs, s, x, _seed(obs, s, x, n01), numerators, n10s[0])
         return numerators
 
     _check_support(obs, n01)
-    return ((n11, n10s, row(n11, n10s)) for n11, n10s in support_rows(obs, n01))
+    return ((n11, n10s, row(n11 + n01, n10s, xs)) for n11, n10s, xs in _rows(obs, n01))
 
 
 def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
@@ -185,7 +178,7 @@ def _row_sums(obs: ObservedTable, n01: int) -> list[tuple[int, int]]:
     """
     _check_support(obs, n01)
     return [(n11, math.comb(obs.total - n11 - n01 + 1, obs.n00)  # C(m + 1, n00_obs)
-             * sum(a for _, a in _row_runs(obs, n01, n11))) for n11, _ in support_rows(obs, n01)]
+             * sum(_seed(obs, n11 + n01, x, n01) for x in xs)) for n11, _, xs in _rows(obs, n01)]
 
 
 def _log_likelihood(obs: ObservedTable, numerator: int) -> float:

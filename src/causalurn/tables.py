@@ -21,9 +21,9 @@ and over the harmed counts lo..hi, k runs from max(0, lo - n01_obs) to
 min(hi, n10_obs). Run (k, x) lies in row n11 = k + x + n01_obs - n01 and is
 positive on the n10 window [j, j + n00_obs], as the control failures hold
 the other n10 - j helped units. A support row is a diagonal of the box, its
-n10 range the union of its runs' windows. The box is empty exactly when
-n01 > n10_obs + n01_obs; at n01 = 0 each row holds one run, so the support
-has (n11_obs + 1) * (n00_obs + 1) points.
+n10 range the union of its runs' windows; ``_rows`` states each row once.
+The box is empty exactly when n01 > n10_obs + n01_obs; at n01 = 0 each row
+holds one run, so the support has (n11_obs + 1) * (n00_obs + 1) points.
 """
 
 from __future__ import annotations
@@ -209,11 +209,20 @@ def _run_box(obs: ObservedTable, lo: int, hi: int) -> tuple[range, range]:
     return range(max(0, lo - obs.n01), min(hi, obs.n10) + 1), range(obs.n11 + 1)
 
 
-def _row_xs(obs: ObservedTable, n01: int, n11: int, ks: range, xs: range) -> range:
-    # The x of the runs in row n11 of the box ks x xs at harmed count n01, its
-    # diagonal k + x = n11 + n01 - n01_obs; empty when the box is.
-    d = n11 + n01 - obs.n01
-    return range(max(xs.start, d - ks.stop + 1), min(xs.stop, d - ks.start + 1))
+def _rows(obs: ObservedTable, n01: int, n11s: range | None = None) -> list:
+    # Each support row at harmed count n01 as (n11, its n10 window, the x of its
+    # runs): every row, or only those of n11s that hold a run. Row n11 is the
+    # box's diagonal k + x = n11 + n01 - n01_obs: its x lie in [n11 + lo, n11 + hi).
+    ks, xs = _run_box(obs, n01, n01)
+    lo, hi = n01 - obs.n01 - ks.stop + 1, n01 - obs.n01 - ks.start + 1
+    if n11s is None:
+        n11s = range(1 - hi, xs.stop - lo)
+        len(n11s)  # OverflowError, before the walk, on more rows than sys.maxsize
+    rows = []
+    for n11 in n11s:
+        if row := range(max(0, n11 + lo), min(xs.stop, n11 + hi)):
+            rows.append((n11, range(obs.n11 - row[-1], obs.n11 + obs.n00 - row[0] + 1), row))
+    return rows
 
 
 def support_rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
@@ -222,12 +231,7 @@ def support_rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
     Every point the rows cover has positive likelihood given ``n01`` harmed
     units, and no other point does. Empty when ``n01`` is infeasible.
     """
-    n01 = _count(n01, "n01")
-    ks, xs = _run_box(obs, n01, n01)
-    n11s = range(ks.start + obs.n01 - n01, ks.stop + xs[-1] + obs.n01 - n01)
-    rows = ((n11, _row_xs(obs, n01, n11, ks, xs)) for n11 in n11s)
-    return [(n11, range(obs.n11 - row[-1], obs.n11 + obs.n00 - row[0] + 1))
-            for n11, row in rows if row]
+    return [(n11, n10s) for n11, n10s, _ in _rows(obs, _count(n01, "n01"))]
 
 
 def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
@@ -246,5 +250,5 @@ def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
 
 def in_general_support(obs: ObservedTable, point: ParameterPoint) -> bool:
     """O(1) membership test equivalent to ``point in general_support(...)``."""
-    row = _row_xs(obs, point.n01, point.n11, *_run_box(obs, point.n01, point.n01))
-    return bool(row) and obs.n11 - row[-1] <= point.n10 <= obs.n11 + obs.n00 - row[0]
+    rows = _rows(obs, point.n01, range(point.n11, point.n11 + 1))
+    return any(point.n10 in n10s for _, n10s, _ in rows)

@@ -3,8 +3,8 @@
 Sweeps every science table up to a small population size and checks, by
 exhaustive enumeration in exact arithmetic, the closed-form moments,
 ``moments.moment_cells`` and ``likelihood._grid``: its points are the
-support, its box and steps the sweep's, its ``_row_runs`` and ``_seed``
-those every numerator the library returns reads, one point's included.
+support, its box and steps the sweep's, its ``tables._rows`` and ``_seed``
+those every one-count numerator reads, one point's included.
 Designs go one (N, N1) at a time; each numbers its observed tables once,
 i = n11_obs (N0 + 1) + n01_obs, and lists walks (one per harmed count) and
 way counts by i. Way counts, walked numerators and cells times N1 N0 are

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy
@@ -733,10 +734,20 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["posterior", "99999999999999999999", "1", "1", "1"],
         ["sensitivity", "4", "3", "2", "99999999999999999999", "--n01-max", "2"],
-    ], ids=["posterior", "sensitivity"])
+        ["posterior", "1000000000000000", "1", "1", "1"],
+        ["sensitivity", "1000000000000000", "1", "1", "1", "--n01-max", "1"],
+        ["posterior", "99999999999999999999", "1", "1", "1", "--target", "A"],
+        ["posterior", "99999999999999999999", "1", "1", "1", "--target", "A", "--n01", "1"],
+    ], ids=["posterior", "sensitivity", "posterior-memory", "sensitivity-memory",
+            "a-posterior", "a-posterior-n01-1"])
     def test_counts_too_large_to_evaluate_exit_2(self, capsys, argv):
-        # The walks allocate one list slot per n10, which no list this large holds.
+        # The walks allocate one list slot per n10, which no list this large
+        # holds (OverflowError) and no machine can back (MemoryError, about
+        # 8 PB at 10^15); the A posterior's rows are counted before any is
+        # built, so it ends at once rather than walk 10^20 rows.
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
         assert (code, out) == (EXIT_INFEASIBLE, "")
         assert err == "infeasible: the counts are too large to evaluate\n"
         assert "Traceback" not in err

@@ -16,6 +16,8 @@ checked against the reference numerator at every harmed count, and each
 row's x runs and their seeds against the x whose terms are positive on it,
 on tables of up to 90 units and on corner tables; the A weights also
 against the oracle's way counts on every science table of up to 8 units.
+The one-row query of ``tables._rows`` is its full build's row, or none, at
+every n01 and n11 in [0, N + 1] on tables of up to 40 units.
 The packed sweep's column sums over a window of harmed counts are checked against the reference numerator on
 drawn windows of generated tables, on corner tables, and on every table
 with counts 0..5 and every window; every swept column is at most C(N, N1),
@@ -86,7 +88,7 @@ from causalurn import (
     tau_posterior_sweep,
 )
 from causalurn.attributable import _pvalue_numerator
-from causalurn.tables import _run_box, support_rows
+from causalurn.tables import _rows, _run_box, support_rows
 
 PROPERTY = settings(max_examples=30, deadline=None)
 ORACLE = settings(max_examples=100, deadline=None)
@@ -222,6 +224,13 @@ def _x_windows(obs, n01) -> list:
     return windows
 
 
+def _row_seeds(obs, n01, n11) -> dict:
+    """``{x: a_x}`` over the runs ``tables._rows`` puts on row n11, each seed
+    from ``likelihood._seed``: what every one-count numerator reads."""
+    return {x: likelihood._seed(obs, n11 + n01, x, n01)
+            for _, _, xs in _rows(obs, n01, range(n11, n11 + 1)) for x in xs}
+
+
 def _assert_x_runs_are_the_positive_windows(obs):
     # Each row walks exactly the x whose terms are positive somewhere on it,
     # each seeded with a_x = C(n11, x) C(n01, n01 + n11 - n01_obs - x), and
@@ -229,7 +238,7 @@ def _assert_x_runs_are_the_positive_windows(obs):
     for n01 in range(obs.n10 + obs.n01 + 1):
         walked = {}
         for n11, n10s, x, window in _x_windows(obs, n01):
-            walked.setdefault(n11, dict(likelihood._row_runs(obs, n01, n11)))
+            walked.setdefault(n11, _row_seeds(obs, n01, n11))
             assert (x in walked[n11]) == bool(window)
             if window:
                 assert window == list(range(window[0], window[-1] + 1))
@@ -253,6 +262,18 @@ def test_uniform_tau_is_the_pushforward_of_the_pointwise_kernel(obs):
 @given(tables())
 def test_x_runs_are_the_positive_windows(obs):
     _assert_x_runs_are_the_positive_windows(obs)
+
+
+@PROPERTY
+@given(tables(max_total=40))
+def test_one_row_query_is_the_full_builds_row(obs):
+    # The point view and in_general_support ask _rows for one row, _grid and
+    # _row_sums for every row: both must state the same row, or none.
+    for n01 in range(obs.total + 2):
+        full = {row[0]: row for row in _rows(obs, n01)}
+        for n11 in range(obs.total + 2):
+            one = _rows(obs, n01, range(n11, n11 + 1))
+            assert one == ([full[n11]] if n11 in full else [])
 
 
 # Tables whose likelihood walk meets its corner cases at n01 = 0 and at

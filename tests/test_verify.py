@@ -9,6 +9,7 @@ import pytest
 from causalurn import (
     ParameterPoint,
     Prior,
+    a_posterior,
     likelihood,
     likelihood_exact,
     moments,
@@ -220,6 +221,34 @@ def test_detects_a_run_box_one_harmed_count_short(monkeypatch, capsys):
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
     assert lines[4].startswith("FAIL  support matches positive probability:")
+
+
+def test_detects_rows_one_run_short(monkeypatch, capsys):
+    # Each row's last run dropped: tables._rows, the one statement of which
+    # runs sit on which support row, behind the support, the membership test,
+    # the grid, the row sums and every single point, rebuilt from its source
+    # with that one change and patched into every module that binds it.
+    source = inspect.getsource(tables._rows)
+    right = "min(xs.stop, n11 + hi)"
+    assert right in source
+    obs, n01 = ObservedTable(2, 1, 1, 2), 1
+    grid = [ParameterPoint(n11, n10, n01) for n11 in range(7) for n10 in range(7)]
+    member = [tables.in_general_support(obs, point) for point in grid]
+    exact = [likelihood_exact(obs, point) for point in grid]
+    weights = a_posterior(obs, n01)
+    namespace = dict(vars(tables))
+    exec(source.replace(right, right + " - 1"), namespace)
+    bound = [module for name, module in sys.modules.items() if name.startswith("causalurn")
+             and getattr(module, "_rows", None) is tables._rows]
+    assert {tables, likelihood} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "_rows", namespace["_rows"])
+    assert [tables.in_general_support(obs, point) for point in grid] != member
+    assert [likelihood_exact(obs, point) for point in grid] != exact
+    assert a_posterior(obs, n01) != weights
+    code, lines = _verify_max_n_6(capsys)
+    assert code == EXIT_VERIFY
+    assert [line[:4] for line in lines[:7]] == ["PASS"] * 3 + ["FAIL"] * 2 + ["PASS"] * 2
 
 
 def test_detects_cells_that_add_the_harmed_count(monkeypatch, capsys):
