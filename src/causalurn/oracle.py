@@ -5,9 +5,10 @@ force. For a given science table, assignments that place the same number
 of each unit type into the treatment arm produce identical observed data,
 so enumeration runs over type compositions (at most (N1+1)^3 cells)
 weighted by multivariate hypergeometric counts instead of over all
-C(N, N1) raw assignments. Each composition carries its integer way count,
-and every probability is that count over the distribution's one
-``denominator``, C(N, N1), so moments are exact integer sums divided once.
+C(N, N1) raw assignments. Each composition is a plain tuple (x11, x10,
+x01, x00, ways), built into a record only on read; every probability is a
+way count over the distribution's one ``denominator``, C(N, N1), so
+moments are exact integer sums divided once.
 A seeded Monte Carlo stand-in covers populations beyond the enumeration
 cap; its weights are draw counts, its denominator the number of draws, and
 it is the one sampler here: ``normality_check`` studentizes its tally.
@@ -22,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .moments import improved_variance, population_tau_variance, tau_hat
 from .tables import ObservedTable, ScienceTable, _n_control
@@ -74,14 +75,15 @@ class AssignmentRecord:
 class AssignmentDistribution:
     """Sampling distribution of the observed data for one science table.
 
-    ``denominator`` is the total of the record weights: C(N, N1) for an
+    ``compositions`` holds one ``(x11, x10, x01, x00, weight)`` per type
+    composition, ``denominator`` the total of the weights: C(N, N1) for an
     enumerated law, the number of draws for a Monte Carlo one, which also
     names its generator in ``rng`` (None when enumerated).
     """
 
     science: ScienceTable
     n_treated: int
-    records: tuple[AssignmentRecord, ...]
+    compositions: tuple[tuple[int, int, int, int, int], ...]
     denominator: int
     rng: Optional[str] = None
 
@@ -90,20 +92,39 @@ class AssignmentDistribution:
         return self.science.total - self.n_treated
 
     @property
+    def records(self) -> tuple[AssignmentRecord, ...]:
+        """One record per composition, in the same order; built on read."""
+        n1, n0 = self.n_treated, self.n_control
+        return tuple([
+            AssignmentRecord(ObservedTable(n11, n1 - n11, n01, n0 - n01), c[:4], w, a)
+            for c, (w, n11, n01, a) in zip(self.compositions, self._observed())
+        ])
+
+    @property
     def outcomes(self) -> dict:
         """Probability of each observed table, in first-seen order; built on read."""
-        total = self.denominator
-        return {
-            obs: Fraction(weight, total)
-            for obs, weight in _outcome_weights(self.records).items()
-        }
+        return {obs: Fraction(w, self.denominator) for obs, w in self._outcome_weights().items()}
 
-    def _moments(self, values: Iterable[int], scale: int) -> tuple:
+    def _observed(self) -> Iterator[tuple[int, int, int, int]]:
+        # (weight, n11_obs, n01_obs, A) of each composition.
+        s11, s01 = self.science.n11, self.science.n01
+        return ((w, x11 + x10, s11 - x11 + s01 - x01, x10 - x01)
+                for x11, x10, x01, _, w in self.compositions)
+
+    def _outcome_weights(self) -> dict:
+        """Summed integer weight of each observed table, in first-seen order."""
+        tally: Counter = Counter()
+        for weight, n11, n01, _ in self._observed():
+            tally[n11, n01] += weight
+        n1, n0 = self.n_treated, self.n_control
+        return {ObservedTable(n11, n1 - n11, n01, n0 - n01): w for (n11, n01), w in tally.items()}
+
+    def _moments(self, pairs: Iterable[tuple[int, int]], scale: int) -> tuple:
         # Mean and variance of value / scale from the integer sums of w v
-        # and w v^2, one integer value per record.
+        # and w v^2, one (w, integer value) per composition.
         first = second = 0
-        for record, value in zip(self.records, values):
-            weighted = record.weight * value
+        for weight, value in pairs:
+            weighted = weight * value
             first += weighted
             second += weighted * value
         total = self.denominator
@@ -116,8 +137,7 @@ class AssignmentDistribution:
         # tau_hat = (n11_obs N0 - n01_obs N1) / (N1 N0)
         n1, n0 = self.n_treated, self.n_control
         return self._moments(
-            (r.observed.n11 * n0 - r.observed.n01 * n1 for r in self.records),
-            n1 * n0,
+            ((w, n11 * n0 - n01 * n1) for w, n11, n01, _ in self._observed()), n1 * n0
         )
 
     def prediction_gap_moments(self) -> tuple:
@@ -125,38 +145,8 @@ class AssignmentDistribution:
         # A - N1 tau_hat = (A N0 - (n11_obs N0 - n01_obs N1)) / N0
         n1, n0 = self.n_treated, self.n_control
         return self._moments(
-            (
-                r.attributable * n0 - r.observed.n11 * n0 + r.observed.n01 * n1
-                for r in self.records
-            ),
-            n0,
+            ((w, (a - n11) * n0 + n01 * n1) for w, n11, n01, a in self._observed()), n0
         )
-
-
-def _record(
-    science: ScienceTable, types: tuple[int, int, int, int], weight: int
-) -> AssignmentRecord:
-    x11, x10, x01, x00 = types
-    observed = ObservedTable(
-        n11=x11 + x10,
-        n10=x01 + x00,
-        n01=(science.n11 - x11) + (science.n01 - x01),
-        n00=(science.n10 - x10) + (science.n00 - x00),
-    )
-    return AssignmentRecord(
-        observed=observed,
-        treated_types=types,
-        weight=weight,
-        attributable=x10 - x01,
-    )
-
-
-def _outcome_weights(records: Iterable[AssignmentRecord]) -> Counter:
-    """Summed integer weight of each observed table, in first-seen order."""
-    weights: Counter = Counter()
-    for record in records:
-        weights[record.observed] += record.weight
-    return weights
 
 
 def _assignment_count(total: int, n_treated: int) -> int:
@@ -175,26 +165,24 @@ def _assignment_count(total: int, n_treated: int) -> int:
 def enumerate_assignments(science: ScienceTable, n_treated: int) -> AssignmentDistribution:
     """Exact sampling distribution over all C(N, N1) assignments."""
     n_assignments = _assignment_count(science.total, n_treated)
-    records = []
-    for x11 in range(min(science.n11, n_treated) + 1):
-        for x10 in range(min(science.n10, n_treated - x11) + 1):
-            rest = n_treated - x11 - x10  # x01 + x00, with x00 at most n00
-            for x01 in range(max(0, rest - science.n00), min(science.n01, rest) + 1):
-                x00 = rest - x01
-                ways = (
-                    math.comb(science.n11, x11)
-                    * math.comb(science.n10, x10)
-                    * math.comb(science.n01, x01)
-                    * math.comb(science.n00, x00)
-                )
-                records.append(_record(science, (x11, x10, x01, x00), ways))
-    records = tuple(records)
-    total_ways = sum(r.weight for r in records)
+    counts = n11, n10, n01, n00 = science.n11, science.n10, science.n01, science.n00
+    n1, n0 = n_treated, science.total - n_treated
+    # Row t: C(c_t, x) for each x a composition can take, max(0, c_t - N0)..min(c_t, N1).
+    c11, c10, c01, c00 = ({x: math.comb(c, x) for x in range(max(0, c - n0), min(c, n1) + 1)}
+                          for c in counts)
+    compositions = tuple([  # a list first: a tuple grown in place fragments the heap
+        (x11, x10, x01, rest - x01, ways * c01[x01] * c00[rest - x01])
+        for x11, w11 in c11.items()
+        for x10 in range(max(0, n1 - x11 - n01 - n00), min(n10, n1 - x11) + 1)
+        for rest, ways in [(n1 - x11 - x10, w11 * c10[x10])]  # x01 + x00, with x00 at most n00
+        for x01 in range(max(0, rest - n00), min(n01, rest) + 1)
+    ])
+    total_ways = sum(c[4] for c in compositions)
     if total_ways != n_assignments:
         raise AssertionError(
             f"composition probabilities sum to {Fraction(total_ways, n_assignments)}"
         )
-    return AssignmentDistribution(science, n_treated, records, n_assignments)
+    return AssignmentDistribution(science, n_treated, compositions, n_assignments)
 
 
 def monte_carlo(
@@ -205,7 +193,7 @@ def monte_carlo(
     The same seed always reproduces the same distribution; the PRNG is
     recorded in the result so runs can be replicated elsewhere. Draws are
     taken and tallied in fixed-size chunks, so memory does not grow with
-    ``draws``; records come in lexicographic order of composition.
+    ``draws``; compositions come in lexicographic order.
     """
     _n_control(science.total, n_treated)
     if draws < 1:
@@ -230,15 +218,13 @@ def monte_carlo(
             return_counts=True,
         )
         tally.update(dict(zip(keys.tolist(), counts.tolist())))
-    records = []
+    compositions = []
     for key in sorted(tally):
         head, x01 = divmod(key, r01)
         x11, x10 = divmod(head, r10)
-        records.append(
-            _record(science, (x11, x10, x01, n_treated - x11 - x10 - x01), tally[key])
-        )
+        compositions.append((x11, x10, x01, n_treated - x11 - x10 - x01, tally[key]))
     return AssignmentDistribution(
-        science, n_treated, tuple(records), draws,
+        science, n_treated, tuple(compositions), draws,
         rng=f"numpy.random.Generator(PCG64(seed={seed})), numpy {np.__version__}",
     )
 
@@ -316,7 +302,7 @@ def normality_check(
     dist = monte_carlo(science, n_treated, draws, seed)
     tau = float(science.tau)
     studentized = []  # (z, number of draws)
-    for obs, weight in _outcome_weights(dist.records).items():
+    for obs, weight in dist._outcome_weights().items():
         variance = improved_variance(obs)
         if variance > 0:
             z = (float(tau_hat(obs)) - tau) / math.sqrt(variance)

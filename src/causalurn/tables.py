@@ -216,7 +216,7 @@ def _rows(obs: ObservedTable, n01: int, n11s: range | None = None) -> list:
     ks, xs = _run_box(obs, n01, n01)
     lo, hi = n01 - obs.n01 - ks.stop + 1, n01 - obs.n01 - ks.start + 1
     if n11s is None:
-        n11s = range(1 - hi, xs.stop - lo)
+        n11s = range(1 - hi, xs.stop - lo) if ks else range(0)  # no run, so no row
         len(n11s)  # OverflowError, before the walk, on more rows than sys.maxsize
     rows = []
     for n11 in n11s:

@@ -6,9 +6,9 @@ exhaustive enumeration in exact arithmetic, the closed-form moments,
 support, its box and steps the sweep's, its ``tables._rows`` and ``_seed``
 those every one-count numerator reads, one point's included.
 Designs go one (N, N1) at a time; each numbers its observed tables once,
-i = n11_obs (N0 + 1) + n01_obs, and lists walks (one per harmed count) and
-way counts by i. Way counts, walked numerators and cells times N1 N0 are
-integers over C(N, N1), so those identities compare integers.
+i = n11_obs (N0 + 1) + n01_obs. A science table's integer way counts by i,
+None where unreached, must equal its point's walked numerators by i, None
+off the grid; only a mismatch is checked, and named, table by table.
 """
 
 from __future__ import annotations
@@ -78,17 +78,22 @@ def science_tables_up_to(max_n: int) -> Iterator[ScienceTable]:
                     yield ScienceTable(n11, n10, n01, total - n11 - n10 - n01)
 
 
-def _walk(obs: ObservedTable, n01: int, scale: int) -> tuple[dict, list]:
-    # likelihood._grid's numerators {(n11, n10): w}, and moment_cells times scale =
-    # N1 N0: integers, unless moment_cells is wrong (a non-integer stays a Fraction).
-    try:
-        walked = {(n11, n10): w for n11, n10s, ws in likelihood._grid(obs, n01)
-                  for n10, w in zip(n10s, ws)}
-    except InfeasibleError:
-        walked = {}
-    cells = moments.moment_cells(obs, n01)
-    parts = [divmod(cell.numerator * scale, cell.denominator) for cell in cells]
-    return walked, [cell * scale if rest else whole for cell, (whole, rest) in zip(cells, parts)]
+def _walk(tables: list, n01: int, scale: int) -> tuple[dict, list]:
+    # likelihood._grid's numerators as {(n11, n10): [w of tables[i], None off its grid]},
+    # and moment_cells times scale = N1 N0: integers, unless moment_cells is wrong.
+    columns, scaled = {}, []
+    for i, obs in enumerate(tables):
+        try:
+            grid = likelihood._grid(obs, n01)
+        except InfeasibleError:
+            grid = ()
+        for n11, n10s, ws in grid:
+            for n10, w in zip(n10s, ws):
+                columns.setdefault((n11, n10), [None] * len(tables))[i] = w
+        cells = moments.moment_cells(obs, n01)
+        parts = [divmod(cell.numerator * scale, cell.denominator) for cell in cells]
+        scaled.append([c * scale if rest else whole for c, (whole, rest) in zip(cells, parts)])
+    return columns, scaled
 
 
 def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> VerificationReport:
@@ -109,8 +114,8 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
             tables = [ObservedTable(n11, n_treated - n11, n01, n_control - n01)
                       for n11 in range(n_treated + 1) for n01 in range(n_control + 1)]
             scale = n_treated * n_control
-            # walks[n01][i] for tables[i], i = n11_obs (N0 + 1) + n01_obs: this design's only.
-            walks = [[_walk(obs, n01, scale) for obs in tables] for n01 in range(total + 1)]
+            # Indexed by i = n11_obs (N0 + 1) + n01_obs, one walk per n01: this design's only.
+            walks = [_walk(tables, n01, scale) for n01 in range(total + 1)]
             for science in sciences:
                 dist = oracle.enumerate_assignments(science, n_treated)
 
@@ -132,24 +137,33 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
                     lambda: f"{label()}: var(A - N1 tau_hat)={gap_var}",
                 )
 
-                point = science.n11, science.n10
+                columns, scaled = walks[science.n01]
+                responders = science.n11 + science.n01  # n01_obs = responders - x11 - x01
+                column = columns.get((science.n11, science.n10), [None] * len(tables))
                 ways = [0] * len(tables)  # ways[i]: the assignments that yield table i
-                for record in dist.records:
-                    obs = record.observed
-                    ways[obs.n11 * (n_control + 1) + obs.n01] += record.weight
+                for x11, x10, x01, _, weight in dist.compositions:
+                    ways[(x11 + x10) * (n_control + 1) + responders - x11 - x01] += weight
+                ways = [weight or None for weight in ways]  # None: unreachable
+                if column == ways:  # every support and likelihood identity here holds
+                    support.passed += len(tables)
+                    lik.passed += len(tables) - ways.count(None)
+                else:  # each table's identities, one at a time, failures named
+                    for obs, walked, weight in zip(tables, column, ways):
+                        support.record((walked is None) == (weight is None), lambda: (
+                            f"{label()} obs={obs}: reachable table outside the support region"
+                            if weight else
+                            f"{label()} obs={obs}: unreachable table inside the support"
+                        ))
+                        if weight:
+                            lik.record(
+                                walked == weight,
+                                lambda: f"{label()} obs={obs}: likelihood != probability "
+                                f"{Fraction(weight, dist.denominator)}",
+                            )
                 sums = [0, 0, 0]  # way counts times scaled moment cells
-                for obs, (walked, scaled), weight in zip(tables, walks[science.n01], ways):
-                    support.record((point in walked) == (weight > 0), lambda: (
-                        f"{label()} obs={obs}: reachable table outside the support region"
-                        if weight else f"{label()} obs={obs}: unreachable table inside the support"
-                    ))
+                for weight, cells_i in zip(ways, scaled):
                     if weight:
-                        lik.record(
-                            walked.get(point) == weight,
-                            lambda: f"{label()} obs={obs}: likelihood != probability "
-                            f"{Fraction(weight, dist.denominator)}",
-                        )
-                        sums = [s + weight * c for s, c in zip(sums, scaled)]
+                        sums = [s + weight * c for s, c in zip(sums, cells_i)]
                 whole = dist.denominator * scale
                 cells.record(
                     sums == [whole * science.n11, whole * science.n00, whole * science.n10],

@@ -135,6 +135,14 @@ GOLDEN_TEXT = {
         "var tau-hat:            0.013805  (exact 0.013865)",
         "var(A - N1 tau-hat):    15.058890  (exact 15.238095)",
     ),
+    # Two chunks of oracle._MC_CHUNK draws: the tally decode spans both.
+    "simulate 13 10 0 30 --n1 32 --draws 100000 --seed 1": (
+        "100000 draws, seed 1 (numpy.random.Generator(PCG64(seed=1)), numpy NUMPY_VERSION)",
+        "tau:                    0.189",
+        "mean tau-hat:           0.189",
+        "var tau-hat:            0.013795  (exact 0.013865)",
+        "var(A - N1 tau-hat):    15.195494  (exact 15.238095)",
+    ),
 }
 
 GOLDEN_JSON = {
@@ -226,6 +234,8 @@ GOLDEN_FILES = {
     "sensitivity 144 112 40 128 --n01-max 10 --format csv":
         "sensitivity_144_112_40_128_n01_10.csv",
     "sensitivity 144 112 40 128 --format csv": "sensitivity_144_112_40_128.csv",
+    # The identity counts of a passing report, which verify can add up in bulk.
+    "verify --max-n 8": "verify_max_n_8.txt",
     "posterior 144 112 40 128 --target tau --format json"
     " --prior-file tests/data/prior_144_112_40_128.json":
         "posterior_144_112_40_128_tau_prior.json",

@@ -40,6 +40,7 @@ half of them with a one-unit arm.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -89,6 +90,7 @@ from causalurn import (
 )
 from causalurn.attributable import _pvalue_numerator
 from causalurn.tables import _rows, _run_box, support_rows
+from causalurn.verify import science_tables_up_to
 
 PROPERTY = settings(max_examples=30, deadline=None)
 ORACLE = settings(max_examples=100, deadline=None)
@@ -622,6 +624,21 @@ def sciences(draw, max_total=12):
 def _ways(science, types) -> int:
     counts = (science.n11, science.n10, science.n01, science.n00)
     return math.prod(math.comb(c, x) for c, x in zip(counts, types))
+
+
+def test_oracle_compositions_tally_the_labelled_assignments():
+    # Units labelled by type, in the order 11, 10, 01, 00: each treated set
+    # of every science table with N <= 7 counts once toward its type
+    # composition, and the oracle lists those counts in lexicographic order.
+    for science in science_tables_up_to(7):
+        counts = (science.n11, science.n10, science.n01, science.n00)
+        types = [t for t, count in enumerate(counts) for _ in range(count)]
+        for n_treated in range(1, science.total):
+            tally = Counter()
+            for treated in itertools.combinations(range(science.total), n_treated):
+                tally[tuple(sum(types[u] == t for u in treated) for t in range(4))] += 1
+            expected = [(*composition, ways) for composition, ways in sorted(tally.items())]
+            assert list(enumerate_assignments(science, n_treated).compositions) == expected
 
 
 @ORACLE

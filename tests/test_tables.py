@@ -15,6 +15,7 @@ from causalurn import (
     in_general_support,
     monotone_support,
 )
+from causalurn.tables import support_rows
 
 
 class TestScienceTable:
@@ -183,6 +184,14 @@ class TestGeneralSupport:
     def test_infeasible_n01_gives_empty_set(self, pit):
         # Empty is a value, not an error: sweeps skip such rows.
         assert general_support(pit, pit.n10 + pit.n01 + 1) == ()
+
+    def test_infeasible_n01_is_empty_with_more_rows_than_len_allows(self):
+        # About 10^20 rows would be too many for len(); with n01 above
+        # n10_obs + n01_obs there is no run, so no row is counted at all.
+        obs = ObservedTable(10**20, 1, 1, 1)
+        assert support_rows(obs, 10) == []
+        assert general_support(obs, 10) == ()
+        assert not in_general_support(obs, ParameterPoint(5, 5, 10))
 
     @pytest.mark.parametrize("n01", [0, 1])
     def test_matches_oracle_positive_probability(self, n01):

@@ -1,5 +1,6 @@
 """The identity suite passes as shipped and catches injected mutations."""
 
+import dataclasses
 import inspect
 import sys
 from fractions import Fraction
@@ -13,11 +14,12 @@ from causalurn import (
     likelihood,
     likelihood_exact,
     moments,
+    oracle,
     tables,
     tau_posterior,
 )
 from causalurn.cli import EXIT_VERIFY, main
-from causalurn.tables import InfeasibleError, ObservedTable
+from causalurn.tables import InfeasibleError, ObservedTable, ScienceTable
 from causalurn.verify import run_verification, science_tables_up_to
 import test_properties
 
@@ -262,6 +264,38 @@ def test_detects_cells_that_add_the_harmed_count(monkeypatch, capsys):
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
     assert [line[:4] for line in lines[:7]] == ["PASS", "FAIL"] + ["PASS"] * 5
+
+
+def test_detects_an_oracle_that_swaps_two_way_counts(monkeypatch, capsys):
+    # One treated unit of science (2, 1, 0, 1): a treated never-responder and a
+    # treated always-responder reach different observed tables, in 1 and 2 ways.
+    # Swapped, the way counts still total C(4, 1), so only this science table's
+    # identities fail: two likelihoods, the moments and the cell means.
+    target = ScienceTable(2, 1, 0, 1)
+    original = oracle.enumerate_assignments
+    never, helped, always = original(target, 1).compositions
+    assert (never[4], always[4]) == (1, 2)
+
+    def mutated(science, n_treated):
+        dist = original(science, n_treated)
+        if (science, n_treated) != (target, 1):
+            return dist
+        swapped = (never[:4] + (always[4],), helped, always[:4] + (never[4],))
+        return dataclasses.replace(dist, compositions=swapped)
+
+    monkeypatch.setattr(oracle, "enumerate_assignments", mutated)
+    code = main(["verify", "--max-n", "4", "--draws", "2000"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_VERIFY
+    assert lines[3] == ("FAIL  likelihood equals assignment probability: "
+                        "353 identities checked, 2 failed")
+    assert lines[4].startswith("PASS  support matches positive probability:")
+    failures = [line for line in lines if line.startswith("  failure [")]
+    assert failures and all(f"science={target} N1=1" in line for line in failures)
+    assert [line.split(" obs=")[1] for line in failures if " obs=" in line] == [
+        "ObservedTable(n11=0, n10=1, n01=2, n00=1): likelihood != probability 1/2",
+        "ObservedTable(n11=1, n10=0, n01=1, n00=2): likelihood != probability 1/4",
+    ]
 
 
 # The whole report of verify --max-n 5 --draws 2000 with every seed taking
