@@ -88,10 +88,11 @@ class Prior:
     def __post_init__(self) -> None:
         if self.weights is None:
             return
-        table = {
-            (_count(n11, "n11"), _count(n10, "n10")): Fraction(w)
-            for (n11, n10), w in self.weights.items()
-        }
+        table = {}
+        for (n11, n10), w in self.weights.items():
+            if w != w or w in (math.inf, -math.inf):  # Fraction(w) would not name the point
+                raise ValueError(f"prior weight at (n11, n10) = ({n11}, {n10}) must be finite")
+            table[_count(n11, "n11"), _count(n10, "n10")] = Fraction(w)
         if any(w < 0 for w in table.values()):
             raise ValueError("prior weights must be nonnegative")
         if not any(table.values()):

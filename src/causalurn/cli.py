@@ -93,14 +93,14 @@ def _interval_json(estimate: IntervalEstimate) -> dict:
     }
 
 
-def _emit(args, echo: dict, fields: dict, csv=None, text=None) -> int:
-    """Print a result in ``args.format``: JSON ``fields`` after the schema tag
-    and the ``input`` echo, or the CSV header and rows of cells that ``csv()``
-    returns, or the lines of ``text()``. Only the requested renderer runs.
+def _emit(args, echo: dict, fields, csv=None, text=None) -> int:
+    """Print a result in ``args.format``: JSON ``fields()`` after the schema
+    tag and the ``input`` echo, or the CSV header and rows of cells that
+    ``csv()`` returns, or the lines of ``text()``. Only the requested one runs.
     """
     schema = f"causalurn.{args.command}.v1"
     if args.format == "json":
-        print(json.dumps({"schema": schema, "input": echo, **fields}, indent=2))
+        print(json.dumps({"schema": schema, "input": echo, **fields()}, indent=2))
     elif args.format == "csv":
         header, rows = csv()
         print("\n".join([f"# {schema}", header, *(",".join(map(_cell, row)) for row in rows)]))
@@ -146,7 +146,7 @@ def cmd_estimate(args) -> int:
     labels = {"sensitivity": f"sensitivity(n01={args.n01})"}
     return _emit(
         args, {"table": args.counts, "method": args.method, "n01": args.n01, "level": args.level},
-        {"tau_hat": _machine(t), "estimates": [_interval_json(row) for row in rows]},
+        lambda: {"tau_hat": _machine(t), "estimates": [_interval_json(row) for row in rows]},
         text=lambda: [f"tau-hat: {_fmt(t)}"] + [
             f"{labels.get(row.method, row.method):<22} {_fmt(row.point)}  "
             f"[{_fmt(row.lower)}, {_fmt(row.upper)}]  length {_fmt(row.length)}"
@@ -191,21 +191,16 @@ def cmd_sensitivity(args) -> int:
         else (row, dist.median(), dist.mode(), bayes.hpd_interval(dist, args.level))
         for row, dist in zip(sweep, bayes.tau_posterior_sweep(obs, range(hi + 1)))
     ]
-    entries = []
-    for row, med, mode, hpd in rows:
-        entry = {"n01": row.n01, "point": _machine(row.point), "feasible": row.feasible}
-        if row.feasible:
-            entry["variance"] = _machine(row.variance)
-            entry["moment"] = _interval_json(row.interval)
-        else:
-            entry["note"] = row.note
-        if hpd is not None:
-            entry["bayes"] = {
-                **_interval_json(hpd), "point": _machine(med), "mode": _machine(mode),
-            }
-        entries.append(entry)
     return _emit(
-        args, {"table": args.counts, "n01_max": hi, "level": args.level}, {"rows": entries},
+        args, {"table": args.counts, "n01_max": hi, "level": args.level},
+        lambda: {"rows": [
+            {"n01": row.n01, "point": _machine(row.point), "feasible": row.feasible,
+             **({"variance": _machine(row.variance), "moment": _interval_json(row.interval)}
+                if row.feasible else {"note": row.note}),
+             **({} if hpd is None else {"bayes": {
+                 **_interval_json(hpd), "point": _machine(med), "mode": _machine(mode)}})}
+            for row, med, mode, hpd in rows
+        ]},
         csv=lambda: (
             "n01,point,variance,lower,upper,length,"
             "bayes_point,bayes_lower,bayes_upper,bayes_length,feasible",
@@ -282,7 +277,7 @@ def cmd_posterior(args) -> int:
         args,
         {"table": args.counts, "target": args.target, "n01": args.n01,
          "prior_file": args.prior_file},
-        {"support": values, "mass": masses},
+        lambda: {"support": values, "mass": masses},
         csv=lambda: ("value,mass", zip(values, masses)),
     )
 
@@ -296,18 +291,7 @@ def cmd_attributable(args) -> int:
         obs, args.level, compat_paper_mse=args.compat_paper_mse
     )
     standardized = attributable.standardized_pvalues(curve) if args.curve else None
-
-    fields = {
-        "hl_estimate": list(hl),
-        "inversion": _interval_json(estimate),
-        "retained": list(retained),
-        "prediction": _interval_json(prediction),
-    }
-    if standardized is not None:
-        masses = _masses(standardized)
-        fields["standardized_pvalues"] = {
-            "support": [int(v) for v in standardized.support], "mass": masses,
-        }
+    masses = None if standardized is None else _masses(standardized)
 
     def text():
         lines = [
@@ -332,7 +316,16 @@ def cmd_attributable(args) -> int:
         args,
         {"table": args.counts, "alpha": args.alpha, "level": args.level,
          "compat_paper_mse": args.compat_paper_mse},
-        fields, text=text,
+        lambda: {
+            "hl_estimate": list(hl),
+            "inversion": _interval_json(estimate),
+            "retained": list(retained),
+            "prediction": _interval_json(prediction),
+            **({} if standardized is None else {"standardized_pvalues": {
+                "support": [int(v) for v in standardized.support], "mass": masses,
+            }}),
+        },
+        text=text,
     )
 
 
@@ -361,7 +354,7 @@ def cmd_simulate(args) -> int:
     return _emit(
         args,
         {"science": args.counts, "n1": args.n1, "draws": args.draws, "seed": args.seed},
-        {
+        lambda: {
             "rng": dist.rng,
             "tau": _machine(science.tau),
             "tau_hat_mean": _machine(mean),

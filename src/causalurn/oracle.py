@@ -94,16 +94,19 @@ class AssignmentDistribution:
     @property
     def records(self) -> tuple[AssignmentRecord, ...]:
         """One record per composition, in the same order; built on read."""
-        n1, n0 = self.n_treated, self.n_control
         return tuple([
-            AssignmentRecord(ObservedTable(n11, n1 - n11, n01, n0 - n01), c[:4], w, a)
+            AssignmentRecord(self._table(n11, n01), c[:4], w, a)
             for c, (w, n11, n01, a) in zip(self.compositions, self._observed())
         ])
 
     @property
     def outcomes(self) -> dict:
         """Probability of each observed table, in first-seen order; built on read."""
-        return {obs: Fraction(w, self.denominator) for obs, w in self._outcome_weights().items()}
+        return {self._table(*key): Fraction(w, self.denominator)
+                for key, w in self._tables().items()}
+
+    def _table(self, n11: int, n01: int) -> ObservedTable:
+        return ObservedTable(n11, self.n_treated - n11, n01, self.n_control - n01)
 
     def _observed(self) -> Iterator[tuple[int, int, int, int]]:
         # (weight, n11_obs, n01_obs, A) of each composition.
@@ -111,13 +114,13 @@ class AssignmentDistribution:
         return ((w, x11 + x10, s11 - x11 + s01 - x01, x10 - x01)
                 for x11, x10, x01, _, w in self.compositions)
 
-    def _outcome_weights(self) -> dict:
-        """Summed integer weight of each observed table, in first-seen order."""
-        tally: Counter = Counter()
+    def _tables(self) -> dict:
+        """Summed integer weight of each observed table, keyed by its
+        (n11_obs, n01_obs), in first-seen order: the law the likelihood states."""
+        tally: dict = {}
         for weight, n11, n01, _ in self._observed():
-            tally[n11, n01] += weight
-        n1, n0 = self.n_treated, self.n_control
-        return {ObservedTable(n11, n1 - n11, n01, n0 - n01): w for (n11, n01), w in tally.items()}
+            tally[n11, n01] = tally.get((n11, n01), 0) + weight
+        return tally
 
     def _moments(self, pairs: Iterable[tuple[int, int]], scale: int) -> tuple:
         # Mean and variance of value / scale from the integer sums of w v
@@ -302,7 +305,8 @@ def normality_check(
     dist = monte_carlo(science, n_treated, draws, seed)
     tau = float(science.tau)
     studentized = []  # (z, number of draws)
-    for obs, weight in dist._outcome_weights().items():
+    for key, weight in dist._tables().items():
+        obs = dist._table(*key)
         variance = improved_variance(obs)
         if variance > 0:
             z = (float(tau_hat(obs)) - tau) / math.sqrt(variance)

@@ -5,10 +5,11 @@ exhaustive enumeration in exact arithmetic, the closed-form moments,
 ``moments.moment_cells`` and ``likelihood._grid``: its points are the
 support, its box and steps the sweep's, its ``tables._rows`` and ``_seed``
 those every one-count numerator reads, one point's included.
-Designs go one (N, N1) at a time; each numbers its observed tables once,
-i = n11_obs (N0 + 1) + n01_obs. A science table's integer way counts by i,
-None where unreached, must equal its point's walked numerators by i, None
-off the grid; only a mismatch is checked, and named, table by table.
+Designs go one (N, N1) at a time, every one checked against the
+enumeration cap first. A science table's integer way count of each observed
+table it reaches, the oracle's ``_tables()`` keyed by (n11_obs, n01_obs),
+must equal its point's walked numerators by the same key; only a mismatch
+is checked, and named, table by table.
 """
 
 from __future__ import annotations
@@ -78,21 +79,22 @@ def science_tables_up_to(max_n: int) -> Iterator[ScienceTable]:
                     yield ScienceTable(n11, n10, n01, total - n11 - n10 - n01)
 
 
-def _walk(tables: list, n01: int, scale: int) -> tuple[dict, list]:
-    # likelihood._grid's numerators as {(n11, n10): [w of tables[i], None off its grid]},
+def _walk(tables: list, n01: int, scale: int) -> tuple[dict, dict]:
+    # likelihood._grid's numerators as {(n11, n10): {(n11_obs, n01_obs): w on its grid}},
     # and moment_cells times scale = N1 N0: integers, unless moment_cells is wrong.
-    columns, scaled = {}, []
-    for i, obs in enumerate(tables):
+    columns, scaled = {}, {}
+    for obs in tables:
+        key = obs.n11, obs.n01
         try:
             grid = likelihood._grid(obs, n01)
         except InfeasibleError:
             grid = ()
         for n11, n10s, ws in grid:
             for n10, w in zip(n10s, ws):
-                columns.setdefault((n11, n10), [None] * len(tables))[i] = w
+                columns.setdefault((n11, n10), {})[key] = w
         cells = moments.moment_cells(obs, n01)
         parts = [divmod(cell.numerator * scale, cell.denominator) for cell in cells]
-        scaled.append([c * scale if rest else whole for c, (whole, rest) in zip(cells, parts)])
+        scaled[key] = [c * scale if rest else whole for c, (whole, rest) in zip(cells, parts)]
     return columns, scaled
 
 
@@ -107,6 +109,10 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
     lemma = CheckResult("treated-sum moments (constants)")
     mc = CheckResult("monte carlo agrees with exact moments")
 
+    for total in range(2, max_n + 1):  # every design within the cap before any is walked
+        for n_treated in range(1, total):
+            oracle._assignment_count(total, n_treated)
+
     for total, group in itertools.groupby(science_tables_up_to(max_n), lambda s: s.total):
         sciences = tuple(group)
         for n_treated in range(1, total):
@@ -114,7 +120,6 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
             tables = [ObservedTable(n11, n_treated - n11, n01, n_control - n01)
                       for n11 in range(n_treated + 1) for n01 in range(n_control + 1)]
             scale = n_treated * n_control
-            # Indexed by i = n11_obs (N0 + 1) + n01_obs, one walk per n01: this design's only.
             walks = [_walk(tables, n01, scale) for n01 in range(total + 1)]
             for science in sciences:
                 dist = oracle.enumerate_assignments(science, n_treated)
@@ -138,18 +143,16 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
                 )
 
                 columns, scaled = walks[science.n01]
-                responders = science.n11 + science.n01  # n01_obs = responders - x11 - x01
-                column = columns.get((science.n11, science.n10), [None] * len(tables))
-                ways = [0] * len(tables)  # ways[i]: the assignments that yield table i
-                for x11, x10, x01, _, weight in dist.compositions:
-                    ways[(x11 + x10) * (n_control + 1) + responders - x11 - x01] += weight
-                ways = [weight or None for weight in ways]  # None: unreachable
-                if column == ways:  # every support and likelihood identity here holds
+                column = columns.get((science.n11, science.n10), {})
+                ways = dist._tables()
+                if column == ways:  # the likelihood's table law is the oracle's
                     support.passed += len(tables)
-                    lik.passed += len(tables) - ways.count(None)
+                    lik.passed += len(ways)
                 else:  # each table's identities, one at a time, failures named
-                    for obs, walked, weight in zip(tables, column, ways):
-                        support.record((walked is None) == (weight is None), lambda: (
+                    for obs in tables:
+                        key = obs.n11, obs.n01
+                        walked, weight = column.get(key), ways.get(key)
+                        support.record((walked is None) == (not weight), lambda: (
                             f"{label()} obs={obs}: reachable table outside the support region"
                             if weight else
                             f"{label()} obs={obs}: unreachable table inside the support"
@@ -161,9 +164,8 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
                                 f"{Fraction(weight, dist.denominator)}",
                             )
                 sums = [0, 0, 0]  # way counts times scaled moment cells
-                for weight, cells_i in zip(ways, scaled):
-                    if weight:
-                        sums = [s + weight * c for s, c in zip(sums, cells_i)]
+                for key, weight in ways.items():
+                    sums = [s + weight * c for s, c in zip(sums, scaled[key])]
                 whole = dist.denominator * scale
                 cells.record(
                     sums == [whole * science.n11, whole * science.n00, whole * science.n10],

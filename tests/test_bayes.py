@@ -1,5 +1,6 @@
 """Discrete posteriors, priors, and highest-density windows."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,11 @@ class TestPrior:
             Prior({(1, 2): -1})
         with pytest.raises(ValueError):
             Prior({(1, 2): 0})
+
+    @pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_weight_naming_its_point(self, weight):
+        with pytest.raises(ValueError, match=r"^prior weight at .* = \(3, 4\) must be finite$"):
+            Prior({(1, 2): 1, (3, 4): weight})
 
     def test_rejects_bad_coordinates(self):
         with pytest.raises(ValueError):

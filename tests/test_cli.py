@@ -236,6 +236,7 @@ GOLDEN_FILES = {
     "sensitivity 144 112 40 128 --format csv": "sensitivity_144_112_40_128.csv",
     # The identity counts of a passing report, which verify can add up in bulk.
     "verify --max-n 8": "verify_max_n_8.txt",
+    "verify --max-n 10": "verify_max_n_10.txt",
     "posterior 144 112 40 128 --target tau --format json"
     " --prior-file tests/data/prior_144_112_40_128.json":
         "posterior_144_112_40_128_tau_prior.json",

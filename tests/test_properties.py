@@ -630,15 +630,24 @@ def test_oracle_compositions_tally_the_labelled_assignments():
     # Units labelled by type, in the order 11, 10, 01, 00: each treated set
     # of every science table with N <= 7 counts once toward its type
     # composition, and the oracle lists those counts in lexicographic order.
+    # It counts once toward its observed table as well: treated units of
+    # types 11 and 10 and control units of types 11 and 01 respond, and the
+    # oracle's one table tally, keyed by (n11_obs, n01_obs), holds those counts.
     for science in science_tables_up_to(7):
         counts = (science.n11, science.n10, science.n01, science.n00)
         types = [t for t, count in enumerate(counts) for _ in range(count)]
+        control_responders = science.n11 + science.n01  # when every unit is a control
         for n_treated in range(1, science.total):
-            tally = Counter()
+            tally, observed = Counter(), Counter()
             for treated in itertools.combinations(range(science.total), n_treated):
                 tally[tuple(sum(types[u] == t for u in treated) for t in range(4))] += 1
+                n11 = sum(types[u] in (0, 1) for u in treated)
+                n01 = control_responders - sum(types[u] in (0, 2) for u in treated)
+                observed[n11, n01] += 1
             expected = [(*composition, ways) for composition, ways in sorted(tally.items())]
-            assert list(enumerate_assignments(science, n_treated).compositions) == expected
+            dist = enumerate_assignments(science, n_treated)
+            assert list(dist.compositions) == expected
+            assert dist._tables() == observed
 
 
 @ORACLE

@@ -18,7 +18,7 @@ from causalurn import (
     tables,
     tau_posterior,
 )
-from causalurn.cli import EXIT_VERIFY, main
+from causalurn.cli import EXIT_INFEASIBLE, EXIT_VERIFY, main
 from causalurn.tables import InfeasibleError, ObservedTable, ScienceTable
 from causalurn.verify import run_verification, science_tables_up_to
 import test_properties
@@ -266,6 +266,25 @@ def test_detects_cells_that_add_the_harmed_count(monkeypatch, capsys):
     assert [line[:4] for line in lines[:7]] == ["PASS", "FAIL"] + ["PASS"] * 5
 
 
+def _assert_swapped_report(capsys, target):
+    # verify --max-n 4 with the way counts of two tables of ``target`` at
+    # N1 = 1 swapped: the likelihood identity fails at exactly those two
+    # tables, the support identity holds, and every failure names ``target``.
+    code = main(["verify", "--max-n", "4", "--draws", "2000"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_VERIFY
+    assert lines[3] == ("FAIL  likelihood equals assignment probability: "
+                        "353 identities checked, 2 failed")
+    assert lines[4].startswith("PASS  support matches positive probability:")
+    failures = [line for line in lines if line.startswith("  failure [")]
+    assert failures and all(f"science={target} N1=1" in line for line in failures)
+    assert [line.split(" obs=")[1] for line in failures if " obs=" in line] == [
+        "ObservedTable(n11=0, n10=1, n01=2, n00=1): likelihood != probability 1/2",
+        "ObservedTable(n11=1, n10=0, n01=1, n00=2): likelihood != probability 1/4",
+    ]
+    return lines
+
+
 def test_detects_an_oracle_that_swaps_two_way_counts(monkeypatch, capsys):
     # One treated unit of science (2, 1, 0, 1): a treated never-responder and a
     # treated always-responder reach different observed tables, in 1 and 2 ways.
@@ -284,18 +303,46 @@ def test_detects_an_oracle_that_swaps_two_way_counts(monkeypatch, capsys):
         return dataclasses.replace(dist, compositions=swapped)
 
     monkeypatch.setattr(oracle, "enumerate_assignments", mutated)
-    code = main(["verify", "--max-n", "4", "--draws", "2000"])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == EXIT_VERIFY
-    assert lines[3] == ("FAIL  likelihood equals assignment probability: "
-                        "353 identities checked, 2 failed")
-    assert lines[4].startswith("PASS  support matches positive probability:")
-    failures = [line for line in lines if line.startswith("  failure [")]
-    assert failures and all(f"science={target} N1=1" in line for line in failures)
-    assert [line.split(" obs=")[1] for line in failures if " obs=" in line] == [
-        "ObservedTable(n11=0, n10=1, n01=2, n00=1): likelihood != probability 1/2",
-        "ObservedTable(n11=1, n10=0, n01=1, n00=2): likelihood != probability 1/4",
-    ]
+    _assert_swapped_report(capsys, target)
+
+
+def test_detects_an_observed_table_map_that_swaps_two_way_counts(monkeypatch, capsys):
+    # The same swap made in the oracle's map from compositions to observed
+    # tables, its compositions left as they are. verify reads the likelihood's
+    # table law off that one map, as the moments do, so the likelihood
+    # identity fails with them.
+    target = ScienceTable(2, 1, 0, 1)
+    original = oracle.AssignmentDistribution._observed
+    compositions = oracle.enumerate_assignments(target, 1).compositions
+
+    def mutated(self):
+        rows = list(original(self))
+        if (self.science, self.n_treated) == (target, 1):
+            (never, *to_never), helped, (always, *to_always) = rows
+            rows = [(always, *to_never), helped, (never, *to_always)]
+        return iter(rows)
+
+    monkeypatch.setattr(oracle.AssignmentDistribution, "_observed", mutated)
+    assert oracle.enumerate_assignments(target, 1).compositions == compositions
+    lines = _assert_swapped_report(capsys, target)
+    assert [line[:4] for line in lines[:3]] == ["FAIL"] * 3
+
+
+def test_a_design_over_the_cap_fails_before_any_is_walked(monkeypatch, capsys):
+    # C(7, 2) = 21 is the first design of --max-n 9 over a cap of 20; every
+    # design is checked against the cap before any table is enumerated or walked.
+    def refuse(*args):
+        raise AssertionError("walked or enumerated a design before the cap check")
+
+    monkeypatch.setenv(oracle.ENUM_CAP_ENV, "20")
+    monkeypatch.setattr(oracle, "enumerate_assignments", refuse)
+    monkeypatch.setattr(likelihood, "_grid", refuse)
+    assert main(["verify", "--max-n", "9"]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "infeasible: C(7, 2) = 21 exceeds the cap 20; use monte_carlo instead\n"
+    )
 
 
 # The whole report of verify --max-n 5 --draws 2000 with every seed taking
