@@ -36,7 +36,7 @@ from statistics import median
 
 from .bayes import DiscreteDistribution
 from .moments import _plugin_margins, _prediction_mse, confidence_interval, tau_hat
-from .tables import IntervalEstimate, ObservedTable, _count
+from .tables import IntervalEstimate, ObservedTable, _count, _level
 
 
 def _pvalue_numerator(obs: ObservedTable, s: int) -> int:
@@ -138,9 +138,7 @@ def interval_A(
     ordering, hence the companion set. The point is the median of the
     Hodges-Lehmann set.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    num_a, den_a = alpha.as_integer_ratio()
+    num_a, den_a = _level(alpha, "alpha")
     threshold = num_a * curve.denominator
     pairs = zip(curve.values, curve.numerators)
     retained = tuple(a for a, num in pairs if num * den_a > threshold)
@@ -161,9 +159,9 @@ def neyman_predict(
 
     The mean squared error is the population formula
     N^2 N1 p0(1-p0) / {N0 (N-1)} that ``causalurn verify`` checks, with the
-    control-arm rate p0_hat plugged in; the interval is the normal one of
-    ``confidence_interval``. ``compat_paper_mse`` plugs in the treated-arm
-    rate p1_hat instead, a variant convention kept for comparability; see
+    observed control-arm rate plugged in; the interval is the normal one of
+    ``confidence_interval``. ``compat_paper_mse`` plugs in the observed
+    treated-arm rate instead, a variant convention kept for comparability; see
     the README. The prediction is not rounded to integers: out-of-range
     values are the moment method's documented behavior.
     """

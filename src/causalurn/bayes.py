@@ -25,6 +25,7 @@ from .tables import (
     ObservedTable,
     ParameterPoint,
     _count,
+    _level,
     support_rows,
 )
 
@@ -90,8 +91,11 @@ class Prior:
             return
         table = {}
         for (n11, n10), w in self.weights.items():
-            if w != w or w in (math.inf, -math.inf):  # Fraction(w) would not name the point
-                raise ValueError(f"prior weight at (n11, n10) = ({n11}, {n10}) must be finite")
+            at = f"prior weight at (n11, n10) = ({n11}, {n10})"
+            if isinstance(w, (str, bytes, bool)):  # Fraction(w) would parse or count these
+                raise ValueError(f"{at} must be a number, got {w!r}")
+            if w != w or w in (math.inf, -math.inf):
+                raise ValueError(f"{at} must be finite")
             table[_count(n11, "n11"), _count(n10, "n10")] = Fraction(w)
         if any(w < 0 for w in table.values()):
             raise ValueError("prior weights must be nonnegative")
@@ -219,9 +223,7 @@ def hpd_window(dist: DiscreteDistribution, level: float) -> tuple:
     to the leftmost. Returns (low value, high value, window mass). Window
     weights are compared with the level's exact value: w * den >= num * total.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    num, den = level.as_integer_ratio()
+    num, den = _level(level)
     weights = dist.weights
     size = len(weights)
     mode_index = weights.index(max(weights))

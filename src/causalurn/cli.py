@@ -109,14 +109,6 @@ def _emit(args, echo: dict, fields, csv=None, text=None) -> int:
     return EXIT_OK
 
 
-def _table(kind, args):
-    """The ObservedTable or ScienceTable named by the four positional counts."""
-    try:
-        return kind(*args.counts)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _check_draws_and_seed(args) -> None:
     if args.draws < 1:
         raise UsageError("--draws must be positive")
@@ -134,7 +126,7 @@ _VARIANCES = {
 
 
 def cmd_estimate(args) -> int:
-    obs = _table(ObservedTable, args)
+    obs = ObservedTable(*args.counts)
     if args.n01 < 0:
         raise UsageError("--n01 must be nonnegative")
     t = moments.tau_hat(obs)
@@ -172,7 +164,7 @@ def _interval_cells(point: str, estimate: Optional[IntervalEstimate]) -> str:
 
 
 def cmd_sensitivity(args) -> int:
-    obs = _table(ObservedTable, args)
+    obs = ObservedTable(*args.counts)
     if args.n01_max == "auto":
         _, hi = moments.n01_bounds(obs, "nonneg-correlation-and-effect")
     else:
@@ -267,7 +259,7 @@ def _load_prior(path: Optional[str]) -> bayes.Prior:
 
 
 def cmd_posterior(args) -> int:
-    obs = _table(ObservedTable, args)
+    obs = ObservedTable(*args.counts)
     prior = _load_prior(args.prior_file)
     posterior = bayes.tau_posterior if args.target == "tau" else bayes.a_posterior
     dist = posterior(obs, args.n01, prior)
@@ -283,7 +275,7 @@ def cmd_posterior(args) -> int:
 
 
 def cmd_attributable(args) -> int:
-    obs = _table(ObservedTable, args)
+    obs = ObservedTable(*args.counts)
     curve = attributable.pvalue_curve(obs)
     hl = attributable.hl_estimate(curve)
     estimate, retained = attributable.interval_A(curve, args.alpha)
@@ -342,7 +334,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    science = _table(ScienceTable, args)
+    science = ScienceTable(*args.counts)
     if not 1 <= args.n1 <= science.total - 1:
         raise UsageError("--n1 must leave both arms nonempty")
     _check_draws_and_seed(args)

@@ -7,18 +7,18 @@ causal effect. Its exact randomization variance, for a population with
     N/(N-1) * { p1(1-p1)/N1 + p0(1-p0)/N0 - tau(1-tau)/N - 2*n01/N^2 }
 
 which is identified once ``n01`` is fixed. ``_tau_variance`` states it
-once, on integers: every margin N p enters scaled by N1 N0, so N p1_hat
-and N p0_hat are N n11_obs N0 and N n01_obs N1, and a science table's
+once, on integers: every margin N p enters scaled by N1 N0, so observed
+N p1 and N p0 are N n11_obs N0 and N n01_obs N1, and a science table's
 margins are its counts times N1 N0. ``population_tau_variance`` and the
 plug-ins (``improved_variance``, ``neyman_variance``,
 ``sensitivity_variance``) make that one call; ``_prediction_mse`` does the
 same for the attributable-effect prediction. ``causalurn verify`` checks
 the population calls against enumeration for every design up to its
-``--max-n``; a property test checks the plug-ins, ``tau_hat``,
-``classic_neyman_variance`` and every sweep row against ``Fraction``
-formulas in p1_hat and p0_hat. The module also holds normal intervals, the
-feasible range for ``n01`` and a sweep over candidate ``n01`` values. Every
-estimator builds one exact ``Fraction``; intervals become floats last.
+``--max-n``; property tests check the plug-ins, ``tau_hat``,
+``classic_neyman_variance``, every sweep row and ``n01_bounds``, the
+feasible range for ``n01``, also on integer counts, against ``Fraction``
+formulas in the observed rates. The module also holds normal intervals.
+Every estimator builds one exact ``Fraction``; intervals become floats last.
 """
 
 from __future__ import annotations
@@ -30,15 +30,14 @@ from statistics import NormalDist
 from typing import Iterable, NamedTuple, Optional
 
 from .tables import (InfeasibleError, IntervalEstimate, ObservedTable, ScienceTable, _count,
-                     _n_control)
+                     _level, _n_control)
 
 ASSUMPTIONS = ("frechet", "nonneg-correlation", "nonneg-correlation-and-effect")
 
 
 def normal_quantile(level: float) -> float:
     """Two-sided standard normal quantile for a central interval."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    _level(level)
     upper = (1.0 + level) / 2.0
     if upper == 1.0:  # level within 1e-16 of 1: the quantile would be infinite
         raise ValueError(f"level {level} is too close to 1 for a normal quantile")
@@ -101,7 +100,7 @@ def _prediction_mse(total: int, n_treated: int, y0: int) -> Fraction:
 
 
 def _plugin_margins(obs: ObservedTable) -> tuple[int, int, int]:
-    """N p1_hat N1 N0 = N n11 N0, N p0_hat N1 N0 = N n01 N1, and their difference."""
+    """N n11 N0 and N n01 N1, observed N p1 and N p0 times N1 N0, and their difference."""
     y1, y0 = obs.total * obs.n11 * obs.n_control, obs.total * obs.n01 * obs.n_treated
     return y1, y0, y1 - y0
 
@@ -158,18 +157,13 @@ def n01_bounds(
     """
     if assumption not in ASSUMPTIONS:
         raise ValueError(f"unknown assumption {assumption!r}")
-    total = obs.total
-    p1, p0 = obs.p1_hat, obs.p0_hat
-    t = p1 - p0
-    if assumption == "frechet":
-        lo = max(0, math.ceil(-total * t))
-        hi = math.floor(min(total * p0, total * (1 - p1)))
-    elif assumption == "nonneg-correlation":
-        lo = max(0, math.ceil(-total * t))
-        hi = math.floor(total * p0 * (1 - p1))
-    else:
+    total, n1, n0 = obs.total, obs.n_treated, obs.n_control
+    lo = max(0, -(total * (obs.n11 * n0 - obs.n01 * n1) // (n1 * n0)))  # ceil(-N tau_hat)
+    hi = total * obs.n01 * obs.n10 // (n0 * n1)  # floor(N p0 (1 - p1))
+    if assumption == "frechet":  # floor(min(N p0, N (1 - p1)))
+        hi = min(total * obs.n01 // n0, total * obs.n10 // n1)
+    elif assumption == "nonneg-correlation-and-effect":
         lo = 0
-        hi = math.floor(total * p0 * (1 - p1))
     if hi < lo:
         raise InfeasibleError(
             f"data are inconsistent with assumption {assumption!r}: "

@@ -276,10 +276,6 @@ class NormalityReport:
     is skipped, like a degenerate science table.
     """
 
-    science: ScienceTable
-    n_treated: int
-    draws: int
-    seed: int
     skipped: bool
     ks_statistic: Optional[float] = None
     excluded: int = 0
@@ -299,8 +295,7 @@ def normality_check(
         raise ValueError("need at least 10^4 draws for a stable distance")
     if population_tau_variance(science, n_treated) == 0:
         return NormalityReport(
-            science=science, n_treated=n_treated, draws=draws, seed=seed,
-            skipped=True, reason="degenerate science table: estimator variance is 0",
+            skipped=True, reason="degenerate science table: estimator variance is 0"
         )
     dist = monte_carlo(science, n_treated, draws, seed)
     tau = float(science.tau)
@@ -314,7 +309,6 @@ def normality_check(
     usable = sum(weight for _, weight in studentized)
     if not usable:
         return NormalityReport(
-            science=science, n_treated=n_treated, draws=draws, seed=seed,
             skipped=True, excluded=draws, rng=dist.rng,
             reason="no draw has a positive plug-in variance",
         )
@@ -326,6 +320,5 @@ def normality_check(
         distance = max(distance, above / usable - cdf(z), cdf(z) - below / usable)
         below = above
     return NormalityReport(
-        science=science, n_treated=n_treated, draws=draws, seed=seed,
-        skipped=False, ks_statistic=distance, excluded=draws - usable, rng=dist.rng,
+        skipped=False, ks_statistic=distance, excluded=draws - usable, rng=dist.rng
     )

@@ -56,8 +56,15 @@ def _counts(table, names: tuple) -> None:
 def _n_control(total: int, n_treated: int) -> int:
     """N0 = N - N1, after checking that both arms are nonempty."""
     if not 1 <= n_treated <= total - 1:
-        raise ValueError("n_treated must leave both arms nonempty")
+        raise ValueError("both arms must contain at least one unit")
     return total - n_treated
+
+
+def _level(value, name: str = "level") -> tuple[int, int]:
+    """The exact ratio of a level or alpha, after checking 0 < value < 1."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+    return value.as_integer_ratio()
 
 
 @dataclass(frozen=True)
@@ -85,14 +92,6 @@ class ScienceTable:
         return self.n11 + self.n10 + self.n01 + self.n00
 
     @property
-    def p1(self) -> Fraction:
-        return Fraction(self.n11 + self.n10, self.total)
-
-    @property
-    def p0(self) -> Fraction:
-        return Fraction(self.n11 + self.n01, self.total)
-
-    @property
     def tau(self) -> Fraction:
         """Average causal effect (n10 - n01) / N."""
         return Fraction(self.n10 - self.n01, self.total)
@@ -117,8 +116,7 @@ class ObservedTable:
 
     def __post_init__(self) -> None:
         _counts(self, ("n11", "n10", "n01", "n00"))
-        if self.n_treated < 1 or self.n_control < 1:
-            raise ValueError("both arms must contain at least one unit")
+        _n_control(self.total, self.n_treated)
 
     @property
     def total(self) -> int:
@@ -131,14 +129,6 @@ class ObservedTable:
     @property
     def n_control(self) -> int:
         return self.n01 + self.n00
-
-    @property
-    def p1_hat(self) -> Fraction:
-        return Fraction(self.n11, self.n_treated)
-
-    @property
-    def p0_hat(self) -> Fraction:
-        return Fraction(self.n01, self.n_control)
 
 
 @dataclass(frozen=True, order=True)
@@ -187,8 +177,7 @@ class IntervalEstimate:
     def __post_init__(self) -> None:
         if self.method not in INTERVAL_METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {self.level}")
+        _level(self.level)
         if self.lower > self.upper:
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 

@@ -87,6 +87,15 @@ class TestPrior:
         with pytest.raises(ValueError, match=r"^prior weight at .* = \(3, 4\) must be finite$"):
             Prior({(1, 2): 1, (3, 4): weight})
 
+    @pytest.mark.parametrize("weight", ["1/3", "nan", b"1", True],
+                             ids=["fraction-string", "nan-string", "bytes", "bool"])
+    def test_rejects_a_weight_that_is_not_a_number_naming_its_point(self, weight):
+        with pytest.raises(ValueError) as raised:
+            Prior({(1, 2): 1, (3, 4): weight})
+        assert str(raised.value) == (
+            f"prior weight at (n11, n10) = (3, 4) must be a number, got {weight!r}"
+        )
+
     def test_rejects_bad_coordinates(self):
         with pytest.raises(ValueError):
             Prior({(-1, 2): 1})

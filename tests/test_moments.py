@@ -223,7 +223,9 @@ class TestPopulationFormulas:
         # variance lies between the uncorrelated and the no-harm extremes.
         for science in science_tables_up_to(8):
             n = science.total
-            p1, p0, tau = science.p1, science.p0, science.tau
+            p1 = Fraction(science.n11 + science.n10, n)
+            p0 = Fraction(science.n11 + science.n01, n)
+            tau = science.tau
             if science.n01 > n * p0 * (1 - p1):
                 continue
             for n1 in range(1, n):

@@ -1,5 +1,6 @@
 """The enumeration oracle itself: exactness, caps, Monte Carlo, normality."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from causalurn import (
     population_attributable_mse,
     population_tau_variance,
 )
-from causalurn.oracle import DEFAULT_ENUM_CAP, ENUM_CAP_ENV, enumeration_cap
+from causalurn.oracle import DEFAULT_ENUM_CAP, ENUM_CAP_ENV, NormalityReport, enumeration_cap
 
 
 class TestEnumerate:
@@ -210,3 +211,9 @@ class TestNormalityCheck:
     def test_requires_enough_draws(self):
         with pytest.raises(ValueError):
             normality_check(ScienceTable(10, 10, 0, 20), 20, draws=100, seed=0)
+
+    def test_the_report_holds_its_findings_not_the_call(self):
+        # The science table, N1, draws and seed are the caller's own arguments.
+        assert [field.name for field in dataclasses.fields(NormalityReport)] == [
+            "skipped", "ks_statistic", "excluded", "reason", "rng"
+        ]

@@ -34,8 +34,10 @@ formulas they replaced, on science tables of up to 400 units. The plug-in
 variances, which evaluate the same closed form on integer margins scaled by
 N1 N0, the classic variance, tau_hat, every row of a sensitivity sweep over
 n01 = 0..N and the prediction intervals are checked against those formulas
-in p1_hat, p0_hat and tau_hat on observed tables of up to 90 units, about
-half of them with a one-unit arm.
+in the rates p1_hat = n11_obs / N1 and p0_hat = n01_obs / N0, which the
+tests state themselves, on observed tables of up to 90 units, about half of
+them with a one-unit arm; ``n01_bounds`` against the same rates on tables
+with counts up to 10^24.
 """
 
 import itertools
@@ -74,6 +76,7 @@ from causalurn import (
     mle,
     moment_cells,
     monte_carlo,
+    n01_bounds,
     neyman_predict,
     neyman_variance,
     population_attributable_mse,
@@ -89,6 +92,7 @@ from causalurn import (
     tau_posterior_sweep,
 )
 from causalurn.attributable import _pvalue_numerator
+from causalurn.moments import ASSUMPTIONS
 from causalurn.tables import _rows, _run_box, support_rows
 from causalurn.verify import science_tables_up_to
 
@@ -761,10 +765,22 @@ def test_integer_moments_equal_the_fraction_reference(science):
         )
 
 
+def _science_rates(science):
+    """p1 and p0: the shares of a science table's units responding under
+    treatment and under control."""
+    return (Fraction(science.n11 + science.n10, science.total),
+            Fraction(science.n11 + science.n01, science.total))
+
+
+def _observed_rates(obs):
+    """p1_hat and p0_hat: the observed success rates of the two arms."""
+    return Fraction(obs.n11, obs.n_treated), Fraction(obs.n01, obs.n_control)
+
+
 def _reference_tau_variance(science, n_treated):
     """The Fraction chain the integer closed form replaced."""
     total, n_control = science.total, science.total - n_treated
-    p1, p0, tau = science.p1, science.p0, science.tau
+    (p1, p0), tau = _science_rates(science), science.tau
     inner = (
         p1 * (1 - p1) / n_treated
         + p0 * (1 - p0) / n_control
@@ -775,7 +791,7 @@ def _reference_tau_variance(science, n_treated):
 
 
 def _reference_attributable_mse(science, n_treated):
-    total, p0 = science.total, science.p0
+    total, (_, p0) = science.total, _science_rates(science)
     return Fraction(total * total * n_treated, (total - n_treated) * (total - 1)) * p0 * (1 - p0)
 
 
@@ -796,7 +812,7 @@ def _reference_plugins(obs, n01):
     p0_hat and tau_hat: neyman, improved, sensitivity at n01, and the MSE
     from the control-arm and from the treated-arm rate."""
     total, n_treated, n_control = obs.total, obs.n_treated, obs.n_control
-    p1, p0 = obs.p1_hat, obs.p0_hat
+    p1, p0 = _observed_rates(obs)
     tau = p1 - p0
     core = p1 * (1 - p1) / n_treated + p0 * (1 - p0) / n_control
     improved = Fraction(total, total - 1) * (core - tau * (1 - tau) / total)
@@ -826,7 +842,7 @@ def test_plugins_are_the_fraction_formulas_at_estimated_margins(obs):
     # variance, are drawn as often as the others.
     level = 0.9
     z = NormalDist().inv_cdf((1 + level) / 2)
-    p1, p0 = obs.p1_hat, obs.p0_hat
+    p1, p0 = _observed_rates(obs)
     assert tau_hat(obs) == p1 - p0
     classic = None
     if min(obs.n_treated, obs.n_control) >= 2:
@@ -861,6 +877,62 @@ def test_plugins_are_the_fraction_formulas_at_estimated_margins(obs):
             centre, centre - half, centre + half
         )
 
+
+
+def _reference_n01_bounds(obs, assumption):
+    """``n01_bounds`` as the Fraction formula in the observed rates it replaced."""
+    total = obs.total
+    p1, p0 = _observed_rates(obs)
+    t = p1 - p0
+    if assumption == "frechet":
+        lo = max(0, math.ceil(-total * t))
+        hi = math.floor(min(total * p0, total * (1 - p1)))
+    elif assumption == "nonneg-correlation":
+        lo = max(0, math.ceil(-total * t))
+        hi = math.floor(total * p0 * (1 - p1))
+    else:
+        lo = 0
+        hi = math.floor(total * p0 * (1 - p1))
+    if hi < lo:
+        raise InfeasibleError(
+            f"data are inconsistent with assumption {assumption!r}: "
+            f"bounds [{lo}, {hi}] are empty"
+        )
+    return lo, hi
+
+
+def _bounds_or_message(bounds, obs, assumption):
+    try:
+        return bounds(obs, assumption)
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+# Small counts reach the empty and the one-point ranges; large ones the
+# integer floors far past a float's 53 bits.
+COUNT = st.one_of(st.integers(0, 8), st.integers(0, 10**24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(COUNT, COUNT, COUNT, COUNT).filter(lambda c: c[0] + c[1] and c[2] + c[3]),
+       st.sampled_from(ASSUMPTIONS))
+def test_n01_bounds_are_the_fraction_formula_at_any_size(counts, assumption):
+    obs = ObservedTable(*counts)
+    assert _bounds_or_message(n01_bounds, obs, assumption) == _bounds_or_message(
+        _reference_n01_bounds, obs, assumption
+    )
+
+
+def test_n01_bounds_are_the_fraction_formula_on_every_small_table():
+    infeasible = 0
+    for counts in itertools.product(range(9), repeat=4):
+        if counts[0] + counts[1] and counts[2] + counts[3]:
+            obs = ObservedTable(*counts)
+            for assumption in ASSUMPTIONS:
+                expected = _bounds_or_message(_reference_n01_bounds, obs, assumption)
+                assert _bounds_or_message(n01_bounds, obs, assumption) == expected
+                infeasible += isinstance(expected, str)
+    assert infeasible  # the InfeasibleError text is compared, not only the bounds
 
 @ORACLE
 @given(sciences(max_total=60), st.data(), st.integers(1, 5000), st.integers(0, 2**32))

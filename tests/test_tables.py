@@ -1,37 +1,43 @@
-"""Domain types and feasibility regions."""
+"""Domain types, feasibility regions and the input rules every module shares."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from causalurn import (
+    DiscreteDistribution,
     IntervalEstimate,
     ObservedTable,
     ParameterPoint,
     ScienceTable,
     enumerate_assignments,
     general_support,
+    hpd_window,
     in_general_support,
+    interval_A,
     monotone_support,
+    population_tau_variance,
+    pvalue_curve,
+    tau_posterior,
 )
+from causalurn.moments import normal_quantile
 from causalurn.tables import support_rows
 
 
 class TestScienceTable:
     @pytest.mark.parametrize(
-        "cells, p1, p0, tau, s",
+        "cells, tau, s",
         [
-            ((13, 10, 0, 30), Fraction(23, 53), Fraction(13, 53), Fraction(10, 53), 13),
-            ((1, 2, 0, 1), Fraction(3, 4), Fraction(1, 4), Fraction(1, 2), 1),
-            ((0, 0, 0, 2), Fraction(0), Fraction(0), Fraction(0), 0),
+            ((13, 10, 0, 30), Fraction(10, 53), 13),
+            ((1, 2, 0, 1), Fraction(1, 2), 1),
+            ((0, 0, 0, 2), Fraction(0), 0),
         ],
     )
-    def test_margins(self, cells, p1, p0, tau, s):
+    def test_margins(self, cells, tau, s):
         science = ScienceTable(*cells)
-        assert (science.p1, science.p0, science.tau, science.n11 + science.n01) == (
-            p1, p0, tau, s
-        )
+        assert (science.tau, science.n11 + science.n01) == (tau, s)
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
@@ -63,11 +69,9 @@ class TestObservedTable:
         with pytest.raises(ValueError):
             ObservedTable(0, 0, 1, 1)
 
-    def test_rates(self, pit):
+    def test_arm_sizes(self, pit):
         assert pit.n_treated == 32
         assert pit.n_control == 21
-        assert pit.p1_hat == Fraction(18, 32)
-        assert pit.p0_hat == Fraction(5, 21)
 
 
 @pytest.mark.parametrize("table", [ObservedTable, ScienceTable])
@@ -102,6 +106,48 @@ class TestCountValidation:
 def test_observed_table_with_an_empty_arm_is_rejected(counts):
     with pytest.raises(ValueError, match="both arms must contain at least one unit"):
         ObservedTable(*counts)
+
+
+SCIENCE = ScienceTable(1, 2, 0, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ObservedTable(1, 1, 0, 0),
+    lambda: population_tau_variance(SCIENCE, 0),
+    lambda: enumerate_assignments(SCIENCE, SCIENCE.total),
+], ids=["ObservedTable", "population_tau_variance", "enumerate_assignments"])
+def test_every_empty_arm_meets_one_message(call):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == "both arms must contain at least one unit"
+
+
+WORKED = ObservedTable(18, 14, 5, 16)
+
+# Each reader of a level, with the name its message gives the value.
+LEVEL_READERS = {
+    "normal_quantile": (normal_quantile, "level"),
+    "IntervalEstimate": (lambda v: IntervalEstimate(0.0, 0.0, 0.0, v, "neyman"), "level"),
+    "hpd_window": (lambda v: hpd_window(DiscreteDistribution((0, 1), (1, 1)), v), "level"),
+    "interval_A": (lambda v: interval_A(pvalue_curve(WORKED), v), "alpha"),
+}
+
+
+@pytest.mark.parametrize("reader, name", LEVEL_READERS.values(), ids=LEVEL_READERS)
+@pytest.mark.parametrize("value", [0, 1, -0.5, 1.5, math.nan])
+def test_every_level_reader_rejects_a_level_outside_the_unit_interval(reader, name, value):
+    with pytest.raises(ValueError) as raised:
+        reader(value)
+    assert str(raised.value) == f"{name} must be in (0, 1), got {value}"
+
+
+@pytest.mark.parametrize("level", [0.95, 0.75, 0.1])
+def test_a_fraction_level_reads_as_the_equal_float(level):
+    exact = Fraction(level)  # the float's own value, not the decimal it prints as
+    dist = tau_posterior(WORKED, 0)
+    assert hpd_window(dist, exact) == hpd_window(dist, level)
+    curve = pvalue_curve(WORKED)
+    assert interval_A(curve, exact) == interval_A(curve, level)
 
 
 class TestParameterPoint:
