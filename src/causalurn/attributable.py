@@ -166,8 +166,9 @@ def neyman_predict(
     values are the moment method's documented behavior.
     """
     y1, y0, _ = _plugin_margins(obs)
-    mse = _prediction_mse(obs.total, obs.n_treated, y1 if compat_paper_mse else y0)
-    return confidence_interval(obs.n_treated * tau_hat(obs), mse, level, method="prediction")
+    top, bottom = _prediction_mse(obs.total, obs.n_treated, y1 if compat_paper_mse else y0)
+    point = obs.n_treated * tau_hat(obs)
+    return confidence_interval(point, top / bottom, level, method="prediction")
 
 
 def standardized_pvalues(curve: PValueCurve) -> DiscreteDistribution:

@@ -6,7 +6,9 @@ normalized over the finite support. Posteriors of derived quantities (the
 average effect, the attributable effect) are pushforwards of that point
 posterior. Every distribution holds integer weights over their total, built
 from the likelihood's integer numerators, so modes and highest-density windows
-are decided on integers at every N; ``mass`` is their exact rational view.
+are decided on integers at every N. The support is held as integer ``values``
+over one ``denominator``, N for tau and 1 for A; ``support``, ``mass``, ``mode``,
+``median`` and ``hpd_window`` build the exact rationals they return on read.
 """
 
 from __future__ import annotations
@@ -32,22 +34,35 @@ from .tables import (
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Nonnegative integer weights on a strictly increasing support; p = w / total."""
+    """Integer weights w on the strictly increasing support values / denominator; p = w / total."""
 
-    support: tuple
+    values: tuple
     weights: tuple
+    denominator: int = 1
 
     def __post_init__(self) -> None:
-        if len(self.support) != len(self.weights):
+        if len(self.values) != len(self.weights):
             raise ValueError("support and weights must align")
-        if not self.support:
+        if not self.values:
             raise ValueError("empty distribution")
-        if any(b <= a for a, b in zip(self.support, self.support[1:])):
+        if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("support must be strictly increasing")
         if any(not isinstance(w, int) or w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative integers")
         if not any(self.weights):
             raise ValueError("weights must have a positive sum")
+        if type(self.denominator) is not int or self.denominator < 1:
+            raise ValueError(f"denominator must be a positive integer, got {self.denominator!r}")
+
+    @property
+    def support(self) -> tuple:
+        """``values``, each over ``denominator`` unless that is 1."""
+        d = self.denominator
+        return self.values if d == 1 else tuple(Fraction(v, d) for v in self.values)
+
+    def _at(self, index: int):
+        value = self.values[index]
+        return value if self.denominator == 1 else Fraction(value, self.denominator)
 
     @property
     def total(self) -> int:
@@ -60,7 +75,7 @@ class DiscreteDistribution:
 
     def mode(self):
         """Smallest support value attaining the maximum weight."""
-        return self.support[self.weights.index(max(self.weights))]
+        return self._at(self.weights.index(max(self.weights)))
 
     def median(self):
         """Smallest support value whose cumulative mass reaches one half.
@@ -69,9 +84,9 @@ class DiscreteDistribution:
         stays at 17/53; both move at n01 = 11.
         """
         total = self.total
-        for value, cumulative in zip(self.support, accumulate(self.weights)):
+        for index, cumulative in enumerate(accumulate(self.weights)):
             if 2 * cumulative >= total:
-                return value
+                return self._at(index)
 
 
 @dataclass(frozen=True)
@@ -150,13 +165,13 @@ def posterior_points(
     )))
 
 
-def _pushforward(pairs: Iterable[tuple[int, int]], fn: Callable) -> DiscreteDistribution:
+def _pushforward(pairs: Iterable, fn: Callable, denominator: int = 1) -> DiscreteDistribution:
     # Weights are summed per grid coordinate; the support is where mass lives.
     sums: dict = {}
     for key, weight in pairs:
         sums[key] = sums.get(key, 0) + weight
-    support, weights = zip(*sorted((fn(key), weight) for key, weight in sums.items()))
-    return DiscreteDistribution(support=support, weights=weights)
+    values, weights = zip(*sorted((fn(key), weight) for key, weight in sums.items()))
+    return DiscreteDistribution(values, weights, denominator)
 
 
 def tau_posterior(
@@ -170,14 +185,11 @@ def tau_posterior(
     slot width and its cost. A table prior weighs its own points. Raises
     InfeasibleError when the support is empty or the prior annihilates it.
     """
-    total = obs.total
     if prior.weights is None:
         _check_support(obs, n01)
         return next(tau_posterior_sweep(obs, range(n01, n01 + 1)))
-    return _pushforward(
-        ((n10, w) for _, n10, w in _weighted(obs, n01, prior)),
-        lambda n10: Fraction(n10 - n01, total),
-    )
+    return _pushforward(((n10, w) for _, n10, w in _weighted(obs, n01, prior)),
+                        lambda n10: n10 - n01, obs.total)
 
 
 def tau_posterior_sweep(
@@ -192,11 +204,8 @@ def tau_posterior_sweep(
     it is read. Raises ValueError unless ``n01s`` is a range stepping by +1.
     """
     sweep = zip(n01s, _columns(obs, n01s))  # ValueError unless a +1 range
-    lo, hi = n01s.start, n01s.stop - 1  # n10 - n01 runs over -hi..n11_obs + n00_obs - lo
-    taus = [Fraction(t, obs.total) for t in range(-hi, obs.n11 + obs.n00 - lo + 1)]
-    pairs = ([(taus[n10 - n01 + hi], w) for n10, w in enumerate(columns) if w]
-             for n01, columns in sweep)
-    return (DiscreteDistribution(*zip(*p)) if p else None for p in pairs)
+    pairs = ([(n10 - n01, w) for n10, w in enumerate(columns) if w] for n01, columns in sweep)
+    return (DiscreteDistribution(*zip(*p), obs.total) if p else None for p in pairs)
 
 
 def a_posterior(
@@ -242,7 +251,7 @@ def hpd_window(dist: DiscreteDistribution, level: float) -> tuple:
                     best = candidate
         if best is not None:
             window, _, lo = best
-            return dist.support[lo], dist.support[lo + width - 1], Fraction(-window, total)
+            return dist._at(lo), dist._at(lo + width - 1), Fraction(-window, total)
 
 
 def hpd_interval(dist: DiscreteDistribution, level: float = 0.95) -> IntervalEstimate:

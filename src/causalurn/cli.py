@@ -263,7 +263,7 @@ def cmd_posterior(args) -> int:
     prior = _load_prior(args.prior_file)
     posterior = bayes.tau_posterior if args.target == "tau" else bayes.a_posterior
     dist = posterior(obs, args.n01, prior)
-    values = [_machine(v) for v in dist.support]
+    values = [_machine(v / dist.denominator) for v in dist.values]
     masses = _masses(dist)
     return _emit(
         args,

@@ -9,16 +9,17 @@ causal effect. Its exact randomization variance, for a population with
 which is identified once ``n01`` is fixed. ``_tau_variance`` states it
 once, on integers: every margin N p enters scaled by N1 N0, so observed
 N p1 and N p0 are N n11_obs N0 and N n01_obs N1, and a science table's
-margins are its counts times N1 N0. ``population_tau_variance`` and the
-plug-ins (``improved_variance``, ``neyman_variance``,
-``sensitivity_variance``) make that one call; ``_prediction_mse`` does the
-same for the attributable-effect prediction. ``causalurn verify`` checks
-the population calls against enumeration for every design up to its
-``--max-n``; property tests check the plug-ins, ``tau_hat``,
-``classic_neyman_variance``, every sweep row and ``n01_bounds``, the
-feasible range for ``n01``, also on integer counts, against ``Fraction``
-formulas in the observed rates. The module also holds normal intervals.
-Every estimator builds one exact ``Fraction``; intervals become floats last.
+margins are its counts times N1 N0. It returns a numerator over the stated
+denominator N^2 (N - 1) (N1 N0)^3, ``_prediction_mse`` one over
+N0 (N - 1) (N1 N0)^2 for the attributable-effect prediction, and ``_cells``
+the moment cells over N1 N0; ``causalurn verify`` compares these integers
+with enumeration for every design up to its ``--max-n``. The public
+estimators (the plug-ins, the population variances, ``tau_hat`` and
+``moment_cells``) each build one exact ``Fraction`` from them; the sweep
+and the intervals divide numerator by denominator into a correctly rounded
+float. Property tests hold every estimator here, and ``n01_bounds``, the
+feasible range for ``n01``, to formulas in the observed rates. The module
+also holds normal intervals.
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ class CellEstimates(NamedTuple):
     n10: Fraction
 
 
+def _cells(obs: ObservedTable, n01: int) -> tuple[int, int, int]:
+    """The moment estimates of n11, n00 and n10 given ``n01``, each times N1 N0."""
+    total, n1, n0 = obs.total, obs.n_treated, obs.n_control
+    return (  # N n01_obs / N0 - n01, N n10_obs / N1 - n01, N + n01 - both
+        (total * obs.n01 - n01 * n0) * n1,
+        (total * obs.n10 - n01 * n1) * n0,
+        (total + n01) * n1 * n0 - total * (obs.n01 * n1 + obs.n10 * n0),
+    )
+
+
 def moment_cells(obs: ObservedTable, n01: int = 0) -> CellEstimates:
     """Unbiased moment estimates of the science-table cells given ``n01``.
 
@@ -63,18 +74,13 @@ def moment_cells(obs: ObservedTable, n01: int = 0) -> CellEstimates:
     outside [0, N]. That is the documented deficiency of the moment method
     relative to likelihood-based inference, kept on purpose.
     """
-    n01 = _count(n01, "n01")
-    total, n1, n0 = obs.total, obs.n_treated, obs.n_control
-    return CellEstimates(  # N n01_obs / N0 - n01, N n10_obs / N1 - n01, N + n01 - both
-        n11=Fraction(total * obs.n01 - n01 * n0, n0),
-        n00=Fraction(total * obs.n10 - n01 * n1, n1),
-        n10=Fraction((total + n01) * n1 * n0 - total * (obs.n01 * n1 + obs.n10 * n0), n1 * n0),
-    )
+    scale = obs.n_treated * obs.n_control
+    return CellEstimates(*(Fraction(cell, scale) for cell in _cells(obs, _count(n01, "n01"))))
 
 
-def _tau_variance(total: int, n_treated: int, y1: int, y0: int, diff: int, n01: int) -> Fraction:
+def _tau_variance(total: int, n_treated: int, y1: int, y0: int, diff: int, n01: int) -> tuple:
     """N / (N - 1) times p1 (1 - p1) / N1 + p0 (1 - p0) / N0 - tau (1 - tau) / N
-    - 2 n01 / N^2, put over the one integer denominator N^2 (N - 1) (N1 N0)^3.
+    - 2 n01 / N^2 as (numerator, denominator), over N^2 (N - 1) (N1 N0)^3.
 
     The margins enter as integers scaled by N1 N0: y1 = N p1 N1 N0,
     y0 = N p0 N1 N0 and diff = N tau N1 N0.
@@ -88,15 +94,15 @@ def _tau_variance(total: int, n_treated: int, y1: int, y0: int, diff: int, n01: 
         - diff * (top - diff) * scale
         - 2 * n01 * total * scale * scale * scale
     )
-    return Fraction(numerator, total * total * (total - 1) * scale * scale * scale)
+    return numerator, total * total * (total - 1) * scale * scale * scale
 
 
-def _prediction_mse(total: int, n_treated: int, y0: int) -> Fraction:
-    """N^2 N1 p0 (1 - p0) / (N0 (N - 1)), the variance of A - N1 tau_hat,
-    with the margin scaled as in ``_tau_variance``: y0 = N p0 N1 N0."""
+def _prediction_mse(total: int, n_treated: int, y0: int) -> tuple:
+    """N^2 N1 p0 (1 - p0) / (N0 (N - 1)), the variance of A - N1 tau_hat, as
+    (numerator, denominator), the margin scaled as in ``_tau_variance``: y0 = N p0 N1 N0."""
     n_control = _n_control(total, n_treated)
     scale = n_treated * n_control
-    return Fraction(n_treated * y0 * (total * scale - y0), n_control * (total - 1) * scale * scale)
+    return n_treated * y0 * (total * scale - y0), n_control * (total - 1) * scale * scale
 
 
 def _plugin_margins(obs: ObservedTable) -> tuple[int, int, int]:
@@ -107,13 +113,13 @@ def _plugin_margins(obs: ObservedTable) -> tuple[int, int, int]:
 
 def improved_variance(obs: ObservedTable) -> Fraction:
     """Plug-in variance with the tau(1-tau)/N correction (no harmed units)."""
-    return _tau_variance(obs.total, obs.n_treated, *_plugin_margins(obs), 0)
+    return Fraction(*_tau_variance(obs.total, obs.n_treated, *_plugin_margins(obs), 0))
 
 
 def neyman_variance(obs: ObservedTable) -> Fraction:
     """Baseline variance: the improved formula without the subtracted term."""
     y1, y0, _ = _plugin_margins(obs)
-    return _tau_variance(obs.total, obs.n_treated, y1, y0, 0, 0)
+    return Fraction(*_tau_variance(obs.total, obs.n_treated, y1, y0, 0, 0))
 
 
 def classic_neyman_variance(obs: ObservedTable) -> Fraction:
@@ -136,14 +142,19 @@ def sensitivity_variance(obs: ObservedTable, n01: int) -> Fraction:
     :class:`InfeasibleError` when the plug-in value goes negative, which
     signals an ``n01`` outside the plausible range for this data.
     """
+    return Fraction(*_sensitivity_variance(obs, n01))
+
+
+def _sensitivity_variance(obs: ObservedTable, n01: int) -> tuple:
+    # sensitivity_variance as (numerator, denominator), over _tau_variance's.
     n01 = _count(n01, "n01")
-    value = _tau_variance(obs.total, obs.n_treated, *_plugin_margins(obs), n01)
-    if value < 0:
+    numerator, denominator = _tau_variance(obs.total, obs.n_treated, *_plugin_margins(obs), n01)
+    if numerator < 0:
         raise InfeasibleError(
             f"plug-in variance is negative at n01={n01}; "
             "the value is implausible for this data"
         )
-    return value
+    return numerator, denominator
 
 
 def n01_bounds(
@@ -210,36 +221,35 @@ def sensitivity_sweep(
     shrinks. Infeasible values produce a marked row rather than being
     dropped, so a sweep over a full grid stays aligned.
     """
-    point = tau_hat(obs)
+    point = float(tau_hat(obs))
     rows = []
     for n01 in n01_values:
         try:
-            variance = sensitivity_variance(obs, n01)
+            numerator, denominator = _sensitivity_variance(obs, n01)
         except InfeasibleError as exc:
-            rows.append(
-                SensitivityRow(n01=n01, point=float(point), feasible=False, note=str(exc))
-            )
+            rows.append(SensitivityRow(n01=n01, point=point, feasible=False, note=str(exc)))
             continue
+        variance = numerator / denominator  # correctly rounded, as the exact ratio's float is
         method = "improved" if n01 == 0 else "sensitivity"
         interval = confidence_interval(point, variance, level, method=method)
-        rows.append(
-            SensitivityRow(
-                n01=n01, point=float(point), feasible=True,
-                variance=float(variance), interval=interval,
-            )
-        )
+        rows.append(SensitivityRow(n01=n01, point=point, feasible=True, variance=variance,
+                                   interval=interval))
     return tuple(rows)
+
+
+def _population(science: ScienceTable, n_treated: int) -> tuple[tuple, tuple]:
+    """The variances of tau_hat and of A - N1 tau_hat, as (numerator, denominator)."""
+    total, scale = science.total, n_treated * _n_control(science.total, n_treated)
+    y1, y0 = (science.n11 + science.n10) * scale, (science.n11 + science.n01) * scale
+    return (_tau_variance(total, n_treated, y1, y0, y1 - y0, science.n01),
+            _prediction_mse(total, n_treated, y0))
 
 
 def population_tau_variance(science: ScienceTable, n_treated: int) -> Fraction:
     """Exact randomization variance of the rate difference, any science table."""
-    scale = n_treated * _n_control(science.total, n_treated)
-    # Units succeeding under treatment, N p1, and under control, N p0.
-    y1, y0 = (science.n11 + science.n10) * scale, (science.n11 + science.n01) * scale
-    return _tau_variance(science.total, n_treated, y1, y0, y1 - y0, science.n01)
+    return Fraction(*_population(science, n_treated)[0])
 
 
 def population_attributable_mse(science: ScienceTable, n_treated: int) -> Fraction:
     """Exact variance of A - N1 * tau_hat; free of the outcome association."""
-    scale = n_treated * _n_control(science.total, n_treated)
-    return _prediction_mse(science.total, n_treated, (science.n11 + science.n01) * scale)
+    return Fraction(*_population(science, n_treated)[1])

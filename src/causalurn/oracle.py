@@ -7,11 +7,13 @@ so enumeration runs over type compositions (at most (N1+1)^3 cells)
 weighted by multivariate hypergeometric counts instead of over all
 C(N, N1) raw assignments. Each composition is a plain tuple (x11, x10,
 x01, x00, ways), built into a record only on read; every probability is a
-way count over the distribution's one ``denominator``, C(N, N1), so
-moments are exact integer sums divided once.
+way count over the distribution's one ``denominator``, C(N, N1), and the
+moments are integer sums over it (``tau_hat_sums``, ``prediction_gap_sums``),
+which ``tau_hat_moments`` and ``prediction_gap_moments`` divide once.
 A seeded Monte Carlo stand-in covers populations beyond the enumeration
 cap; its weights are draw counts, its denominator the number of draws, and
-it is the one sampler here: ``normality_check`` studentizes its tally.
+it is the one sampler here: ``normality_check`` studentizes its tally. Its
+generator, numpy's, samples populations of fewer than 10^9 units.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .moments import improved_variance, population_tau_variance, tau_hat
 from .tables import ObservedTable, ScienceTable, _n_control
@@ -122,34 +124,33 @@ class AssignmentDistribution:
             tally[n11, n01] = tally.get((n11, n01), 0) + weight
         return tally
 
-    def _moments(self, pairs: Iterable[tuple[int, int]], scale: int) -> tuple:
-        # Mean and variance of value / scale from the integer sums of w v
-        # and w v^2, one (w, integer value) per composition.
-        first = second = 0
-        for weight, value in pairs:
-            weighted = weight * value
-            first += weighted
-            second += weighted * value
-        total = self.denominator
-        return (
-            Fraction(first, total * scale),
-            Fraction(total * second - first * first, (total * scale) ** 2),
-        )
+    def tau_hat_sums(self) -> tuple[int, int]:
+        """Sums of w v and w v^2 over the compositions for v = tau_hat N1 N0
+        = n11_obs N0 - n01_obs N1; over ``denominator`` they are v's moments."""
+        n1, n0 = self.n_treated, self.n_control
+        return _sums([(w, n11 * n0 - n01 * n1) for w, n11, n01, _ in self._observed()])
+
+    def prediction_gap_sums(self) -> tuple[int, int]:
+        """The same sums for v = (A - N1 tau_hat) N0 = (A - n11_obs) N0 + n01_obs N1."""
+        n1, n0 = self.n_treated, self.n_control
+        return _sums([(w, (a - n11) * n0 + n01 * n1) for w, n11, n01, a in self._observed()])
+
+    def _moments(self, sums: tuple[int, int], scale: int) -> tuple:
+        # Mean and variance of v / scale from v's sums.
+        total, (first, second) = self.denominator, sums
+        return (Fraction(first, total * scale),
+                Fraction(total * second - first * first, (total * scale) ** 2))
 
     def tau_hat_moments(self) -> tuple:
-        # tau_hat = (n11_obs N0 - n01_obs N1) / (N1 N0)
-        n1, n0 = self.n_treated, self.n_control
-        return self._moments(
-            ((w, n11 * n0 - n01 * n1) for w, n11, n01, _ in self._observed()), n1 * n0
-        )
+        return self._moments(self.tau_hat_sums(), self.n_treated * self.n_control)
 
     def prediction_gap_moments(self) -> tuple:
         """Mean and variance of A - N1 * tau_hat."""
-        # A - N1 tau_hat = (A N0 - (n11_obs N0 - n01_obs N1)) / N0
-        n1, n0 = self.n_treated, self.n_control
-        return self._moments(
-            ((w, (a - n11) * n0 + n01 * n1) for w, n11, n01, a in self._observed()), n0
-        )
+        return self._moments(self.prediction_gap_sums(), self.n_control)
+
+
+def _sums(pairs: list) -> tuple[int, int]:
+    return sum(w * v for w, v in pairs), sum(w * v * v for w, v in pairs)
 
 
 def _assignment_count(total: int, n_treated: int) -> int:
@@ -182,9 +183,7 @@ def enumerate_assignments(science: ScienceTable, n_treated: int) -> AssignmentDi
     ])
     total_ways = sum(c[4] for c in compositions)
     if total_ways != n_assignments:
-        raise AssertionError(
-            f"composition probabilities sum to {Fraction(total_ways, n_assignments)}"
-        )
+        raise AssertionError(f"composition way counts sum to {total_ways}, not {n_assignments}")
     return AssignmentDistribution(science, n_treated, compositions, n_assignments)
 
 
@@ -201,6 +200,8 @@ def monte_carlo(
     _n_control(science.total, n_treated)
     if draws < 1:
         raise ValueError("draws must be positive")
+    if science.total >= 10**9:  # numpy's sampler takes fewer units; checked before it loads
+        raise OverflowError(f"numpy samples fewer than 10^9 units, not {science.total}")
     import numpy as np  # the one numpy user; commands that never sample skip its import
     rng = np.random.default_rng(seed)
     colors = [science.n11, science.n10, science.n01, science.n00]
@@ -247,8 +248,6 @@ def lemma1_check(constants, n_treated: int) -> Lemma1Report:
     """
     values = [Fraction(c) for c in constants]
     total = len(values)
-    if total < 2:
-        raise ValueError("need at least 2 constants")
     n_assignments = _assignment_count(total, n_treated)
     sums = [
         sum(combo) for combo in itertools.combinations(values, n_treated)

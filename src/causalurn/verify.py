@@ -1,15 +1,17 @@
 """Oracle-versus-formula identity suite behind ``causalurn verify``.
 
 Sweeps every science table up to a small population size and checks, by
-exhaustive enumeration in exact arithmetic, the closed-form moments,
-``moments.moment_cells`` and ``likelihood._grid``: its points are the
+exhaustive enumeration in exact arithmetic, the closed-form moments, the
+moment cell estimates and ``likelihood._grid``: its points are the
 support, its box and steps the sweep's, its ``tables._rows`` and ``_seed``
 those every one-count numerator reads, one point's included.
 Designs go one (N, N1) at a time, every one checked against the
 enumeration cap first. A science table's integer way count of each observed
 table it reaches, the oracle's ``_tables()`` keyed by (n11_obs, n01_obs),
 must equal its point's walked numerators by the same key; only a mismatch
-is checked, and named, table by table.
+is checked, and named, table by table. The moments are checked on integers:
+the oracle's sums over C(N, N1) meet ``moments._population`` and ``_cells``
+cross-multiplied, and a failure line builds its rationals only when written.
 """
 
 from __future__ import annotations
@@ -79,9 +81,9 @@ def science_tables_up_to(max_n: int) -> Iterator[ScienceTable]:
                     yield ScienceTable(n11, n10, n01, total - n11 - n10 - n01)
 
 
-def _walk(tables: list, n01: int, scale: int) -> tuple[dict, dict]:
+def _walk(tables: list, n01: int) -> tuple[dict, dict]:
     # likelihood._grid's numerators as {(n11, n10): {(n11_obs, n01_obs): w on its grid}},
-    # and moment_cells times scale = N1 N0: integers, unless moment_cells is wrong.
+    # and the moment cells times N1 N0 by the same (n11_obs, n01_obs).
     columns, scaled = {}, {}
     for obs in tables:
         key = obs.n11, obs.n01
@@ -92,9 +94,7 @@ def _walk(tables: list, n01: int, scale: int) -> tuple[dict, dict]:
         for n11, n10s, ws in grid:
             for n10, w in zip(n10s, ws):
                 columns.setdefault((n11, n10), {})[key] = w
-        cells = moments.moment_cells(obs, n01)
-        parts = [divmod(cell.numerator * scale, cell.denominator) for cell in cells]
-        scaled[key] = [c * scale if rest else whole for c, (whole, rest) in zip(cells, parts)]
+        scaled[key] = moments._cells(obs, n01)
     return columns, scaled
 
 
@@ -120,27 +120,28 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
             tables = [ObservedTable(n11, n_treated - n11, n01, n_control - n01)
                       for n11 in range(n_treated + 1) for n01 in range(n_control + 1)]
             scale = n_treated * n_control
-            walks = [_walk(tables, n01, scale) for n01 in range(total + 1)]
+            walks = [_walk(tables, n01) for n01 in range(total + 1)]
             for science in sciences:
                 dist = oracle.enumerate_assignments(science, n_treated)
 
                 def label() -> str:
                     return f"science={science} N1={n_treated}"
 
-                mean, variance = dist.tau_hat_moments()
-                estimator.record(mean == science.tau, lambda: f"{label()}: E(tau_hat)={mean}")
-                estimator.record(
-                    variance == moments.population_tau_variance(science, n_treated),
-                    lambda: f"{label()}: var(tau_hat)={variance}",
-                )
-
-                gap_mean, gap_var = dist.prediction_gap_moments()
-                prediction.record(gap_mean == 0,
-                                  lambda: f"{label()}: E(A - N1 tau_hat)={gap_mean}")
-                prediction.record(
-                    gap_var == moments.population_attributable_mse(science, n_treated),
-                    lambda: f"{label()}: var(A - N1 tau_hat)={gap_var}",
-                )
+                # Over D = C(N, N1), v / unit has mean first / (D unit) and variance
+                # (D second - first^2) / (D unit)^2, each cross-multiplied with its pair.
+                tau_variance, mse = moments._population(science, n_treated)
+                for result, name, sums, unit, mean, variance in (
+                    (estimator, "tau_hat", dist.tau_hat_sums(), scale,
+                     (science.n10 - science.n01, total), tau_variance),
+                    (prediction, "A - N1 tau_hat", dist.prediction_gap_sums(), n_control,
+                     (0, 1), mse),
+                ):
+                    (first, second), whole = sums, dist.denominator * unit
+                    spread = (dist.denominator * second - first * first) * variance[1]
+                    result.record(first * mean[1] == mean[0] * whole,
+                                  lambda: f"{label()}: E({name})={dist._moments(sums, unit)[0]}")
+                    result.record(spread == variance[0] * whole * whole,
+                                  lambda: f"{label()}: var({name})={dist._moments(sums, unit)[1]}")
 
                 columns, scaled = walks[science.n01]
                 column = columns.get((science.n11, science.n10), {})

@@ -27,11 +27,11 @@ from test_properties import _reference_likelihood
 class TestDiscreteDistribution:
     def test_rejects_misaligned_and_unsorted(self):
         with pytest.raises(ValueError):
-            DiscreteDistribution(support=(1, 2), weights=(1,))
+            DiscreteDistribution(values=(1, 2), weights=(1,))
         with pytest.raises(ValueError):
-            DiscreteDistribution(support=(2, 1), weights=(1, 1))
+            DiscreteDistribution(values=(2, 1), weights=(1, 1))
         with pytest.raises(ValueError):
-            DiscreteDistribution(support=(1, 1), weights=(1, 1))
+            DiscreteDistribution(values=(1, 1), weights=(1, 1))
 
     def test_rejects_an_empty_support(self):
         with pytest.raises(ValueError, match="empty distribution"):
@@ -42,22 +42,36 @@ class TestDiscreteDistribution:
         bad = [(1, -1), (3, -2), (1, 0.5), (1.0, 1.0), (Fraction(1, 2), 1), (0, 0)]
         for weights in bad:
             with pytest.raises(ValueError):
-                DiscreteDistribution(support=(1, 2), weights=weights)
+                DiscreteDistribution(values=(1, 2), weights=weights)
+
+    @pytest.mark.parametrize("denominator", [0, -3, 2.0, True])
+    def test_rejects_a_denominator_that_is_not_a_positive_integer(self, denominator):
+        with pytest.raises(ValueError, match="denominator must be a positive integer"):
+            DiscreteDistribution((1, 2), (1, 1), denominator)
+
+    def test_reads_integer_values_over_their_denominator(self):
+        # A tau posterior's values are integers over N: support, mode, median
+        # and the HPD window ends read them as Fractions, built on read.
+        dist = DiscreteDistribution((-1, 2, 4), (1, 3, 1), 6)
+        assert dist.support == (Fraction(-1, 6), Fraction(1, 3), Fraction(2, 3))
+        assert (dist.mode(), dist.median()) == (Fraction(1, 3), Fraction(1, 3))
+        assert hpd_window(dist, 0.5) == (Fraction(1, 3), Fraction(1, 3), Fraction(3, 5))
+        assert all(type(v) is Fraction for v in (*dist.support, dist.mode(), dist.median()))
 
     def test_mode_prefers_smallest_on_tie(self):
-        dist = DiscreteDistribution(support=(1, 2, 3), weights=(2, 1, 2))
+        dist = DiscreteDistribution(values=(1, 2, 3), weights=(2, 1, 2))
         assert dist.mode() == 1
 
     def test_median_and_mean(self):
-        dist = DiscreteDistribution(support=(0, 1, 2), weights=(1, 1, 2))
+        dist = DiscreteDistribution(values=(0, 1, 2), weights=(1, 1, 2))
         assert dist.total == 4
         assert dist.mass == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
         assert dist.median() == 1
         assert sum(v * m for v, m in zip(dist.support, dist.mass)) == Fraction(5, 4)
 
     def test_scaling_the_weights_changes_nothing(self):
-        small = DiscreteDistribution(support=(0, 1, 2), weights=(1, 1, 2))
-        large = DiscreteDistribution(support=(0, 1, 2), weights=(7, 7, 14))
+        small = DiscreteDistribution(values=(0, 1, 2), weights=(1, 1, 2))
+        large = DiscreteDistribution(values=(0, 1, 2), weights=(7, 7, 14))
         assert large.mass == small.mass
         assert (large.mode(), large.median()) == (small.mode(), small.median())
         assert hpd_window(large, 0.7) == hpd_window(small, 0.7)
@@ -276,11 +290,11 @@ class TestHpd:
         assert (lo, hi) == (2, 16)
 
     def test_forced_two_point_window(self):
-        dist = DiscreteDistribution(support=(0, 1), weights=(1, 1))
+        dist = DiscreteDistribution(values=(0, 1), weights=(1, 1))
         assert hpd_window(dist, 0.6)[:2] == (0, 1)
 
     def test_high_level_returns_full_hull(self):
-        dist = DiscreteDistribution(support=(0, 1, 2), weights=(2, 5, 3))
+        dist = DiscreteDistribution(values=(0, 1, 2), weights=(2, 5, 3))
         assert hpd_window(dist, 0.9999)[:2] == (0, 2)
 
     @pytest.mark.parametrize(
@@ -294,7 +308,7 @@ class TestHpd:
         ],
     )
     def test_level_is_compared_exactly(self, level, window):
-        dist = DiscreteDistribution(support=tuple(range(10)), weights=(1,) * 10)
+        dist = DiscreteDistribution(values=tuple(range(10)), weights=(1,) * 10)
         assert hpd_window(dist, level) == window
 
     def test_interval_point_is_the_mode(self, pit):

@@ -668,11 +668,13 @@ class TestVerify:
 
         from causalurn import moments
 
-        original = moments.population_tau_variance
-        monkeypatch.setattr(
-            moments, "population_tau_variance",
-            lambda science, n1: original(science, n1) + Fraction(1, 7),
-        )
+        original = moments._tau_variance  # the kernel population_tau_variance wraps
+
+        def mutated(*margins):
+            variance = Fraction(*original(*margins)) + Fraction(1, 7)
+            return variance.numerator, variance.denominator
+
+        monkeypatch.setattr(moments, "_tau_variance", mutated)
         code, out, _ = run(capsys, "verify", "--max-n", "3")
         assert code == EXIT_VERIFY
         assert "FAIL" in out
@@ -762,6 +764,23 @@ class TestUsage:
         assert (code, out) == (EXIT_INFEASIBLE, "")
         assert err == "infeasible: the counts are too large to evaluate\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("counts", [("99999999999999999999", "1", "1", "1"),
+                                        ("999999997", "1", "1", "1")], ids=["int64", "1e9"])
+    def test_simulate_counts_too_large_to_sample_exit_2(self, capsys, monkeypatch, counts):
+        # numpy's sampler takes fewer than 10^9 units; beyond int64 it rejects
+        # the counts themselves. Both end before numpy is imported, which is
+        # made impossible here.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        code, out, err = run(capsys, "simulate", *counts, "--n1", "2", "--draws", "10")
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err == "infeasible: the counts are too large to evaluate\n"
+
+    def test_simulate_samples_the_largest_population_numpy_takes(self, capsys):
+        code, out, err = run(capsys, "simulate", "999999996", "1", "1", "1", "--n1", "2",
+                             "--draws", "10")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("10 draws, seed 0 (numpy.random.Generator(PCG64(seed=0))")
 
     def test_counts_too_large_to_walk_still_estimate(self, capsys):
         # The moment estimates need no walk, so they take counts of any size.

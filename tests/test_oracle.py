@@ -155,7 +155,7 @@ class TestLemma1:
         assert lemma1_check([1, 1, 0, 0], 2).matches
 
     def test_one_constant_raises(self):
-        with pytest.raises(ValueError, match="need at least 2 constants"):
+        with pytest.raises(ValueError, match="both arms must contain at least one unit"):
             lemma1_check([1], 1)
 
     def test_fractional_constants(self):

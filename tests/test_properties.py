@@ -45,6 +45,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -610,7 +611,7 @@ def test_hpd_window_tie_rules_on_small_integer_weights(weights, level):
     # Unimodal posteriors rarely put the mass and symmetry rules in
     # conflict; small integer weights make such ties common.
     dist = DiscreteDistribution(
-        support=tuple(range(len(weights))), weights=tuple(weights)
+        values=tuple(range(len(weights))), weights=tuple(weights)
     )
     assert hpd_window(dist, level) == _brute_force_hpd(dist, level)
 
@@ -877,6 +878,78 @@ def test_plugins_are_the_fraction_formulas_at_estimated_margins(obs):
             centre, centre - half, centre + half
         )
 
+
+
+@st.composite
+def wide_tables(draw):
+    """An observed table with N up to 10^4 whose n11_obs and n00_obs are at
+    most 20, so its likelihood grid stays small, and a feasible harmed count."""
+    n11, n00 = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    n10 = draw(st.integers(0 if n11 else 1, 5000))
+    n01 = draw(st.integers(0 if n00 else 1, 10**4 - n11 - n10 - n00))
+    obs = ObservedTable(n11, n10, n01, n00)
+    return obs, draw(st.integers(0, min(3, n10 + n01)))
+
+
+def _reference_distribution(grid, value) -> tuple:
+    """Support and weights of the pushforward of the grid's numerators by
+    ``value``, each support value as the Fraction formula states it."""
+    sums = {}
+    for point, weight in grid.items():
+        sums[value(point)] = sums.get(value(point), 0) + weight
+    support = tuple(sorted(sums))
+    return support, tuple(sums[v] for v in support)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_tables(), st.data(), LEVELS)
+def test_posterior_reads_and_sweep_rows_are_the_fraction_formulas_up_to_n_10_4(
+    design, data, level
+):
+    # The tau support is held as integers over N and the A support as integers
+    # over 1; every public read is the Fraction formula that held the support
+    # as Fractions, exactly, and every float the commands print from the
+    # integers is that formula's float. The grid walk, not the column sweep,
+    # gives the reference weights.
+    obs, harmed = design
+    total = obs.total
+    grid = {ParameterPoint(n11, n10, harmed): w
+            for n11, n10s, ws in likelihood._grid(obs, harmed) for n10, w in zip(n10s, ws)}
+    base = obs.n11 + obs.n01 - harmed
+    for dist, value in ((tau_posterior(obs, harmed), lambda p: Fraction(p.n10 - harmed, total)),
+                        (a_posterior(obs, harmed), lambda p: base - p.n11)):
+        support, weights = _reference_distribution(grid, value)
+        whole = sum(weights)
+        mass = tuple(Fraction(w, whole) for w in weights)
+        assert (dist.support, dist.weights, dist.mass) == (support, weights, mass)
+        assert all(type(v) is type(u) for v, u in zip(dist.support, support))
+        median = next(v for v, c in zip(support, itertools.accumulate(weights)) if 2 * c >= whole)
+        mode = support[weights.index(max(weights))]
+        assert (dist.median(), dist.mode()) == (median, mode)
+        assert type(dist.median()) is type(median) and type(dist.mode()) is type(mode)
+        reference = SimpleNamespace(support=support, mass=mass)
+        assert hpd_window(dist, level) == _brute_force_hpd(reference, level)
+        assert [v / dist.denominator for v in dist.values] == [float(v) for v in support]
+        assert [w / dist.total for w in dist.weights] == [float(m) for m in mass]
+
+    z = NormalDist().inv_cdf((1 + level) / 2)
+    p1, p0 = _observed_rates(obs)
+    n01s = sorted({0, *data.draw(st.lists(st.integers(0, total), max_size=20), label="n01s")})
+    for n01, row in zip(n01s, sensitivity_sweep(obs, n01s, level), strict=True):
+        variance = _reference_plugins(obs, n01)[2]
+        assert row.point == float(p1 - p0)
+        assert _or_infeasible(sensitivity_variance, obs, n01) == (
+            variance if variance >= 0 else None
+        )
+        if variance >= 0:
+            half = z * math.sqrt(variance)
+            assert row.variance == float(variance)
+            assert row.interval == IntervalEstimate(
+                float(p1 - p0), float(p1 - p0) - half, float(p1 - p0) + half,
+                level, "improved" if n01 == 0 else "sensitivity",
+            )
+        else:
+            assert (row.feasible, row.variance, row.interval) == (False, None, None)
 
 
 def _reference_n01_bounds(obs, assumption):

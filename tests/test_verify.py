@@ -36,15 +36,16 @@ def test_suite_passes_as_shipped():
 
 
 def test_detects_variance_off_by_one(monkeypatch):
-    # A wrong harmed-count coefficient in the variance must trip the suite.
-    original = moments.population_tau_variance
+    # A wrong harmed-count coefficient in the variance must trip the suite:
+    # 2 n01 / N^2 added to moments._tau_variance, the integer kernel that
+    # population_tau_variance wraps, over its denominator N^2 (N - 1) (N1 N0)^3.
+    original = moments._tau_variance
 
-    def mutated(science, n_treated):
-        return original(science, n_treated) + Fraction(
-            2 * science.n01, science.total ** 2
-        )
+    def mutated(total, n_treated, y1, y0, diff, n01):
+        numerator, denominator = original(total, n_treated, y1, y0, diff, n01)
+        return numerator + 2 * n01 * denominator // total ** 2, denominator
 
-    monkeypatch.setattr(moments, "population_tau_variance", mutated)
+    monkeypatch.setattr(moments, "_tau_variance", mutated)
     report = run_verification(max_n=4, mc_draws=5000)
     broken = {r.name: r for r in report.results}
     assert not broken["rate-difference mean and variance"].ok
@@ -71,24 +72,29 @@ def test_detects_a_harmed_count_term_short_of_one_scale_factor(monkeypatch, caps
 
 
 def test_detects_wrong_prediction_mse(monkeypatch):
-    original = moments.population_attributable_mse
+    # moments._prediction_mse, the integer kernel that
+    # population_attributable_mse wraps, scaled by 99/100.
+    original = moments._prediction_mse
 
-    def mutated(science, n_treated):
-        return original(science, n_treated) * Fraction(99, 100)
+    def mutated(total, n_treated, y0):
+        numerator, denominator = original(total, n_treated, y0)
+        return numerator * 99, denominator * 100
 
-    monkeypatch.setattr(moments, "population_attributable_mse", mutated)
+    monkeypatch.setattr(moments, "_prediction_mse", mutated)
     report = run_verification(max_n=4, mc_draws=5000)
     broken = {r.name: r for r in report.results}
     assert not broken["attributable prediction moments"].ok
 
 
 def test_report_lines_include_failures(monkeypatch):
-    original = moments.population_tau_variance
+    # One added to the variance moments._tau_variance states.
+    original = moments._tau_variance
 
-    def mutated(science, n_treated):
-        return original(science, n_treated) + 1
+    def mutated(*margins):
+        numerator, denominator = original(*margins)
+        return numerator + denominator, denominator
 
-    monkeypatch.setattr(moments, "population_tau_variance", mutated)
+    monkeypatch.setattr(moments, "_tau_variance", mutated)
     report = run_verification(max_n=3, mc_draws=5000)
     lines = report.lines()
     assert any(line.startswith("FAIL") for line in lines)
@@ -254,13 +260,15 @@ def test_detects_rows_one_run_short(monkeypatch, capsys):
 
 
 def test_detects_cells_that_add_the_harmed_count(monkeypatch, capsys):
-    original = moments.moment_cells
+    # The n10 cell gains n01: moments._cells, the integer kernel that
+    # moment_cells wraps, holds each cell times N1 N0.
+    original = moments._cells
 
-    def mutated(obs, n01=0):
-        cells = original(obs, n01)
-        return cells._replace(n10=cells.n10 + n01)
+    def mutated(obs, n01):
+        n11, n00, n10 = original(obs, n01)
+        return n11, n00, n10 + n01 * obs.n_treated * obs.n_control
 
-    monkeypatch.setattr(moments, "moment_cells", mutated)
+    monkeypatch.setattr(moments, "_cells", mutated)
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
     assert [line[:4] for line in lines[:7]] == ["PASS", "FAIL"] + ["PASS"] * 5
@@ -387,15 +395,16 @@ def test_a_failing_report_is_pinned_line_for_line(monkeypatch, capsys):
 
 
 def test_detects_cells_off_by_half_a_unit_of_the_scale(monkeypatch, capsys):
-    # n11 gains 1 / (2 N1 N0): times N1 N0 the cell is off by 1/2, so the
-    # walk's integer scaling must keep it a Fraction rather than round it.
-    original = moments.moment_cells
+    # n11 gains 1 / (2 N1 N0): in moments._cells, the integer kernel that
+    # moment_cells wraps, the cell times N1 N0 is off by 1/2, so verify must
+    # compare what the kernel returns exactly rather than round it.
+    original = moments._cells
 
-    def mutated(obs, n01=0):
-        cells = original(obs, n01)
-        return cells._replace(n11=cells.n11 + Fraction(1, 2 * obs.n_treated * obs.n_control))
+    def mutated(obs, n01):
+        n11, n00, n10 = original(obs, n01)
+        return n11 + Fraction(1, 2), n00, n10
 
-    monkeypatch.setattr(moments, "moment_cells", mutated)
+    monkeypatch.setattr(moments, "_cells", mutated)
     code = main(["verify", "--max-n", "5", "--draws", "2000"])
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
