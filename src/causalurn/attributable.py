@@ -136,9 +136,13 @@ def interval_A(
     with alpha's exact rational value. The interval is the hull of the
     retained values, which need not be contiguous for this p-value
     ordering, hence the companion set. The point is the median of the
-    Hodges-Lehmann set.
+    Hodges-Lehmann set. An alpha so small that 1 - alpha rounds to 1 is a
+    ValueError: the interval's level must lie below 1.
     """
     num_a, den_a = _level(alpha, "alpha")
+    level = 1.0 - alpha
+    if level == 1.0:  # alpha at most 2^-54
+        raise ValueError(f"alpha {alpha} is too close to 0 for an interval level of 1 - alpha")
     threshold = num_a * curve.denominator
     pairs = zip(curve.values, curve.numerators)
     retained = tuple(a for a, num in pairs if num * den_a > threshold)
@@ -146,7 +150,7 @@ def interval_A(
         point=float(median(hl_estimate(curve))),
         lower=float(retained[0]),
         upper=float(retained[-1]),
-        level=1.0 - alpha,
+        level=level,
         method="exact-inversion",
     )
     return estimate, retained

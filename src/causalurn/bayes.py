@@ -89,6 +89,23 @@ class DiscreteDistribution:
                 return self._at(index)
 
 
+def _prior_point(n11, n10, w) -> tuple:
+    """``Prior``'s rule for one entry: ``_count``'s counts and an exact weight; a
+    weight that is not a finite nonnegative number is a ValueError naming its point."""
+    at = f"prior weight at (n11, n10) = ({n11}, {n10})"
+    try:
+        if isinstance(w, (str, bytes, bool)):  # Fraction(w) would parse or count these
+            raise TypeError
+        weight = Fraction(w)
+    except TypeError:
+        raise ValueError(f"{at} must be a number, got {w!r}") from None
+    except (ValueError, OverflowError):  # a NaN, an infinity
+        raise ValueError(f"{at} must be finite") from None
+    if weight < 0:
+        raise ValueError(f"{at} must be nonnegative, got {w!r}")
+    return (_count(n11, "n11"), _count(n10, "n10")), weight
+
+
 @dataclass(frozen=True)
 class Prior:
     """Prior weights over the (n11, n10) grid at the posterior's harmed count.
@@ -104,16 +121,7 @@ class Prior:
     def __post_init__(self) -> None:
         if self.weights is None:
             return
-        table = {}
-        for (n11, n10), w in self.weights.items():
-            at = f"prior weight at (n11, n10) = ({n11}, {n10})"
-            if isinstance(w, (str, bytes, bool)):  # Fraction(w) would parse or count these
-                raise ValueError(f"{at} must be a number, got {w!r}")
-            if w != w or w in (math.inf, -math.inf):
-                raise ValueError(f"{at} must be finite")
-            table[_count(n11, "n11"), _count(n10, "n10")] = Fraction(w)
-        if any(w < 0 for w in table.values()):
-            raise ValueError("prior weights must be nonnegative")
+        table = dict(_prior_point(n11, n10, w) for (n11, n10), w in self.weights.items())
         if not any(table.values()):
             raise ValueError("prior must put positive weight somewhere")
         object.__setattr__(self, "weights", MappingProxyType(table))

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import attributable, bayes, moments, oracle, verify
@@ -177,10 +175,10 @@ def cmd_sensitivity(args) -> int:
         if hi > obs.total:  # no population of N units holds more than N harmed
             raise UsageError(f"--n01-max must be at most N = {obs.total}, got {hi}")
     sweep = moments.sensitivity_sweep(obs, range(hi + 1), args.level)
-    # The reported Bayes point is the posterior median (see README).
+    # The reported Bayes point is the posterior median (see README); hpd.point is the mode.
     rows = [
-        (row, None, None, None) if dist is None
-        else (row, dist.median(), dist.mode(), bayes.hpd_interval(dist, args.level))
+        (row, None, None) if dist is None
+        else (row, dist.median(), bayes.hpd_interval(dist, args.level))
         for row, dist in zip(sweep, bayes.tau_posterior_sweep(obs, range(hi + 1)))
     ]
     return _emit(
@@ -190,8 +188,8 @@ def cmd_sensitivity(args) -> int:
              **({"variance": _machine(row.variance), "moment": _interval_json(row.interval)}
                 if row.feasible else {"note": row.note}),
              **({} if hpd is None else {"bayes": {
-                 **_interval_json(hpd), "point": _machine(med), "mode": _machine(mode)}})}
-            for row, med, mode, hpd in rows
+                 **_interval_json(hpd), "point": _machine(med), "mode": _machine(hpd.point)}})}
+            for row, med, hpd in rows
         ]},
         csv=lambda: (
             "n01,point,variance,lower,upper,length,"
@@ -199,7 +197,7 @@ def cmd_sensitivity(args) -> int:
             [
                 (row.n01, row.point, row.variance, *_ends(row.interval),
                  med, *_ends(hpd), row.feasible)
-                for row, med, _, hpd in rows
+                for row, med, hpd in rows
             ],
         ),
         text=lambda: [
@@ -209,7 +207,7 @@ def cmd_sensitivity(args) -> int:
         ] + [
             f"{row.n01:>4}  {_interval_cells(_fmt(row.point), row.interval)}  "
             f"{_interval_cells('' if med is None else _fmt(med), hpd)}"
-            for row, med, _, hpd in rows
+            for row, med, hpd in rows
         ],
     )
 
@@ -233,28 +231,17 @@ def _load_prior(path: Optional[str]) -> bayes.Prior:
         if not isinstance(entry, dict):
             offenders.append(f"entry {index}: not an object")
             continue
-        problems = []
-        for key in ("n11", "n10"):
-            value = entry.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                problems.append(f"{key} must be a nonnegative integer")
-        weight = entry.get("weight")
-        if (
-            not isinstance(weight, (int, float))
-            or isinstance(weight, bool)
-            or weight < 0
-            or (isinstance(weight, float) and not math.isfinite(weight))
-        ):
-            problems.append("weight must be a finite nonnegative number")
-        if problems:
-            offenders.append(f"entry {index} {entry!r}: " + "; ".join(problems))
+        try:
+            for key in ("n11", "n10"):
+                if isinstance(entry.get(key), bool):  # not JSON true, which _count takes as 1
+                    raise ValueError(f"{key} must be an integer, got {entry[key]!r}")
+            point, weight = bayes._prior_point(*map(entry.get, ("n11", "n10", "weight")))
+        except (TypeError, ValueError) as exc:
+            offenders.append(f"entry {index} {entry!r}: {exc}")
             continue
-        point = (entry["n11"], entry["n10"])
-        weights[point] = weights.get(point, Fraction(0)) + Fraction(weight)
+        weights[point] = weights.get(point, 0) + weight  # a repeated point's weights add up
     if offenders:
         raise UsageError("malformed prior entries:\n" + "\n".join(offenders))
-    if not any(weights.values()):
-        raise UsageError("prior file assigns no positive weight")
     return bayes.Prior(weights)
 
 

@@ -8,8 +8,8 @@ weighted by multivariate hypergeometric counts instead of over all
 C(N, N1) raw assignments. Each composition is a plain tuple (x11, x10,
 x01, x00, ways), built into a record only on read; every probability is a
 way count over the distribution's one ``denominator``, C(N, N1), and the
-moments are integer sums over it (``tau_hat_sums``, ``prediction_gap_sums``),
-which ``tau_hat_moments`` and ``prediction_gap_moments`` divide once.
+moments are integer sums over it (``tau_hat_sums``, ``prediction_gap_sums``,
+``lemma1_check``'s treated totals), each divided once by ``_moments``.
 A seeded Monte Carlo stand-in covers populations beyond the enumeration
 cap; its weights are draw counts, its denominator the number of draws, and
 it is the one sampler here: ``normality_check`` studentizes its tally. Its
@@ -135,22 +135,23 @@ class AssignmentDistribution:
         n1, n0 = self.n_treated, self.n_control
         return _sums([(w, (a - n11) * n0 + n01 * n1) for w, n11, n01, a in self._observed()])
 
-    def _moments(self, sums: tuple[int, int], scale: int) -> tuple:
-        # Mean and variance of v / scale from v's sums.
-        total, (first, second) = self.denominator, sums
-        return (Fraction(first, total * scale),
-                Fraction(total * second - first * first, (total * scale) ** 2))
-
     def tau_hat_moments(self) -> tuple:
-        return self._moments(self.tau_hat_sums(), self.n_treated * self.n_control)
+        return _moments(self.denominator, self.tau_hat_sums(), self.n_treated * self.n_control)
 
     def prediction_gap_moments(self) -> tuple:
         """Mean and variance of A - N1 * tau_hat."""
-        return self._moments(self.prediction_gap_sums(), self.n_control)
+        return _moments(self.denominator, self.prediction_gap_sums(), self.n_control)
 
 
 def _sums(pairs: list) -> tuple[int, int]:
     return sum(w * v for w, v in pairs), sum(w * v * v for w, v in pairs)
+
+
+def _moments(total: int, sums: tuple[int, int], scale: int) -> tuple:
+    # Mean and variance of v / scale from v's sums over a law whose weights sum to total.
+    first, second = sums
+    return (Fraction(first, total * scale),
+            Fraction(total * second - first * first, (total * scale) ** 2))
 
 
 def _assignment_count(total: int, n_treated: int) -> int:
@@ -244,25 +245,23 @@ def lemma1_check(constants, n_treated: int) -> Lemma1Report:
 
     Enumerates every assignment and reports whether the moments equal
     N1 * mean(c) and (N1 N0 / N) * S_c^2, the sampling formulas all the
-    variance results reduce to.
+    variance results reduce to, on integers: the constants over the lcm of
+    their denominators, each treated total summed, the formulas cross-multiplied.
     """
     values = [Fraction(c) for c in constants]
     total = len(values)
     n_assignments = _assignment_count(total, n_treated)
-    sums = [
-        sum(combo) for combo in itertools.combinations(values, n_treated)
-    ]
-    mean = Fraction(sum(sums), n_assignments)
-    variance = Fraction(sum(s * s for s in sums), n_assignments) - mean * mean
-    c_bar = sum(values) / total
-    s_c2 = sum((c - c_bar) ** 2 for c in values) / (total - 1)
-    expected_mean = n_treated * c_bar
-    expected_var = Fraction(n_treated * (total - n_treated), total) * s_c2
-    return Lemma1Report(
-        mean=mean,
-        variance=variance,
-        matches=(mean == expected_mean and variance == expected_var),
-    )
+    scale = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    sums = _sums([(1, sum(combo)) for combo in itertools.combinations(scaled, n_treated)])
+    first, second = sums
+    c1, c2 = _sums([(1, c) for c in scaled])
+    # Over D = C(N, N1) and scale: the mean is first / D against N1 c1 / N, and
+    # the variance (D second - first^2) / D^2 against N1 N0 (N c2 - c1^2) / (N^2 (N - 1)).
+    matches = (first * total == n_treated * c1 * n_assignments
+               and (n_assignments * second - first * first) * total * total * (total - 1)
+               == n_treated * (total - n_treated) * (total * c2 - c1 * c1) * n_assignments ** 2)
+    return Lemma1Report(*_moments(n_assignments, sums, scale), matches)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ table it reaches, the oracle's ``_tables()`` keyed by (n11_obs, n01_obs),
 must equal its point's walked numerators by the same key; only a mismatch
 is checked, and named, table by table. The moments are checked on integers:
 the oracle's sums over C(N, N1) meet ``moments._population`` and ``_cells``
-cross-multiplied, and a failure line builds its rationals only when written.
+cross-multiplied; a failure line alone builds rationals (``oracle._moments``).
 """
 
 from __future__ import annotations
@@ -138,10 +138,10 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
                 ):
                     (first, second), whole = sums, dist.denominator * unit
                     spread = (dist.denominator * second - first * first) * variance[1]
-                    result.record(first * mean[1] == mean[0] * whole,
-                                  lambda: f"{label()}: E({name})={dist._moments(sums, unit)[0]}")
-                    result.record(spread == variance[0] * whole * whole,
-                                  lambda: f"{label()}: var({name})={dist._moments(sums, unit)[1]}")
+                    result.record(first * mean[1] == mean[0] * whole, lambda: (
+                        f"{label()}: E({name})={oracle._moments(dist.denominator, sums, unit)[0]}"))
+                    result.record(spread == variance[0] * whole * whole, lambda: (
+                        f"{label()}: var({name})={oracle._moments(dist.denominator, sums, unit)[1]}"))
 
                 columns, scaled = walks[science.n01]
                 column = columns.get((science.n11, science.n10), {})

@@ -135,6 +135,19 @@ class TestIntervalA:
         assert set(tight) <= set(wide)
         assert all(pvalue_exact(pit, pit.n11 + pit.n01 - a) > 0 for a in wide)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0 ** -54, Fraction(1, 10**20)])
+    def test_alpha_whose_level_rounds_to_one_raises_naming_alpha(self, pit, alpha):
+        with pytest.raises(ValueError) as raised:
+            interval_A(pvalue_curve(pit), alpha)
+        assert str(raised.value) == (
+            f"alpha {alpha} is too close to 0 for an interval level of 1 - alpha")
+
+    @pytest.mark.parametrize("alpha", [2.0 ** -53, 1e-16])
+    def test_smallest_alpha_with_a_level_below_one(self, pit, alpha):
+        estimate, retained = interval_A(pvalue_curve(pit), alpha)
+        assert estimate.level == 1.0 - alpha < 1.0
+        assert retained == tuple(range(-pit.n10, pit.n11 + 1))
+
 
 class TestNeymanPrediction:
     def test_worked_example_point(self, pit):

@@ -101,13 +101,22 @@ class TestPrior:
         with pytest.raises(ValueError, match=r"^prior weight at .* = \(3, 4\) must be finite$"):
             Prior({(1, 2): 1, (3, 4): weight})
 
-    @pytest.mark.parametrize("weight", ["1/3", "nan", b"1", True],
-                             ids=["fraction-string", "nan-string", "bytes", "bool"])
+    @pytest.mark.parametrize("weight", ["1/3", "nan", b"1", True, None, [1], 1j],
+                             ids=["fraction-string", "nan-string", "bytes", "bool", "none",
+                                  "list", "complex"])
     def test_rejects_a_weight_that_is_not_a_number_naming_its_point(self, weight):
         with pytest.raises(ValueError) as raised:
             Prior({(1, 2): 1, (3, 4): weight})
         assert str(raised.value) == (
             f"prior weight at (n11, n10) = (3, 4) must be a number, got {weight!r}"
+        )
+
+    @pytest.mark.parametrize("weight", [-1, -0.5, Fraction(-1, 3)])
+    def test_rejects_a_negative_weight_naming_its_point(self, weight):
+        with pytest.raises(ValueError) as raised:
+            Prior({(1, 2): 1, (3, 4): weight})
+        assert str(raised.value) == (
+            f"prior weight at (n11, n10) = (3, 4) must be nonnegative, got {weight!r}"
         )
 
     def test_rejects_bad_coordinates(self):

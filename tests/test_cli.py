@@ -343,6 +343,19 @@ class TestSensitivity:
         assert run(capsys, "sensitivity", *PIT, "--n01-max", "-1") == (
             EXIT_USAGE, "", "error: --n01-max must be nonnegative\n")
 
+    def test_reads_each_posterior_mode_once(self, capsys, monkeypatch):
+        # The JSON mode is the HPD interval's point; no row reads it twice.
+        modes = []
+        mode = causalurn.bayes.DiscreteDistribution.mode
+        monkeypatch.setattr(causalurn.bayes.DiscreteDistribution, "mode",
+                            lambda dist: modes.append(dist) or mode(dist))
+        code, out, _ = run(capsys, "sensitivity", *PIT, "--n01-max", "40", "--format", "json")
+        assert code == EXIT_OK
+        rows = json.loads(out)["rows"]
+        assert len(modes) == sum("bayes" in row for row in rows) == 20
+        assert [row["bayes"]["mode"] for row in rows if "bayes" in row] == [
+            float(f"{float(mode(dist)):.12g}") for dist in modes]
+
     def test_auto_bound_gives_six_rows(self, capsys):
         code, out, _ = run(capsys, "sensitivity", *PIT, "--format", "csv")
         assert code == EXIT_OK
@@ -452,7 +465,7 @@ class TestPosterior:
     @pytest.mark.parametrize("content,message", [
         ("[1]", 'prior file must be an object {"points": [...]}'),
         ('{"points": [7]}', "malformed prior entries:\nentry 0: not an object"),
-        ('{"points": []}', "prior file assigns no positive weight"),
+        ('{"points": []}', "prior must put positive weight somewhere"),
     ], ids=["not-an-object", "entry-not-an-object", "no-points"])
     def test_prior_file_shape_exit_1(self, capsys, tmp_path, content, message):
         prior = tmp_path / "prior.json"
@@ -537,6 +550,47 @@ class TestPosterior:
         assert "entry 2" in err
         assert "entry 0" not in err
 
+    @pytest.mark.parametrize("n11,n10,weight", [
+        ("13", "17", "null"), ("13", "17", '"1/3"'), ("13", "17", "NaN"),
+        ("13", "17", "Infinity"), ("13", "17", "-Infinity"), ("13", "17", "-1"),
+        ("13", "17", "true"), ("13", "17", "[1]"), ("-1", "17", "1"), ("13", "1.5", "1"),
+    ], ids=["null", "string", "nan", "inf", "-inf", "negative", "true", "list",
+            "negative-count", "fractional-count"])
+    def test_bad_entry_reads_as_the_prior_rule(self, capsys, tmp_path, n11, n10, weight):
+        # The file and Prior state one rule: an offender line is the entry,
+        # then exactly the message Prior raises for the same point and weight.
+        bad = '{"n11": %s, "n10": %s, "weight": %s}' % (n11, n10, weight)
+        prior = tmp_path / "prior.json"
+        prior.write_text('{"points": [{"n11": 13, "n10": 17, "weight": 1}, %s]}' % bad)
+        entry = json.loads(bad)
+        with pytest.raises((TypeError, ValueError)) as raised:
+            causalurn.Prior({(entry["n11"], entry["n10"]): entry["weight"]})
+        assert run(capsys, "posterior", *PIT, "--prior-file", str(prior)) == (
+            EXIT_USAGE, "",
+            f"error: malformed prior entries:\nentry 1 {entry!r}: {raised.value}\n")
+
+    @pytest.mark.parametrize("key", ["n11", "n10"])
+    def test_true_count_exit_1(self, capsys, tmp_path, key):
+        # Prior counts True as 1, as every count does; in a file it is no count.
+        entry = {"n11": 13, "n10": 17, "weight": 1, key: True}
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"points": [entry]}))
+        assert run(capsys, "posterior", *PIT, "--prior-file", str(prior)) == (
+            EXIT_USAGE, "", f"error: malformed prior entries:\n"
+            f"entry 0 {entry!r}: {key} must be an integer, got True\n")
+
+    def test_repeated_point_weights_add_up(self, capsys, tmp_path):
+        outputs = []
+        for points in ([(13, 17, 1), (16, 12, 1), (13, 17, 0.5)],
+                       [(13, 17, 1.5), (16, 12, 1)], [(13, 17, 0.5), (16, 12, 1)]):
+            prior = tmp_path / "prior.json"
+            prior.write_text(json.dumps({"points": [
+                {"n11": n11, "n10": n10, "weight": w} for n11, n10, w in points]}))
+            code, out, _ = run(capsys, "posterior", *PIT, "--prior-file", str(prior))
+            assert code == EXIT_OK
+            outputs.append(out)
+        assert outputs[0] == outputs[1] != outputs[2]
+
     @pytest.mark.parametrize("weight", ["Infinity", "NaN"])
     def test_non_finite_weight_exit_1(self, capsys, tmp_path, weight):
         # json.load accepts these literals as floats; they are not weights.
@@ -587,6 +641,20 @@ class TestAttributable:
     def test_alpha_outside_unit_interval_exit_1(self, capsys, alpha, shown):
         assert run(capsys, "attributable", *PIT, "--alpha", alpha) == (
             EXIT_USAGE, "", f"error: alpha must be in (0, 1), got {shown}\n")
+
+    def test_alpha_whose_level_rounds_to_one_exit_1(self, capsys):
+        # 1 - 1e-17 rounds to 1.0, a level no interval has; the error names alpha.
+        assert run(capsys, "attributable", *PIT, "--alpha", "1e-17") == (
+            EXIT_USAGE, "",
+            "error: alpha 1e-17 is too close to 0 for an interval level of 1 - alpha\n")
+
+    @pytest.mark.parametrize("alpha", ["1.1102230246251565e-16", "1e-16"], ids=["2^-53", "1e-16"])
+    def test_smallest_alphas_with_a_level_below_one(self, capsys, alpha):
+        assert run(capsys, "attributable", *PIT, "--alpha", alpha) == (EXIT_OK, (
+            "HL estimate of A: {9, 10, 11}\n"
+            "100% inversion interval for A: [-14, 18]\n"
+            "prediction: 10.381  [2.807, 17.955]  (95%, mse from control-arm rate)\n"
+        ), "")
 
     def test_worked_example_report(self, capsys):
         code, out, _ = run(capsys, "attributable", *PIT)

@@ -71,6 +71,7 @@ from causalurn import (
     improved_variance,
     in_general_support,
     interval_A,
+    lemma1_check,
     likelihood,
     likelihood_exact,
     loglik_general,
@@ -764,6 +765,38 @@ def test_integer_moments_equal_the_fraction_reference(science):
         assert dist.prediction_gap_moments() == _fraction_moments(
             dist, lambda r: r.attributable - n_treated * tau_hat(r)
         )
+
+
+def _reference_lemma1(constants, n_treated):
+    """``lemma1_check``'s mean, variance and match as the Fraction formula it replaced."""
+    values = [Fraction(c) for c in constants]
+    total = len(values)
+    n_assignments = math.comb(total, n_treated)
+    sums = [sum(combo) for combo in itertools.combinations(values, n_treated)]
+    mean = Fraction(sum(sums), n_assignments)
+    variance = Fraction(sum(s * s for s in sums), n_assignments) - mean * mean
+    c_bar = sum(values) / total
+    s_c2 = sum((c - c_bar) ** 2 for c in values) / (total - 1)
+    expected_var = Fraction(n_treated * (total - n_treated), total) * s_c2
+    return mean, variance, mean == n_treated * c_bar and variance == expected_var
+
+
+# Constants as ints, rationals and floats, from tiny to far past 53 bits.
+CONSTANT = st.one_of(
+    st.integers(-9, 9), st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CONSTANT, min_size=2, max_size=8))
+def test_lemma1_check_is_the_fraction_formula(constants):
+    for n_treated in range(1, len(constants)):
+        report = lemma1_check(constants, n_treated)
+        assert tuple(report) == _reference_lemma1(constants, n_treated)
+        assert type(report.mean) is type(report.variance) is Fraction
+        assert report.matches is True
 
 
 def _science_rates(science):
