@@ -20,15 +20,16 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .likelihood import _check_support, _columns, _grid, _point_numerator, _row_sums
+from .likelihood import _check_support, _columns, _grid, _numerator, _row_sums
 from .tables import (
     InfeasibleError,
     IntervalEstimate,
     ObservedTable,
     ParameterPoint,
     _count,
+    _exact,
     _level,
-    support_rows,
+    _rows,
 )
 
 
@@ -90,17 +91,10 @@ class DiscreteDistribution:
 
 
 def _prior_point(n11, n10, w) -> tuple:
-    """``Prior``'s rule for one entry: ``_count``'s counts and an exact weight; a
+    """``Prior``'s rule for one entry: ``_count``'s counts and ``_exact``'s weight; a
     weight that is not a finite nonnegative number is a ValueError naming its point."""
     at = f"prior weight at (n11, n10) = ({n11}, {n10})"
-    try:
-        if isinstance(w, (str, bytes, bool)):  # Fraction(w) would parse or count these
-            raise TypeError
-        weight = Fraction(w)
-    except TypeError:
-        raise ValueError(f"{at} must be a number, got {w!r}") from None
-    except (ValueError, OverflowError):  # a NaN, an infinity
-        raise ValueError(f"{at} must be finite") from None
+    weight = _exact(w, at)
     if weight < 0:
         raise ValueError(f"{at} must be nonnegative, got {w!r}")
     return (_count(n11, "n11"), _count(n10, "n10")), weight
@@ -138,13 +132,13 @@ def _weighted(
 ) -> list[tuple[int, int, int]]:
     """``(n11, n10, prior weight x likelihood numerator)`` at the table prior's
     points wherever positive, the weights scaled to integers by the lcm of
-    their denominators, each numerator read off its point's row runs. Raises
+    their denominators, each numerator :func:`likelihood._numerator`'s urn sum. Raises
     InfeasibleError on an empty support and when the prior annihilates it.
     """
     _check_support(obs, n01)
     scale = math.lcm(*(w.denominator for w in prior.weights.values()))
     rows = [
-        (n11, n10, w.numerator * (scale // w.denominator) * _point_numerator(obs, n11, n10, n01))
+        (n11, n10, w.numerator * (scale // w.denominator) * _numerator(obs, n11, n10, n01))
         for (n11, n10), w in prior.weights.items()
     ]
     rows = [row for row in rows if row[2]]
@@ -167,7 +161,7 @@ def posterior_points(
     else:
         table = {(n11, n10): w for n11, n10, w in _weighted(obs, n01, prior)}
         rows = ((n11, n10s, [table.get((n11, n10), 0) for n10 in n10s])
-                for n11, n10s in support_rows(obs, n01))
+                for n11, n10s, _ in _rows(obs, n01))
     return DiscreteDistribution(*zip(*(
         (ParameterPoint(n11, n10, n01), w) for n11, n10s, ws in rows for n10, w in zip(n10s, ws)
     )))

@@ -33,6 +33,7 @@ from .tables import (
     IntervalEstimate,
     ObservedTable,
     ScienceTable,
+    _count,
 )
 
 EXIT_OK = 0
@@ -65,6 +66,13 @@ def _machine(value) -> float:
 def _masses(dist) -> list[float]:
     total = dist.total  # int true division rounds as float(Fraction(w, total)), with no gcd
     return [_machine(w / total) for w in dist.weights]
+
+
+def _level_label(level: float, scale: int = 1) -> str:
+    """``scale * level`` to 6 significant digits, or to as many more as keep a
+    level below 1 from reading as ``scale``; 17 always do."""
+    labels = (f"{scale * level:.{digits}g}" for digits in range(6, 18))
+    return next(label for label in labels if float(label) < scale)
 
 
 def _fmt(value) -> str:
@@ -107,13 +115,6 @@ def _emit(args, echo: dict, fields, csv=None, text=None) -> int:
     return EXIT_OK
 
 
-def _check_draws_and_seed(args) -> None:
-    if args.draws < 1:
-        raise UsageError("--draws must be positive")
-    if args.seed < 0:
-        raise UsageError("--seed must be nonnegative")
-
-
 # The variance of tau-hat behind each method, in the order "all" reports.
 _VARIANCES = {
     "neyman": lambda obs, n01: moments.neyman_variance(obs),
@@ -125,8 +126,7 @@ _VARIANCES = {
 
 def cmd_estimate(args) -> int:
     obs = ObservedTable(*args.counts)
-    if args.n01 < 0:
-        raise UsageError("--n01 must be nonnegative")
+    _count(args.n01, "n01")
     t = moments.tau_hat(obs)
     rows = [
         moments.confidence_interval(t, variance(obs, args.n01), args.level, method=name)
@@ -201,7 +201,7 @@ def cmd_sensitivity(args) -> int:
             ],
         ),
         text=lambda: [
-            f"sensitivity sweep, n01 from 0 to {hi} (level {args.level:g})",
+            f"sensitivity sweep, n01 from 0 to {hi} (level {_level_label(args.level)})",
             f"{'n01':>4}  {'point':>6}  {'interval':>16}  {'length':>6}  "
             f"{'bayes':>6}  {'bayes hpd':>16}  {'length':>6}",
         ] + [
@@ -232,9 +232,6 @@ def _load_prior(path: Optional[str]) -> bayes.Prior:
             offenders.append(f"entry {index}: not an object")
             continue
         try:
-            for key in ("n11", "n10"):
-                if isinstance(entry.get(key), bool):  # not JSON true, which _count takes as 1
-                    raise ValueError(f"{key} must be an integer, got {entry[key]!r}")
             point, weight = bayes._prior_point(*map(entry.get, ("n11", "n10", "weight")))
         except (TypeError, ValueError) as exc:
             offenders.append(f"entry {index} {entry!r}: {exc}")
@@ -275,7 +272,7 @@ def cmd_attributable(args) -> int:
     def text():
         lines = [
             f"HL estimate of A: {{{', '.join(str(v) for v in hl)}}}",
-            f"{100 * (1 - args.alpha):g}% inversion interval for A: "
+            f"{_level_label(1 - args.alpha, 100)}% inversion interval for A: "
             f"[{retained[0]}, {retained[-1]}]",
         ]
         if retained != tuple(range(retained[0], retained[-1] + 1)):
@@ -284,7 +281,7 @@ def cmd_attributable(args) -> int:
         lines.append(
             f"prediction: {_fmt(prediction.point)}  "
             f"[{_fmt(prediction.lower)}, {_fmt(prediction.upper)}]  "
-            f"({100 * args.level:g}%, mse from {mse_tag})"
+            f"({_level_label(args.level, 100)}%, mse from {mse_tag})"
         )
         if standardized is not None:
             lines.append("standardized p-values (A, mass):")
@@ -311,7 +308,6 @@ def cmd_attributable(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_n < 2:
         raise UsageError("--max-n must be at least 2; smaller populations have no designs")
-    _check_draws_and_seed(args)
     report = verify.run_verification(max_n=args.max_n, seed=args.seed, mc_draws=args.draws)
     print("\n".join(report.lines()))
     if report.ok:
@@ -322,9 +318,6 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     science = ScienceTable(*args.counts)
-    if not 1 <= args.n1 <= science.total - 1:
-        raise UsageError("--n1 must leave both arms nonempty")
-    _check_draws_and_seed(args)
     dist = oracle.monte_carlo(science, args.n1, args.draws, args.seed)
     mean, variance = dist.tau_hat_moments()
     gap_mean, gap_var = dist.prediction_gap_moments()

@@ -27,9 +27,8 @@ where it is a_x C(m - j, c); from n10 = n to n + 1 its term t steps to
     t (n + 1) (m - n - c) // ((n + 1 - j) (m - n)),
 
 every division exact. A grid at one harmed count adds each row's runs, one
-per x, into the row, at a cost of its inner-sum terms; one point sums its
-row's run terms at its n10. One-count numerators read ``tables._rows`` and
-``_seed``; ``_numerator``, the plain sum above, is the tests' reference.
+per x, into the row, at a cost of its inner-sum terms; one point is the
+plain sum above, ``_numerator``, over the x of its row's runs.
 
 Only the seed factor depends on the harmed count, and a_x(n01) is positive
 for n01 in [k, k + n01_obs], the box's k bounds read the other way. A
@@ -75,7 +74,7 @@ LOG_ZERO = float("-inf")
 
 
 def _numerator(obs: ObservedTable, n11: int, n10: int, n01: int) -> int:
-    """The likelihood times C(N, N1) as the plain urn sum: the tests' reference."""
+    """The likelihood times C(N, N1) at one point, as the plain urn sum over x."""
     n00 = obs.total - n11 - n10 - n01
     if n00 < 0:
         return 0
@@ -94,16 +93,6 @@ def _check_support(obs: ObservedTable, n01: int) -> None:
 def _seed(obs: ObservedTable, s: int, x: int, n01: int) -> int:
     # The (s, x) run's seed a_x(n01) = C(s - n01, x) C(n01, s - n01_obs - x).
     return math.comb(s - n01, x) * math.comb(n01, s - obs.n01 - x)
-
-
-def _point_numerator(obs: ObservedTable, n11: int, n10: int, n01: int) -> int:
-    # The numerator at one point: its row's run terms at n10; 0 when n00 < 0.
-    s = n11 + n01
-    m, d = obs.total - s, obs.n10 + obs.n01 - s  # n00 = m - n10, d = c - x
-    if n10 > m:
-        return 0
-    return sum(_seed(obs, s, x, n01) * math.comb(n10, obs.n11 - x) * math.comb(m - n10, d + x)
-               for _, _, xs in _rows(obs, n01, range(n11, n11 + 1)) for x in xs)
 
 
 def _add_run(obs: ObservedTable, s: int, x: int, seed: int, into: list, base: int) -> None:
@@ -189,7 +178,7 @@ def _log_likelihood(obs: ObservedTable, numerator: int) -> float:
 
 def likelihood_exact(obs: ObservedTable, point: ParameterPoint) -> Fraction:
     """The likelihood as an exact rational; 0 off the support."""
-    numerator = _point_numerator(obs, point.n11, point.n10, point.n01)
+    numerator = _numerator(obs, point.n11, point.n10, point.n01)
     return Fraction(numerator, math.comb(obs.total, obs.n_treated))
 
 
@@ -199,7 +188,7 @@ def loglik_general(obs: ObservedTable, point: ParameterPoint) -> float:
     The exact numerator and denominator are each logged once; LOG_ZERO
     wherever the point lies off the feasible region.
     """
-    return _log_likelihood(obs, _point_numerator(obs, point.n11, point.n10, point.n01))
+    return _log_likelihood(obs, _numerator(obs, point.n11, point.n10, point.n01))
 
 
 def loglik_monotone(obs: ObservedTable, point: ParameterPoint) -> float:

@@ -28,7 +28,7 @@ from statistics import NormalDist
 from typing import Iterator, NamedTuple, Optional
 
 from .moments import improved_variance, population_tau_variance, tau_hat
-from .tables import ObservedTable, ScienceTable, _n_control
+from .tables import ObservedTable, ScienceTable, _count, _exact, _n_control
 
 ENUM_CAP_ENV = "CAUSALURN_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10**6
@@ -188,6 +188,12 @@ def enumerate_assignments(science: ScienceTable, n_treated: int) -> AssignmentDi
     return AssignmentDistribution(science, n_treated, compositions, n_assignments)
 
 
+def _sampling(draws: int, seed: int) -> None:
+    """The one rule for a sampler's options: a positive count of draws and a nonnegative seed."""
+    _count(draws, "draws", positive=True)
+    _count(seed, "seed")
+
+
 def monte_carlo(
     science: ScienceTable, n_treated: int, draws: int, seed: int
 ) -> AssignmentDistribution:
@@ -199,8 +205,7 @@ def monte_carlo(
     ``draws``; compositions come in lexicographic order.
     """
     _n_control(science.total, n_treated)
-    if draws < 1:
-        raise ValueError("draws must be positive")
+    _sampling(draws, seed)
     if science.total >= 10**9:  # numpy's sampler takes fewer units; checked before it loads
         raise OverflowError(f"numpy samples fewer than 10^9 units, not {science.total}")
     import numpy as np  # the one numpy user; commands that never sample skip its import
@@ -247,8 +252,9 @@ def lemma1_check(constants, n_treated: int) -> Lemma1Report:
     N1 * mean(c) and (N1 N0 / N) * S_c^2, the sampling formulas all the
     variance results reduce to, on integers: the constants over the lcm of
     their denominators, each treated total summed, the formulas cross-multiplied.
+    Each constant is held to ``tables._exact``'s rule and named by its index.
     """
-    values = [Fraction(c) for c in constants]
+    values = [_exact(c, f"constants[{i}]") for i, c in enumerate(constants)]
     total = len(values)
     n_assignments = _assignment_count(total, n_treated)
     scale = math.lcm(*(v.denominator for v in values))

@@ -37,14 +37,31 @@ class InfeasibleError(ValueError):
     """Requested inputs are incompatible with the observed data."""
 
 
-def _count(value, name: str) -> int:
+def _count(value, name: str, positive: bool = False) -> int:
+    """The one count rule: an integer, not a bool, and nonnegative (positive
+    when asked); a TypeError or ValueError naming ``name`` otherwise."""
     try:
+        if isinstance(value, bool):  # operator.index would take True as 1
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if count < 0:
-        raise ValueError(f"{name} must be nonnegative, got {count}")
+    if count < positive:  # 1 when positive, else 0
+        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'}, got {count}")
     return count
+
+
+def _exact(value, name: str) -> Fraction:
+    """The one exact-number rule: ``value`` as an exact rational, after checking
+    it is a finite real number; a ValueError naming ``name`` otherwise."""
+    try:
+        if isinstance(value, (str, bytes, bool)):  # a string would parse, a bool count as 1
+            raise TypeError
+        return Fraction(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    except (ValueError, OverflowError):  # a NaN, an infinity
+        raise ValueError(f"{name} must be finite") from None
 
 
 def _counts(table, names: tuple) -> None:
@@ -214,15 +231,6 @@ def _rows(obs: ObservedTable, n01: int, n11s: range | None = None) -> list:
     return rows
 
 
-def support_rows(obs: ObservedTable, n01: int) -> list[tuple[int, range]]:
-    """The general support as rows ``(n11, range of n10)``, in (n11, n10) order.
-
-    Every point the rows cover has positive likelihood given ``n01`` harmed
-    units, and no other point does. Empty when ``n01`` is infeasible.
-    """
-    return [(n11, n10s) for n11, n10s, _ in _rows(obs, _count(n01, "n01"))]
-
-
 def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
     """All (n11, n10) with positive likelihood given ``n01`` harmed units.
 
@@ -232,7 +240,7 @@ def general_support(obs: ObservedTable, n01: int) -> tuple[ParameterPoint, ...]:
     """
     return tuple(
         ParameterPoint(n11=n11, n10=n10, n01=n01)
-        for n11, n10s in support_rows(obs, n01)
+        for n11, n10s, _ in _rows(obs, _count(n01, "n01"))
         for n10 in n10s
     )
 

@@ -4,7 +4,7 @@ Sweeps every science table up to a small population size and checks, by
 exhaustive enumeration in exact arithmetic, the closed-form moments, the
 moment cell estimates and ``likelihood._grid``: its points are the
 support, its box and steps the sweep's, its ``tables._rows`` and ``_seed``
-those every one-count numerator reads, one point's included.
+those the closed-form row sums read.
 Designs go one (N, N1) at a time, every one checked against the
 enumeration cap first. A science table's integer way count of each observed
 table it reaches, the oracle's ``_tables()`` keyed by (n11_obs, n01_obs),
@@ -100,6 +100,7 @@ def _walk(tables: list, n01: int) -> tuple[dict, dict]:
 
 def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> VerificationReport:
     """Run the full identity suite over all designs with N <= ``max_n``."""
+    oracle._sampling(mc_draws, seed)  # before any design is counted or walked
 
     estimator = CheckResult("rate-difference mean and variance")
     cells = CheckResult("cell estimators are unbiased")

@@ -119,6 +119,15 @@ class TestPrior:
             f"prior weight at (n11, n10) = (3, 4) must be nonnegative, got {weight!r}"
         )
 
+    @pytest.mark.parametrize("point,message", [
+        ((True, 2), "n11 must be an integer, got True"),
+        ((1, False), "n10 must be an integer, got False"),
+    ], ids=["n11", "n10"])
+    def test_rejects_a_bool_count(self, point, message):
+        with pytest.raises(TypeError) as raised:
+            Prior({point: 1})
+        assert str(raised.value) == message
+
     def test_rejects_bad_coordinates(self):
         with pytest.raises(ValueError):
             Prior({(-1, 2): 1})

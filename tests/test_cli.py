@@ -19,7 +19,8 @@ from causalurn.cli import (
     EXIT_VERIFY,
     main,
 )
-from causalurn.tables import support_rows
+from causalurn.tables import _rows
+from causalurn.verify import run_verification
 from test_properties import _x_windows
 
 PIT = ["18", "14", "5", "16"]
@@ -331,7 +332,7 @@ class TestEstimate:
     def test_negative_n01_is_a_usage_error_for_every_method(self, capsys, method, fmt):
         code, out, err = run(capsys, "estimate", *PIT, "--method", method,
                              "--n01", "-1", "--format", fmt)
-        assert (code, out, err) == (EXIT_USAGE, "", "error: --n01 must be nonnegative\n")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: n01 must be nonnegative, got -1\n")
 
     def test_bad_level_exit_1(self, capsys):
         code, _, _ = run(capsys, "estimate", *PIT, "--level", "1.5")
@@ -342,6 +343,11 @@ class TestSensitivity:
     def test_negative_n01_max_exit_1(self, capsys):
         assert run(capsys, "sensitivity", *PIT, "--n01-max", "-1") == (
             EXIT_USAGE, "", "error: --n01-max must be nonnegative\n")
+
+    def test_level_label_below_one_never_reads_1(self, capsys):
+        code, out, err = run(capsys, "sensitivity", *PIT, "--level", "0.9999996")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[0] == "sensitivity sweep, n01 from 0 to 5 (level 0.9999996)"
 
     def test_reads_each_posterior_mode_once(self, capsys, monkeypatch):
         # The JSON mode is the HPD interval's point; no row reads it twice.
@@ -443,13 +449,12 @@ class TestSensitivity:
 
         monkeypatch.setattr(causalurn.likelihood, "_add_run", counted)
         monkeypatch.setattr(causalurn.likelihood, "_numerator", forbidden)
-        monkeypatch.setattr(causalurn.likelihood, "_point_numerator", forbidden)
-        monkeypatch.setattr(causalurn.bayes, "_point_numerator", forbidden)
+        monkeypatch.setattr(causalurn.bayes, "_numerator", forbidden)
         monkeypatch.setattr(causalurn.bayes, "_pushforward", forbidden)
         code, _, _ = run(capsys, "sensitivity", *PIT, "--n01-max", "21")
         assert code == EXIT_OK
         obs = causalurn.ObservedTable(18, 14, 5, 16)
-        rows = [(n01, support_rows(obs, n01)) for n01 in range(22)]
+        rows = [(n01, _rows(obs, n01)) for n01 in range(22)]
         assert [n01 for n01, grid in rows if grid] == list(range(20))
         runs = {
             (n11 + n01, x)
@@ -571,7 +576,7 @@ class TestPosterior:
 
     @pytest.mark.parametrize("key", ["n11", "n10"])
     def test_true_count_exit_1(self, capsys, tmp_path, key):
-        # Prior counts True as 1, as every count does; in a file it is no count.
+        # No count is a bool, in a file or in Prior.
         entry = {"n11": 13, "n10": 17, "weight": 1, key: True}
         prior = tmp_path / "prior.json"
         prior.write_text(json.dumps({"points": [entry]}))
@@ -652,9 +657,22 @@ class TestAttributable:
     def test_smallest_alphas_with_a_level_below_one(self, capsys, alpha):
         assert run(capsys, "attributable", *PIT, "--alpha", alpha) == (EXIT_OK, (
             "HL estimate of A: {9, 10, 11}\n"
-            "100% inversion interval for A: [-14, 18]\n"
+            "99.99999999999999% inversion interval for A: [-14, 18]\n"
             "prediction: 10.381  [2.807, 17.955]  (95%, mse from control-arm rate)\n"
         ), "")
+
+    @pytest.mark.parametrize("alpha,label", [("4e-7", "99.99996"), ("1e-13", "99.99999999999")],
+                             ids=["4e-7", "1e-13"])
+    def test_level_label_below_one_never_reads_100(self, capsys, alpha, label):
+        # 2^-53 and 1e-16 are pinned line by line above.
+        code, out, err = run(capsys, "attributable", *PIT, "--alpha", alpha)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[1].startswith(f"{label}% inversion interval for A: [")
+
+    def test_prediction_level_label_below_one_never_reads_100(self, capsys):
+        code, out, err = run(capsys, "attributable", *PIT, "--level", "0.9999996")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[2].endswith("(99.99996%, mse from control-arm rate)")
 
     def test_worked_example_report(self, capsys):
         code, out, _ = run(capsys, "attributable", *PIT)
@@ -869,10 +887,40 @@ class TestUsage:
         assert "N00" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,library", [
+        (["estimate", *PIT, "--n01", "-1"],
+         lambda: causalurn.moments.sensitivity_variance(causalurn.ObservedTable(18, 14, 5, 16), -1)),
+        (["simulate", *PIT, "--n1", "0"],
+         lambda: causalurn.monte_carlo(causalurn.ScienceTable(18, 14, 5, 16), 0, 100_000, 0)),
+        (["simulate", *PIT, "--n1", "53"],
+         lambda: causalurn.monte_carlo(causalurn.ScienceTable(18, 14, 5, 16), 53, 100_000, 0)),
+        (["simulate", *PIT, "--n1", "3", "--draws", "0"],
+         lambda: causalurn.monte_carlo(causalurn.ScienceTable(18, 14, 5, 16), 3, 0, 0)),
+        (["simulate", *PIT, "--n1", "3", "--seed", "-1"],
+         lambda: causalurn.monte_carlo(causalurn.ScienceTable(18, 14, 5, 16), 3, 100_000, -1)),
+        (["verify", "--draws", "0"], lambda: run_verification(8, 0, 0)),
+        (["verify", "--seed", "-1"], lambda: run_verification(8, -1, 20_000)),
+        (["posterior", *PIT, "--prior-file", "PRIOR"], lambda: causalurn.Prior({(True, 17): 1})),
+    ], ids=["estimate-n01", "simulate-n1-0", "simulate-n1-N", "simulate-draws", "simulate-seed",
+            "verify-draws", "verify-seed", "prior-true-count"])
+    def test_prints_the_library_message(self, capsys, tmp_path, argv, library):
+        # Each rule has one statement, in the library; the command line adds
+        # only "error: " and, for a prior file, the entry it names.
+        with pytest.raises((TypeError, ValueError)) as raised:
+            library()
+        expected = f"error: {raised.value}\n"
+        if "PRIOR" in argv:
+            entry = {"n11": True, "n10": 17, "weight": 1}
+            prior = tmp_path / "prior.json"
+            prior.write_text(json.dumps({"points": [entry]}))
+            argv = [str(prior) if arg == "PRIOR" else arg for arg in argv]
+            expected = f"error: malformed prior entries:\nentry 0 {entry!r}: {raised.value}\n"
+        assert run(capsys, *argv) == (EXIT_USAGE, "", expected)
+
     @pytest.mark.parametrize("flag,value,message", [
-        ("--draws", "0", "error: --draws must be positive\n"),
-        ("--draws", "-5", "error: --draws must be positive\n"),
-        ("--seed", "-1", "error: --seed must be nonnegative\n"),
+        ("--draws", "0", "error: draws must be positive, got 0\n"),
+        ("--draws", "-5", "error: draws must be positive, got -5\n"),
+        ("--seed", "-1", "error: seed must be nonnegative, got -1\n"),
     ], ids=["draws-0", "draws-negative", "seed-negative"])
     @pytest.mark.parametrize("command", [
         ["verify", "--max-n", "9"],
@@ -880,11 +928,14 @@ class TestUsage:
     ], ids=["verify", "simulate"])
     def test_draws_and_seed_checked_before_work(self, capsys, monkeypatch,
                                                 command, flag, value, message):
+        # verify counts no design and simulate loads no sampler: numpy cannot
+        # be imported here.
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the options were checked")
 
-        monkeypatch.setattr("causalurn.cli.verify.run_verification", no_work)
-        monkeypatch.setattr("causalurn.cli.oracle.monte_carlo", no_work)
+        monkeypatch.setattr("causalurn.oracle._assignment_count", no_work)
+        monkeypatch.setattr("causalurn.oracle.enumerate_assignments", no_work)
+        monkeypatch.setitem(sys.modules, "numpy", None)
         assert run(capsys, *command, flag, value) == (EXIT_USAGE, "", message)
 
 

@@ -1,6 +1,8 @@
 """The exact likelihood, its log views, and maximum likelihood."""
 
+import inspect
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,14 +13,17 @@ from causalurn import (
     InfeasibleError,
     ObservedTable,
     ParameterPoint,
+    Prior,
     enumerate_assignments,
     general_support,
     in_general_support,
+    likelihood,
     likelihood_exact,
     loglik_general,
     loglik_monotone,
     mle,
     monotone_support,
+    tau_posterior,
 )
 from causalurn.verify import science_tables_up_to
 from test_properties import _reference_likelihood
@@ -102,6 +107,29 @@ class TestGeneralLikelihood:
                 assert loglik_general(pit, point) == pytest.approx(
                     math.log(exact), abs=1e-9
                 )
+
+
+    def test_every_single_point_reads_the_one_urn_sum(self, monkeypatch):
+        # likelihood._numerator with its last x term dropped, rebuilt from its
+        # source and patched into every module that binds it, moves the exact
+        # and log likelihood of a point and a table prior's posterior alike.
+        source = inspect.getsource(likelihood._numerator)
+        right = "min(n11, obs.n11, d) + 1"
+        assert right in source
+        obs, point = ObservedTable(2, 1, 1, 2), ParameterPoint(1, 2, 1)
+        prior = Prior({(1, 2): 1, (2, 1): 3})
+        before = (likelihood_exact(obs, point), loglik_general(obs, point),
+                  tau_posterior(obs, 1, prior))
+        namespace = dict(vars(likelihood))
+        exec(source.replace(right, "min(n11, obs.n11, d)"), namespace)
+        bound = [module for name, module in sys.modules.items() if name.startswith("causalurn")
+                 and getattr(module, "_numerator", None) is likelihood._numerator]
+        assert {module.__name__ for module in bound} == {"causalurn.likelihood", "causalurn.bayes"}
+        for module in bound:
+            monkeypatch.setattr(module, "_numerator", namespace["_numerator"])
+        after = (likelihood_exact(obs, point), loglik_general(obs, point),
+                 tau_posterior(obs, 1, prior))
+        assert all(a != b for a, b in zip(after, before))
 
 
 class TestExactLikelihoodAgainstOracle:

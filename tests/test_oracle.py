@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +84,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="draws must be positive"):
             monte_carlo(ScienceTable(3, 4, 1, 5), 6, 0, 1)
 
+    @pytest.mark.parametrize("draws,seed,error,message", [
+        (-5, 1, ValueError, "draws must be positive, got -5"),
+        (True, 1, TypeError, "draws must be an integer, got True"),
+        (10, -1, ValueError, "seed must be nonnegative, got -1"),
+        (10, 1.5, TypeError, "seed must be an integer, got 1.5"),
+    ], ids=["draws-negative", "draws-bool", "seed-negative", "seed-float"])
+    def test_sampling_options_are_checked_before_numpy_loads(self, monkeypatch, draws, seed,
+                                                             error, message):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(error) as raised:
+            monte_carlo(ScienceTable(3, 4, 1, 5), 6, draws, seed)
+        assert str(raised.value) == message
+
     def test_different_seed_differs(self):
         science = ScienceTable(3, 4, 1, 5)
         a = monte_carlo(science, 6, draws=2000, seed=1)
@@ -157,6 +171,18 @@ class TestLemma1:
     def test_one_constant_raises(self):
         with pytest.raises(ValueError, match="both arms must contain at least one unit"):
             lemma1_check([1], 1)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("1/2", "must be a number, got '1/2'"),
+        (None, "must be a number, got None"),
+        (math.nan, "must be finite"),
+        (True, "must be a number, got True"),
+    ], ids=["string", "none", "nan", "bool"])
+    def test_names_a_bad_constant(self, bad, message):
+        # Prior's weights and these constants share tables._exact's rule.
+        with pytest.raises(ValueError) as raised:
+            lemma1_check([1, 2, bad, 3], 2)
+        assert str(raised.value) == f"constants[2] {message}"
 
     def test_fractional_constants(self):
         assert lemma1_check([0.5, 0.25, 1.0, 0.0, 2.0], 2).matches

@@ -49,7 +49,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalurn import (
@@ -94,8 +94,9 @@ from causalurn import (
     tau_posterior_sweep,
 )
 from causalurn.attributable import _pvalue_numerator
+from causalurn.cli import _level_label
 from causalurn.moments import ASSUMPTIONS
-from causalurn.tables import _rows, _run_box, support_rows
+from causalurn.tables import _rows, _run_box
 from causalurn.verify import science_tables_up_to
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -175,7 +176,7 @@ def _pointwise_rows(obs, n01) -> list:
     """``(n11, n10, _numerator)`` at every point of the support rows."""
     return [
         (n11, n10, likelihood._numerator(obs, n11, n10, n01))
-        for n11, n10s in support_rows(obs, n01)
+        for n11, n10s, _ in _rows(obs, n01)
         for n10 in n10s
     ]
 
@@ -197,7 +198,7 @@ def _assert_grid_walk_is_the_pointwise_kernel(obs):
             with pytest.raises(InfeasibleError):
                 likelihood._grid(obs, n01)
         else:
-            rows = support_rows(obs, n01)
+            rows = [(n11, n10s) for n11, n10s, _ in _rows(obs, n01)]
             walked = list(likelihood._grid(obs, n01))
             assert [(n11, n10s) for n11, n10s, _ in walked] == rows
             assert [
@@ -222,7 +223,7 @@ def _x_windows(obs, n01) -> list:
     the n10 of the row where the x term of the sum is positive."""
     total = obs.total
     windows = []
-    for n11, n10s in support_rows(obs, n01):
+    for n11, n10s, _ in _rows(obs, n01):
         for x in range(n11 + 1):
             def positive(n10):
                 c, h = obs.n10 + obs.n01 + x - n01 - n11, n01 + n11 - obs.n01 - x
@@ -302,7 +303,7 @@ def test_grid_corners_reach_their_cases():
     for obs in GRID_CORNERS:
         one_unit_arm |= 1 in (obs.n_treated, obs.n_control)
         for n01 in range(obs.n10 + obs.n01 + 1):
-            one_point_row |= any(len(n10s) == 1 for _, n10s in support_rows(obs, n01))
+            one_point_row |= any(len(n10s) == 1 for _, n10s, _ in _rows(obs, n01))
             for n11, _, x, window in _x_windows(obs, n01):
                 one_point_run |= len(window) == 1
                 empty_run |= not window and 0 <= n01 + n11 - obs.n01 - x <= n01 and x <= obs.n11
@@ -1055,3 +1056,21 @@ def test_monte_carlo_tally_equals_rowwise_unique(science, data, draws, seed):
     assert [(r.treated_types, r.weight) for r in dist.records] == [
         (tuple(row.tolist()), count) for row, count in zip(rows, counts.tolist())
     ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=2**-53, max_value=1, exclude_max=True))
+@example(2**-53)
+@example(1e-13)
+@example(4e-7)
+@example(0.05)
+def test_level_labels_keep_a_level_below_one_below_one(alpha):
+    # Every alpha the CLI takes, down to 2^-53, as an inversion level 1 - alpha
+    # in percent and as a plain level: the label is :g's 6 significant digits
+    # unless those read 100% or 1, and never reads either.
+    level = 1 - alpha
+    for scale in (1, 100):
+        label = _level_label(level, scale)
+        assert float(label) < scale
+        if float(f"{scale * level:g}") < scale:
+            assert label == f"{scale * level:g}"

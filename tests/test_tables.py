@@ -23,7 +23,7 @@ from causalurn import (
     tau_posterior,
 )
 from causalurn.moments import normal_quantile
-from causalurn.tables import support_rows
+from causalurn.tables import _rows
 
 
 class TestScienceTable:
@@ -78,9 +78,11 @@ class TestObservedTable:
 class TestCountValidation:
     FIELDS = ("n11", "n10", "n01", "n00")
 
-    def test_stores_true_as_plain_int(self, table):
-        cells = table(True, 1, 1, 1)
-        assert cells.n11 == 1 and type(cells.n11) is int
+    def test_rejects_a_bool_count(self, table):
+        # operator.index would take True as 1; no count is a bool.
+        with pytest.raises(TypeError) as raised:
+            table(True, 1, 1, 1)
+        assert str(raised.value) == "n11 must be an integer, got True"
 
     def test_stores_numpy_integers_as_plain_ints(self, table):
         cells = table(*(np.int64(1) for _ in self.FIELDS))
@@ -163,6 +165,13 @@ class TestParameterPoint:
         with pytest.raises(ValueError):
             ParameterPoint(n11=-1, n10=0)
 
+    @pytest.mark.parametrize("field", ["n11", "n10", "n01"])
+    def test_rejects_a_bool_count(self, field):
+        counts = {"n11": 1, "n10": 1, "n01": 0, field: True}
+        with pytest.raises(TypeError) as raised:
+            ParameterPoint(**counts)
+        assert str(raised.value) == f"{field} must be an integer, got True"
+
 
 class TestIntervalEstimate:
     def test_validation(self):
@@ -235,7 +244,7 @@ class TestGeneralSupport:
         # About 10^20 rows would be too many for len(); with n01 above
         # n10_obs + n01_obs there is no run, so no row is counted at all.
         obs = ObservedTable(10**20, 1, 1, 1)
-        assert support_rows(obs, 10) == []
+        assert _rows(obs, 10) == []
         assert general_support(obs, 10) == ()
         assert not in_general_support(obs, ParameterPoint(5, 5, 10))
 

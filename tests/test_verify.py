@@ -9,14 +9,11 @@ import pytest
 
 from causalurn import (
     ParameterPoint,
-    Prior,
     a_posterior,
     likelihood,
-    likelihood_exact,
     moments,
     oracle,
     tables,
-    tau_posterior,
 )
 from causalurn.cli import EXIT_INFEASIBLE, EXIT_VERIFY, main
 from causalurn.tables import InfeasibleError, ObservedTable, ScienceTable
@@ -27,6 +24,20 @@ import test_properties
 def test_science_table_family_count():
     # Compositions of n into four cells, n = 2..6.
     assert sum(1 for _ in science_tables_up_to(6)) == 10 + 20 + 35 + 56 + 84
+
+
+@pytest.mark.parametrize("options,message", [
+    ({"seed": -1}, "seed must be nonnegative, got -1"),
+    ({"mc_draws": 0}, "draws must be positive, got 0"),
+], ids=["seed", "draws"])
+def test_sampling_options_are_checked_before_any_enumeration(monkeypatch, options, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started before the options were checked")
+
+    monkeypatch.setattr(oracle, "enumerate_assignments", no_work)
+    with pytest.raises(ValueError) as raised:
+        run_verification(6, **options)
+    assert str(raised.value) == message
 
 
 def test_suite_passes_as_shipped():
@@ -186,23 +197,22 @@ def test_detects_a_window_cut_short_in_the_walk(monkeypatch, capsys):
 
 def test_detects_a_wrong_seed_in_the_walk(monkeypatch, capsys):
     # Every run's seed a_x(n01) = C(s - n01, x) C(n01, k) takes C(n01, k + 1):
-    # likelihood._seed, the one seed behind the grid, the row sums, the
-    # sensitivity sweep and every single point, rebuilt from its source with
-    # that one change. The single point reaches it through likelihood_exact
-    # and a table prior's posterior, at a harmed count above 0.
+    # likelihood._seed, the one seed behind the grid, the row sums and the
+    # sensitivity sweep, rebuilt from its source with that one change. The
+    # row sums reach it through the uniform A posterior, at a harmed count
+    # above 0. A single point is the urn sum likelihood._numerator instead.
     source = inspect.getsource(likelihood._seed)
     right = "math.comb(n01, s - obs.n01 - x)"
     assert right in source
     obs, n01s = ObservedTable(2, 1, 1, 2), range(0, 4)
-    point, prior = ParameterPoint(1, 2, 1), Prior({(1, 2): 1, (2, 1): 3})
     swept = list(likelihood._columns(obs, n01s))
-    exact, weighted = likelihood_exact(obs, point), tau_posterior(obs, 1, prior)
+    rows, grid = a_posterior(obs, 1), list(likelihood._grid(obs, 1))
     namespace = dict(vars(likelihood))
     exec(source.replace(right, "math.comb(n01, s - obs.n01 - x + 1)"), namespace)
     monkeypatch.setattr(likelihood, "_seed", namespace["_seed"])
     assert list(likelihood._columns(obs, n01s)) != swept
-    assert likelihood_exact(obs, point) != exact
-    assert tau_posterior(obs, 1, prior) != weighted
+    assert a_posterior(obs, 1) != rows
+    assert list(likelihood._grid(obs, 1)) != grid
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
     assert lines[3].startswith("FAIL  likelihood equals assignment probability:")
@@ -234,15 +244,15 @@ def test_detects_a_run_box_one_harmed_count_short(monkeypatch, capsys):
 def test_detects_rows_one_run_short(monkeypatch, capsys):
     # Each row's last run dropped: tables._rows, the one statement of which
     # runs sit on which support row, behind the support, the membership test,
-    # the grid, the row sums and every single point, rebuilt from its source
-    # with that one change and patched into every module that binds it.
+    # the grid and the row sums, rebuilt from its source with that one change
+    # and patched into every module that binds it.
     source = inspect.getsource(tables._rows)
     right = "min(xs.stop, n11 + hi)"
     assert right in source
     obs, n01 = ObservedTable(2, 1, 1, 2), 1
     grid = [ParameterPoint(n11, n10, n01) for n11 in range(7) for n10 in range(7)]
     member = [tables.in_general_support(obs, point) for point in grid]
-    exact = [likelihood_exact(obs, point) for point in grid]
+    support = tables.general_support(obs, n01)
     weights = a_posterior(obs, n01)
     namespace = dict(vars(tables))
     exec(source.replace(right, right + " - 1"), namespace)
@@ -252,7 +262,7 @@ def test_detects_rows_one_run_short(monkeypatch, capsys):
     for module in bound:
         monkeypatch.setattr(module, "_rows", namespace["_rows"])
     assert [tables.in_general_support(obs, point) for point in grid] != member
-    assert [likelihood_exact(obs, point) for point in grid] != exact
+    assert tables.general_support(obs, n01) != support
     assert a_posterior(obs, n01) != weights
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
