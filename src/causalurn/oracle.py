@@ -10,6 +10,11 @@ x01, x00, ways), built into a record only on read; every probability is a
 way count over the distribution's one ``denominator``, C(N, N1), and the
 moments are integer sums over it (``tau_hat_sums``, ``prediction_gap_sums``,
 ``lemma1_check``'s treated totals), each divided once by ``_moments``.
+The compositions come from one kernel, ``_compose``, which reads each
+binomial from rows it is given: ``enumerate_assignments`` builds each
+count's row over its x window alone, ``verify`` one binomial table per N.
+One pass over a law, ``_law``, gives its observed-table tally and both
+moment sums, which ``_tables`` and the two ``*_sums`` views read.
 A seeded Monte Carlo stand-in covers populations beyond the enumeration
 cap; its weights are draw counts, its denominator the number of draws, and
 it is the one sampler here: ``normality_check`` studentizes its tally. Its
@@ -116,24 +121,35 @@ class AssignmentDistribution:
         return ((w, x11 + x10, s11 - x11 + s01 - x01, x10 - x01)
                 for x11, x10, x01, _, w in self.compositions)
 
-    def _tables(self) -> dict:
-        """Summed integer weight of each observed table, keyed by its
-        (n11_obs, n01_obs), in first-seen order: the law the likelihood states."""
+    def _law(self) -> tuple[dict, tuple[int, int], tuple[int, int]]:
+        """One pass over ``_observed()``. It gives the summed integer weight of
+        each observed table, keyed by its (n11_obs, n01_obs), in first-seen
+        order: the law the likelihood states. With it come the sums of w v and
+        w v^2 for v = tau_hat N1 N0 = n11_obs N0 - n01_obs N1, and for
+        v = (A - N1 tau_hat) N0 = (A - n11_obs) N0 + n01_obs N1."""
+        n1, n0 = self.n_treated, self.n_control
         tally: dict = {}
-        for weight, n11, n01, _ in self._observed():
+        tau = gap = (0, 0)  # each view's sums of w v and w v^2
+        for weight, n11, n01, a in self._observed():
             tally[n11, n01] = tally.get((n11, n01), 0) + weight
-        return tally
+            v = n11 * n0 - n01 * n1
+            tau = tau[0] + weight * v, tau[1] + weight * v * v
+            v = (a - n11) * n0 + n01 * n1
+            gap = gap[0] + weight * v, gap[1] + weight * v * v
+        return tally, tau, gap
+
+    def _tables(self) -> dict:
+        """Summed integer weight of each observed table, from ``_law()``."""
+        return self._law()[0]
 
     def tau_hat_sums(self) -> tuple[int, int]:
-        """Sums of w v and w v^2 over the compositions for v = tau_hat N1 N0
-        = n11_obs N0 - n01_obs N1; over ``denominator`` they are v's moments."""
-        n1, n0 = self.n_treated, self.n_control
-        return _sums([(w, n11 * n0 - n01 * n1) for w, n11, n01, _ in self._observed()])
+        """Sums of w v and w v^2 over the compositions for v = tau_hat N1 N0;
+        over ``denominator`` they are v's moments."""
+        return self._law()[1]
 
     def prediction_gap_sums(self) -> tuple[int, int]:
-        """The same sums for v = (A - N1 tau_hat) N0 = (A - n11_obs) N0 + n01_obs N1."""
-        n1, n0 = self.n_treated, self.n_control
-        return _sums([(w, (a - n11) * n0 + n01 * n1) for w, n11, n01, a in self._observed()])
+        """The same sums for v = (A - N1 tau_hat) N0."""
+        return self._law()[2]
 
     def tau_hat_moments(self) -> tuple:
         return _moments(self.denominator, self.tau_hat_sums(), self.n_treated * self.n_control)
@@ -141,10 +157,6 @@ class AssignmentDistribution:
     def prediction_gap_moments(self) -> tuple:
         """Mean and variance of A - N1 * tau_hat."""
         return _moments(self.denominator, self.prediction_gap_sums(), self.n_control)
-
-
-def _sums(pairs: list) -> tuple[int, int]:
-    return sum(w * v for w, v in pairs), sum(w * v * v for w, v in pairs)
 
 
 def _moments(total: int, sums: tuple[int, int], scale: int) -> tuple:
@@ -167,21 +179,30 @@ def _assignment_count(total: int, n_treated: int) -> int:
     return n_assignments
 
 
+def _compose(science: ScienceTable, n1: int, n0: int, c11, c10, c01, c00) -> tuple:
+    """Every type composition of a treatment arm of N1 units, N0 left in
+    control, as (x11, x10, x01, x00, ways) in lexicographic order: the one
+    enumeration. ``c11`` to ``c00`` are the rows of the four counts; row c_t
+    holds C(c_t, x) at index x for each x the arm can take,
+    max(0, c_t - N0)..min(c_t, N1), and the kernel reads no other entry."""
+    n11, n10, n01, n00 = science.n11, science.n10, science.n01, science.n00
+    return tuple([  # a list first: a tuple grown in place fragments the heap
+        (x11, x10, x01, rest - x01, ways * c01[x01] * c00[rest - x01])
+        for x11 in range(max(0, n11 - n0), min(n11, n1) + 1)
+        for x10 in range(max(0, n1 - x11 - n01 - n00), min(n10, n1 - x11) + 1)
+        for rest, ways in [(n1 - x11 - x10, c11[x11] * c10[x10])]  # x01 + x00, with x00 at most n00
+        for x01 in range(max(0, rest - n00), min(n01, rest) + 1)
+    ])
+
+
 def enumerate_assignments(science: ScienceTable, n_treated: int) -> AssignmentDistribution:
     """Exact sampling distribution over all C(N, N1) assignments."""
     n_assignments = _assignment_count(science.total, n_treated)
-    counts = n11, n10, n01, n00 = science.n11, science.n10, science.n01, science.n00
-    n1, n0 = n_treated, science.total - n_treated
-    # Row t: C(c_t, x) for each x a composition can take, max(0, c_t - N0)..min(c_t, N1).
-    c11, c10, c01, c00 = ({x: math.comb(c, x) for x in range(max(0, c - n0), min(c, n1) + 1)}
-                          for c in counts)
-    compositions = tuple([  # a list first: a tuple grown in place fragments the heap
-        (x11, x10, x01, rest - x01, ways * c01[x01] * c00[rest - x01])
-        for x11, w11 in c11.items()
-        for x10 in range(max(0, n1 - x11 - n01 - n00), min(n10, n1 - x11) + 1)
-        for rest, ways in [(n1 - x11 - x10, w11 * c10[x10])]  # x01 + x00, with x00 at most n00
-        for x01 in range(max(0, rest - n00), min(n01, rest) + 1)
-    ])
+    n0 = science.total - n_treated
+    # Each row over its count's x window alone: N may run to thousands with a small arm.
+    rows = [{x: math.comb(c, x) for x in range(max(0, c - n0), min(c, n_treated) + 1)}
+            for c in (science.n11, science.n10, science.n01, science.n00)]
+    compositions = _compose(science, n_treated, n0, *rows)
     total_ways = sum(c[4] for c in compositions)
     if total_ways != n_assignments:
         raise AssertionError(f"composition way counts sum to {total_ways}, not {n_assignments}")
@@ -259,9 +280,9 @@ def lemma1_check(constants, n_treated: int) -> Lemma1Report:
     n_assignments = _assignment_count(total, n_treated)
     scale = math.lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (scale // v.denominator) for v in values]
-    sums = _sums([(1, sum(combo)) for combo in itertools.combinations(scaled, n_treated)])
-    first, second = sums
-    c1, c2 = _sums([(1, c) for c in scaled])
+    totals = [sum(combo) for combo in itertools.combinations(scaled, n_treated)]
+    sums = first, second = sum(totals), sum(t * t for t in totals)
+    c1, c2 = sum(scaled), sum(c * c for c in scaled)
     # Over D = C(N, N1) and scale: the mean is first / D against N1 c1 / N, and
     # the variance (D second - first^2) / D^2 against N1 N0 (N c2 - c1^2) / (N^2 (N - 1)).
     matches = (first * total == n_treated * c1 * n_assignments
@@ -293,8 +314,10 @@ def normality_check(
     """Kolmogorov-Smirnov distance of (tau_hat - tau)/sqrt(V_hat) from N(0,1).
 
     The draws come from :func:`monte_carlo`; each distinct observed table
-    is studentized once and counts as many times as it was drawn.
+    is studentized once and counts as many times as it was drawn. The
+    sampler's options are checked first, even for a table it never samples.
     """
+    _sampling(draws, seed)
     if draws < 10**4:
         raise ValueError("need at least 10^4 draws for a stable distance")
     if population_tau_variance(science, n_treated) == 0:

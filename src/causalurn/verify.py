@@ -6,10 +6,13 @@ moment cell estimates and ``likelihood._grid``: its points are the
 support, its box and steps the sweep's, its ``tables._rows`` and ``_seed``
 those the closed-form row sums read.
 Designs go one (N, N1) at a time, every one checked against the
-enumeration cap first. A science table's integer way count of each observed
-table it reaches, the oracle's ``_tables()`` keyed by (n11_obs, n01_obs),
-must equal its point's walked numerators by the same key; only a mismatch
-is checked, and named, table by table. The moments are checked on integers:
+enumeration cap first. Each N builds one binomial table; each science
+table's law is the oracle's enumeration kernel, ``oracle._compose``, fed
+that table's rows, and one pass over it, ``_law()``, gives both moment sums
+and its table tally. A science table's integer way count of each observed
+table it reaches, that tally keyed by (n11_obs, n01_obs), must equal its
+point's walked numerators by the same key; only a mismatch is checked, and
+named, table by table. The moments are checked on integers:
 the oracle's sums over C(N, N1) meet ``moments._population`` and ``_cells``
 cross-multiplied; a failure line alone builds rationals (``oracle._moments``).
 """
@@ -115,15 +118,21 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
             oracle._assignment_count(total, n_treated)
 
     for total, group in itertools.groupby(science_tables_up_to(max_n), lambda s: s.total):
-        sciences = tuple(group)
+        # One binomial table per N, row c holding C(c, x) for x = 0..c, and
+        # each science table's four rows from it, fed to the oracle's kernel.
+        binomials = [[math.comb(c, x) for x in range(c + 1)] for c in range(total + 1)]
+        sciences = [(s, [binomials[c] for c in (s.n11, s.n10, s.n01, s.n00)]) for s in group]
         for n_treated in range(1, total):
             n_control = total - n_treated
             tables = [ObservedTable(n11, n_treated - n11, n01, n_control - n01)
                       for n11 in range(n_treated + 1) for n01 in range(n_control + 1)]
             scale = n_treated * n_control
             walks = [_walk(tables, n01) for n01 in range(total + 1)]
-            for science in sciences:
-                dist = oracle.enumerate_assignments(science, n_treated)
+            for science, rows in sciences:
+                dist = oracle.AssignmentDistribution(
+                    science, n_treated, oracle._compose(science, n_treated, n_control, *rows),
+                    binomials[total][n_treated])
+                ways, tau_sums, gap_sums = dist._law()
 
                 def label() -> str:
                     return f"science={science} N1={n_treated}"
@@ -132,9 +141,9 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
                 # (D second - first^2) / (D unit)^2, each cross-multiplied with its pair.
                 tau_variance, mse = moments._population(science, n_treated)
                 for result, name, sums, unit, mean, variance in (
-                    (estimator, "tau_hat", dist.tau_hat_sums(), scale,
+                    (estimator, "tau_hat", tau_sums, scale,
                      (science.n10 - science.n01, total), tau_variance),
-                    (prediction, "A - N1 tau_hat", dist.prediction_gap_sums(), n_control,
+                    (prediction, "A - N1 tau_hat", gap_sums, n_control,
                      (0, 1), mse),
                 ):
                     (first, second), whole = sums, dist.denominator * unit
@@ -146,7 +155,6 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
 
                 columns, scaled = walks[science.n01]
                 column = columns.get((science.n11, science.n10), {})
-                ways = dist._tables()
                 if column == ways:  # the likelihood's table law is the oracle's
                     support.passed += len(tables)
                     lik.passed += len(ways)

@@ -238,6 +238,7 @@ GOLDEN_FILES = {
     # The identity counts of a passing report, which verify can add up in bulk.
     "verify --max-n 8": "verify_max_n_8.txt",
     "verify --max-n 10": "verify_max_n_10.txt",
+    "verify --max-n 12": "verify_max_n_12.txt",
     "posterior 144 112 40 128 --target tau --format json"
     " --prior-file tests/data/prior_144_112_40_128.json":
         "posterior_144_112_40_128_tau_prior.json",
@@ -934,7 +935,7 @@ class TestUsage:
             raise AssertionError("work started before the options were checked")
 
         monkeypatch.setattr("causalurn.oracle._assignment_count", no_work)
-        monkeypatch.setattr("causalurn.oracle.enumerate_assignments", no_work)
+        monkeypatch.setattr("causalurn.oracle._compose", no_work)
         monkeypatch.setitem(sys.modules, "numpy", None)
         assert run(capsys, *command, flag, value) == (EXIT_USAGE, "", message)
 

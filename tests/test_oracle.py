@@ -1,12 +1,17 @@
 """The enumeration oracle itself: exactness, caps, Monte Carlo, normality."""
 
 import dataclasses
+import itertools
 import math
+import os
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalurn import (
     EnumerationCapError,
@@ -21,6 +26,45 @@ from causalurn import (
     population_tau_variance,
 )
 from causalurn.oracle import DEFAULT_ENUM_CAP, ENUM_CAP_ENV, NormalityReport, enumeration_cap
+from causalurn.verify import science_tables_up_to
+
+
+@st.composite
+def wide_designs(draw):
+    """A science table of up to 2,000 units and an arm of at most 3 of them."""
+    total = draw(st.integers(2, 2000))
+    n11 = draw(st.integers(0, total))
+    n10 = draw(st.integers(0, total - n11))
+    n01 = draw(st.integers(0, total - n11 - n10))
+    science = ScienceTable(n11, n10, n01, total - n11 - n10 - n01)
+    return science, draw(st.integers(1, min(3, total - 1)))
+
+
+def _counts(science):
+    return science.n11, science.n10, science.n01, science.n00
+
+
+def _three_pass_law(dist):
+    # The tally and both sums as they were taken before the one pass: each
+    # in its own pass over _observed().
+    n1, n0 = dist.n_treated, dist.n_control
+    tally = {}
+    for weight, n11, n01, _ in dist._observed():
+        tally[n11, n01] = tally.get((n11, n01), 0) + weight
+
+    def sums(pairs):
+        return sum(w * v for w, v in pairs), sum(w * v * v for w, v in pairs)
+
+    return (list(tally.items()),
+            sums([(w, n11 * n0 - n01 * n1) for w, n11, n01, _ in dist._observed()]),
+            sums([(w, (a - n11) * n0 + n01 * n1) for w, n11, n01, a in dist._observed()]))
+
+
+def _assert_one_pass(dist):
+    tally, tau_sums, gap_sums = dist._law()
+    assert (list(tally.items()), tau_sums, gap_sums) == _three_pass_law(dist)
+    assert (dist._tables(), dist.tau_hat_sums(), dist.prediction_gap_sums()) == (
+        tally, tau_sums, gap_sums)
 
 
 class TestEnumerate:
@@ -71,6 +115,38 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_assignments(ScienceTable(1, 1, 0, 1), 3)
 
+    def test_the_kernel_on_one_table_per_n_is_the_enumeration(self):
+        # verify feeds the kernel the rows of one binomial table per N, row c
+        # holding C(c, x) for x = 0..c; enumerate_assignments feeds it each
+        # count's x window alone. Both give the same compositions, in the
+        # same order, for every science table with N <= 12 and every N1.
+        for total, group in itertools.groupby(science_tables_up_to(12), lambda s: s.total):
+            binomials = [[math.comb(c, x) for x in range(c + 1)] for c in range(total + 1)]
+            for science in group:
+                rows = [binomials[c] for c in _counts(science)]
+                for n_treated in range(1, total):
+                    composed = oracle._compose(science, n_treated, total - n_treated, *rows)
+                    assert composed == enumerate_assignments(science, n_treated).compositions
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_designs())
+    def test_the_kernel_on_a_wide_design_table_is_the_enumeration(self, design):
+        # An arm of N1 units reads row c of its design's table at x <= min(c, N1).
+        # C(2000, 3) is over the default cap, which bounds assignments, not
+        # the few compositions of a small arm.
+        science, n_treated = design
+        binomials = [[math.comb(c, x) for x in range(min(c, n_treated) + 1)]
+                     for c in range(science.total + 1)]
+        rows = [binomials[c] for c in _counts(science)]
+        with mock.patch.dict(os.environ, {ENUM_CAP_ENV: str(10**10)}):
+            compositions = enumerate_assignments(science, n_treated).compositions
+        assert oracle._compose(science, n_treated, science.total - n_treated, *rows) == compositions
+
+    def test_one_pass_is_the_three_passes_on_enumerated_laws(self):
+        for science in science_tables_up_to(8):
+            for n_treated in range(1, science.total):
+                _assert_one_pass(enumerate_assignments(science, n_treated))
+
 
 class TestMonteCarlo:
     def test_same_seed_same_distribution(self):
@@ -115,6 +191,13 @@ class TestMonteCarlo:
         dist = monte_carlo(ScienceTable(250000, 250000, 250000, 250000), 300000, 10, 0)
         assert dist.denominator == 10
         assert sum(r.weight for r in dist.records) == 10
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_designs(), st.integers(1, 3000), st.integers(0, 2**32))
+    def test_one_pass_is_the_three_passes_on_sampled_laws(self, design, draws, seed):
+        science, _ = design
+        n_treated = science.total // 2
+        _assert_one_pass(monte_carlo(science, n_treated, draws, seed))
 
     def test_chunked_draws_equal_one_call(self, monkeypatch):
         science = ScienceTable(3, 4, 1, 5)
@@ -233,6 +316,19 @@ class TestNormalityCheck:
         assert report.ks_statistic is None
         assert report.excluded == 10_000
         assert "positive plug-in variance" in report.reason
+
+    @pytest.mark.parametrize("draws,seed", [
+        (10_000, -1), (10_000, None), (10_000, 1.5), (True, 0), (0, 0), (-5, 0),
+    ], ids=["seed-negative", "seed-none", "seed-float", "draws-bool", "draws-0",
+            "draws-negative"])
+    def test_sampling_options_are_checked_on_a_degenerate_table(self, draws, seed):
+        # The degenerate table is never sampled, yet its options meet
+        # monte_carlo's rule, with its message, before the 10^4 floor.
+        with pytest.raises((TypeError, ValueError)) as expected:
+            monte_carlo(ScienceTable(3, 3, 0, 40), 20, draws, seed)
+        with pytest.raises(type(expected.value)) as raised:
+            normality_check(ScienceTable(0, 0, 0, 40), 20, draws, seed)
+        assert str(raised.value) == str(expected.value)
 
     def test_requires_enough_draws(self):
         with pytest.raises(ValueError):

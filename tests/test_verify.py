@@ -1,9 +1,10 @@
 """The identity suite passes as shipped and catches injected mutations."""
 
-import dataclasses
 import inspect
+import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from causalurn import (
     moments,
     oracle,
     tables,
+    verify,
 )
 from causalurn.cli import EXIT_INFEASIBLE, EXIT_VERIFY, main
 from causalurn.tables import InfeasibleError, ObservedTable, ScienceTable
@@ -34,7 +36,7 @@ def test_sampling_options_are_checked_before_any_enumeration(monkeypatch, option
     def no_work(*args, **kwargs):
         raise AssertionError("enumeration started before the options were checked")
 
-    monkeypatch.setattr(oracle, "enumerate_assignments", no_work)
+    monkeypatch.setattr(oracle, "_compose", no_work)
     with pytest.raises(ValueError) as raised:
         run_verification(6, **options)
     assert str(raised.value) == message
@@ -309,18 +311,17 @@ def test_detects_an_oracle_that_swaps_two_way_counts(monkeypatch, capsys):
     # Swapped, the way counts still total C(4, 1), so only this science table's
     # identities fail: two likelihoods, the moments and the cell means.
     target = ScienceTable(2, 1, 0, 1)
-    original = oracle.enumerate_assignments
-    never, helped, always = original(target, 1).compositions
+    original = oracle._compose
+    never, helped, always = oracle.enumerate_assignments(target, 1).compositions
     assert (never[4], always[4]) == (1, 2)
 
-    def mutated(science, n_treated):
-        dist = original(science, n_treated)
+    def mutated(science, n_treated, n_control, *rows):
+        compositions = original(science, n_treated, n_control, *rows)
         if (science, n_treated) != (target, 1):
-            return dist
-        swapped = (never[:4] + (always[4],), helped, always[:4] + (never[4],))
-        return dataclasses.replace(dist, compositions=swapped)
+            return compositions
+        return (never[:4] + (always[4],), helped, always[:4] + (never[4],))
 
-    monkeypatch.setattr(oracle, "enumerate_assignments", mutated)
+    monkeypatch.setattr(oracle, "_compose", mutated)
     _assert_swapped_report(capsys, target)
 
 
@@ -353,7 +354,7 @@ def test_a_design_over_the_cap_fails_before_any_is_walked(monkeypatch, capsys):
         raise AssertionError("walked or enumerated a design before the cap check")
 
     monkeypatch.setenv(oracle.ENUM_CAP_ENV, "20")
-    monkeypatch.setattr(oracle, "enumerate_assignments", refuse)
+    monkeypatch.setattr(oracle, "_compose", refuse)
     monkeypatch.setattr(likelihood, "_grid", refuse)
     assert main(["verify", "--max-n", "9"]) == EXIT_INFEASIBLE
     captured = capsys.readouterr()
@@ -361,6 +362,20 @@ def test_a_design_over_the_cap_fails_before_any_is_walked(monkeypatch, capsys):
     assert captured.err == (
         "infeasible: C(7, 2) = 21 exceeds the cap 20; use monte_carlo instead\n"
     )
+
+
+def test_detects_a_wrong_entry_in_the_binomial_table(monkeypatch, capsys):
+    # verify builds one binomial table per N and feeds its rows to the
+    # oracle's kernel. C(3, 1) read as 4 there, and nowhere else, changes the
+    # way counts of every law that reads row 3 and the denominator of
+    # (N, N1) = (3, 1): the four identities read off those laws fail.
+    def comb(n, k):
+        return 4 if (n, k) == (3, 1) else math.comb(n, k)
+
+    monkeypatch.setattr(verify, "math", SimpleNamespace(**{**vars(math), "comb": comb}))
+    code, lines = _verify_max_n_6(capsys)
+    assert code == EXIT_VERIFY
+    assert [line[:4] for line in lines[:7]] == ["FAIL"] * 4 + ["PASS"] * 3
 
 
 # The whole report of verify --max-n 5 --draws 2000 with every seed taking
