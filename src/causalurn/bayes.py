@@ -233,6 +233,10 @@ def hpd_window(dist: DiscreteDistribution, level: float) -> tuple:
     remaining tie goes to the window most symmetric around the mode, then
     to the leftmost. Returns (low value, high value, window mass). Window
     weights are compared with the level's exact value: w * den >= num * total.
+    The search is two linear scans over the prefix sums: a two-pointer scan
+    finds the minimal width, since the first end holding the level never
+    moves left as the start moves right, and one pass at that width applies
+    the tie rules.
     """
     num, den = _level(level)
     weights = dist.weights
@@ -240,20 +244,21 @@ def hpd_window(dist: DiscreteDistribution, level: float) -> tuple:
     mode_index = weights.index(max(weights))
     prefix = [0, *accumulate(weights)]
     total = prefix[-1]
-    # The whole support holds total >= level * total, so some width succeeds.
+    # The whole support holds total >= level * total, so some width succeeds;
+    # level > 0, so each window holding it is at least one point wide.
     need = num * total
-    for width in range(1, size + 1):
-        best = None
-        for lo in range(size - width + 1):
-            window = prefix[lo + width] - prefix[lo]
-            if window * den >= need:
-                asymmetry = abs(2 * lo + width - 1 - 2 * mode_index)
-                candidate = (-window, asymmetry, lo)
-                if best is None or candidate < best:
-                    best = candidate
-        if best is not None:
-            window, _, lo = best
-            return dist._at(lo), dist._at(lo + width - 1), Fraction(-window, total)
+    width, end = size, 0
+    for lo in range(size):
+        while end < size and (prefix[end] - prefix[lo]) * den < need:
+            end += 1
+        if (prefix[end] - prefix[lo]) * den < need:
+            break
+        width = min(width, end - lo)
+    window, _, lo = min(
+        (-(prefix[lo + width] - prefix[lo]), abs(2 * lo + width - 1 - 2 * mode_index), lo)
+        for lo in range(size - width + 1)
+    )
+    return dist._at(lo), dist._at(lo + width - 1), Fraction(-window, total)
 
 
 def hpd_interval(dist: DiscreteDistribution, level: float = 0.95) -> IntervalEstimate:

@@ -173,12 +173,14 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
                                 lambda: f"{label()} obs={obs}: likelihood != probability "
                                 f"{Fraction(weight, dist.denominator)}",
                             )
-                sums = [0, 0, 0]  # way counts times scaled moment cells
+                s11 = s00 = s10 = 0  # way counts times scaled moment cells
                 for key, weight in ways.items():
-                    sums = [s + weight * c for s, c in zip(sums, scaled[key])]
+                    c11, c00, c10 = scaled[key]
+                    s11, s00, s10 = s11 + weight * c11, s00 + weight * c00, s10 + weight * c10
+                sums = s11, s00, s10
                 whole = dist.denominator * scale
                 cells.record(
-                    sums == [whole * science.n11, whole * science.n00, whole * science.n10],
+                    sums == (whole * science.n11, whole * science.n00, whole * science.n10),
                     lambda: f"{label()}: cell means {tuple(Fraction(s, whole) for s in sums)}",
                 )
 

@@ -1,6 +1,7 @@
 """Discrete posteriors, priors, and highest-density windows."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -328,6 +329,27 @@ class TestHpd:
     def test_level_is_compared_exactly(self, level, window):
         dist = DiscreteDistribution(values=tuple(range(10)), weights=(1,) * 10)
         assert hpd_window(dist, level) == window
+
+    def test_window_search_is_linear_in_the_support(self):
+        # Counting the interpreter's line events, not timing them, bounds the
+        # work. Trying every width and every window at it took 605 events per
+        # point on Python 3.11; the two linear scans take about 2.
+        dist = DiscreteDistribution(tuple(range(400)), (1,) * 400)
+        events = 0
+
+        def tracer(frame, event, arg):
+            nonlocal events
+            events += event == "line"
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            window = hpd_window(dist, 0.99)
+        finally:
+            sys.settrace(previous)
+        assert window == (0, 395, Fraction(99, 100))
+        assert events < 20 * 400
 
     def test_interval_point_is_the_mode(self, pit):
         dist = a_posterior(pit, 0)

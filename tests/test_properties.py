@@ -95,7 +95,7 @@ from causalurn import (
 )
 from causalurn.attributable import _pvalue_numerator
 from causalurn.cli import _level_label
-from causalurn.moments import ASSUMPTIONS
+from causalurn.moments import ASSUMPTIONS, normal_quantile
 from causalurn.tables import _rows, _run_box
 from causalurn.verify import science_tables_up_to
 
@@ -581,7 +581,8 @@ def _brute_force_hpd(dist, level):
     """Apply the documented rules of ``hpd_window`` in order to every window."""
     mass, size = dist.mass, len(dist.mass)
     mode = mass.index(max(mass))
-    windows = [(lo, hi, sum(mass[lo:hi + 1]))
+    cumulative = [0, *itertools.accumulate(mass)]  # exact, so each difference is the window's sum
+    windows = [(lo, hi, cumulative[hi + 1] - cumulative[lo])
                for lo in range(size) for hi in range(lo, size)]
     windows = [w for w in windows if w[2] >= level]
     for rule in (
@@ -596,7 +597,9 @@ def _brute_force_hpd(dist, level):
     return dist.support[lo], dist.support[hi], window_mass
 
 
-LEVELS = st.one_of(st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]), st.floats(0.01, 0.99))
+LEVELS = st.one_of(
+    st.sampled_from([1e-9, 0.5, 0.8, 0.9, 0.95, 0.99, 0.9999999999999999]), st.floats(0.01, 0.99)
+)
 
 
 @PROPERTY
@@ -607,13 +610,22 @@ def test_hpd_window_follows_its_rules(design, posterior, level):
     assert hpd_window(dist, level) == _brute_force_hpd(dist, level)
 
 
+ZERO_RUN = st.integers(0, 12).map(lambda n: [0] * n)
+SMALL_WEIGHTS = st.lists(st.integers(0, 4), max_size=12)
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any), LEVELS)
-def test_hpd_window_tie_rules_on_small_integer_weights(weights, level):
+@given(st.tuples(ZERO_RUN, SMALL_WEIGHTS, ZERO_RUN, SMALL_WEIGHTS, ZERO_RUN)
+       .map(lambda runs: [w for run in runs for w in run]).filter(any),
+       LEVELS, st.integers(1, 60))
+@example(weights=[1, 1, 3, 1], level=0.8, denominator=1)  # symmetry settles equal masses
+def test_hpd_window_tie_rules_on_small_integer_weights(weights, level, denominator):
     # Unimodal posteriors rarely put the mass and symmetry rules in
-    # conflict; small integer weights make such ties common.
+    # conflict; small integer weights make such ties common. Runs of zeros at
+    # either end and in the middle, up to 60 weights in all, stop the window's
+    # two scans at empty points, and the values lie over a denominator.
     dist = DiscreteDistribution(
-        values=tuple(range(len(weights))), weights=tuple(weights)
+        values=tuple(range(len(weights))), weights=tuple(weights), denominator=denominator
     )
     assert hpd_window(dist, level) == _brute_force_hpd(dist, level)
 
@@ -966,6 +978,10 @@ def test_posterior_reads_and_sweep_rows_are_the_fraction_formulas_up_to_n_10_4(
         assert [v / dist.denominator for v in dist.values] == [float(v) for v in support]
         assert [w / dist.total for w in dist.weights] == [float(m) for m in mass]
 
+    if (1 + level) / 2 == 1:  # no finite normal quantile: no moment interval at this level
+        with pytest.raises(ValueError, match="too close to 1"):
+            normal_quantile(level)
+        return
     z = NormalDist().inv_cdf((1 + level) / 2)
     p1, p0 = _observed_rates(obs)
     n01s = sorted({0, *data.draw(st.lists(st.integers(0, total), max_size=20), label="n01s")})
