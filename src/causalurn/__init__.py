@@ -9,6 +9,8 @@ inference for the attributable effect. A brute-force enumeration oracle
 backs every formula.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bayes import (
     UNIFORM,
     DiscreteDistribution,
@@ -72,53 +74,6 @@ from .tables import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssignmentDistribution",
-    "AssignmentRecord",
-    "DiscreteDistribution",
-    "EnumerationCapError",
-    "InfeasibleError",
-    "IntervalEstimate",
-    "LOG_ZERO",
-    "MaxLikelihood",
-    "ObservedTable",
-    "PValueCurve",
-    "ParameterPoint",
-    "Prior",
-    "ScienceTable",
-    "UNIFORM",
-    "a_posterior",
-    "classic_neyman_variance",
-    "confidence_interval",
-    "enumerate_assignments",
-    "general_support",
-    "hl_estimate",
-    "hpd_interval",
-    "hpd_window",
-    "improved_variance",
-    "in_general_support",
-    "interval_A",
-    "lemma1_check",
-    "likelihood_exact",
-    "loglik_general",
-    "loglik_monotone",
-    "mle",
-    "moment_cells",
-    "monotone_support",
-    "monte_carlo",
-    "n01_bounds",
-    "neyman_predict",
-    "neyman_variance",
-    "normality_check",
-    "population_attributable_mse",
-    "population_tau_variance",
-    "posterior_points",
-    "pvalue_curve",
-    "pvalue_exact",
-    "sensitivity_sweep",
-    "sensitivity_variance",
-    "standardized_pvalues",
-    "tau_hat",
-    "tau_posterior",
-    "tau_posterior_sweep",
-]
+# Every name bound above that is neither private nor a submodule is public.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -14,7 +14,8 @@ The compositions come from one kernel, ``_compose``, which reads each
 binomial from rows it is given: ``enumerate_assignments`` builds each
 count's row over its x window alone, ``verify`` one binomial table per N.
 One pass over a law, ``_law``, gives its observed-table tally and both
-moment sums, which ``_tables`` and the two ``*_sums`` views read.
+moment sums: ``outcomes`` and ``normality_check`` read its tally, the two
+``*_sums`` views its sums.
 A seeded Monte Carlo stand-in covers populations beyond the enumeration
 cap; its weights are draw counts, its denominator the number of draws, and
 it is the one sampler here: ``normality_check`` studentizes its tally. Its
@@ -110,7 +111,7 @@ class AssignmentDistribution:
     def outcomes(self) -> dict:
         """Probability of each observed table, in first-seen order; built on read."""
         return {self._table(*key): Fraction(w, self.denominator)
-                for key, w in self._tables().items()}
+                for key, w in self._law()[0].items()}
 
     def _table(self, n11: int, n01: int) -> ObservedTable:
         return ObservedTable(n11, self.n_treated - n11, n01, self.n_control - n01)
@@ -137,10 +138,6 @@ class AssignmentDistribution:
             v = (a - n11) * n0 + n01 * n1
             gap = gap[0] + weight * v, gap[1] + weight * v * v
         return tally, tau, gap
-
-    def _tables(self) -> dict:
-        """Summed integer weight of each observed table, from ``_law()``."""
-        return self._law()[0]
 
     def tau_hat_sums(self) -> tuple[int, int]:
         """Sums of w v and w v^2 over the compositions for v = tau_hat N1 N0;
@@ -327,7 +324,7 @@ def normality_check(
     dist = monte_carlo(science, n_treated, draws, seed)
     tau = float(science.tau)
     studentized = []  # (z, number of draws)
-    for key, weight in dist._tables().items():
+    for key, weight in dist._law()[0].items():
         obs = dist._table(*key)
         variance = improved_variance(obs)
         if variance > 0:

@@ -63,7 +63,7 @@ def _three_pass_law(dist):
 def _assert_one_pass(dist):
     tally, tau_sums, gap_sums = dist._law()
     assert (list(tally.items()), tau_sums, gap_sums) == _three_pass_law(dist)
-    assert (dist._tables(), dist.tau_hat_sums(), dist.prediction_gap_sums()) == (
+    assert (dist._law()[0], dist.tau_hat_sums(), dist.prediction_gap_sums()) == (
         tally, tau_sums, gap_sums)
 
 

@@ -1,7 +1,8 @@
 """Property tests of the integer kernels on generated tables.
 
-Populations run up to 90 units. The likelihood properties are checked
-against a brute-force computation from the reference urn sum
+Populations run up to 90 units unless stated below. The likelihood
+properties are checked against a brute-force computation from the
+reference urn sum
 ``likelihood._numerator`` over ``general_support``, and ``likelihood_exact``
 and ``loglik_general``, the single-point view of the row runs, against it
 at every point of [0, N + 1]^2 on tables of up to 40 units; the p-value
@@ -21,7 +22,12 @@ every n01 and n11 in [0, N + 1] on tables of up to 40 units.
 The packed sweep's column sums over a window of harmed counts are checked against the reference numerator on
 drawn windows of generated tables, on corner tables, and on every table
 with counts 0..5 and every window; every swept column is at most C(N, N1),
-the bound behind the sweep's slot width. The run box is the set of runs
+the bound behind the sweep's slot width. Two symmetries of the urn check
+windows of at most 8 harmed counts on tables of up to 250 units with no
+reference: swapping the arms transposes the sweep's (n10, n01) column
+matrix, and swapping the arms and the outcome leaves the sweep as it is;
+flipping the outcome in both arms mirrors the p-value curve, on tables of
+up to 2,000 units. The run box is the set of runs
 the sweep and the grid step, each once, from a positive seed over its
 n00_obs + 1 window points, on drawn windows of generated tables. On science
 tables of up to 12 units the reference numerator, the
@@ -357,6 +363,54 @@ def test_every_swept_column_is_at_most_the_assignment_count(obs):
         assert max(columns) <= bound
 
 
+@st.composite
+def short_sweeps(draw):
+    """A table of up to 250 units and a window of at most 8 harmed counts
+    that starts at a feasible count and may run past the largest one."""
+    obs = draw(tables(max_total=250))
+    lo = draw(st.integers(0, obs.n10 + obs.n01))
+    return obs, range(lo, min(obs.total, lo + draw(st.integers(0, 7))) + 1)
+
+
+@st.composite
+def transposed_sweeps(draw):
+    """A short sweep and a count n10 of helped units that is feasible, or one
+    past feasible, as the harmed count of the table with its arms swapped."""
+    obs, n01s = draw(short_sweeps())
+    return obs, n01s, draw(st.integers(0, min(obs.total, obs.n11 + obs.n00 + 1)))
+
+
+def _entry(columns, index):
+    # A column list ends at n10 = n11_obs + n00_obs; an index past it reads 0.
+    return columns[index] if index < len(columns) else 0
+
+
+@ORACLE
+@given(transposed_sweeps())
+@example((ObservedTable(0, 1, 0, 1), range(0, 3), 0))
+def test_sweep_is_its_arm_swap_transposed(swept):
+    # Swapping the arms swaps the unit types 10 and 01: the column sum at
+    # (n10, n01) of obs is the one at (n01, n10) of obs' = (n01_obs, n00_obs,
+    # n11_obs, n10_obs), where n10 is the harmed count of one swept list.
+    obs, n01s, n10 = swept
+    swapped = ObservedTable(obs.n01, obs.n00, obs.n11, obs.n10)
+    column, = likelihood._columns(swapped, range(n10, n10 + 1))
+    for n01, columns in zip(n01s, likelihood._columns(obs, n01s), strict=True):
+        assert _entry(columns, n10) == _entry(column, n01)
+
+
+@ORACLE
+@given(short_sweeps())
+@example((ObservedTable(0, 1, 0, 1), range(0, 3)))
+def test_sweep_is_its_double_flip(swept):
+    # Swapping the arms and flipping the outcome swaps the unit types 11 and
+    # 00 and keeps 10 and 01, so the sums over n11 of obs'' = (n00_obs,
+    # n01_obs, n10_obs, n11_obs) are those of obs.
+    obs, n01s = swept
+    flipped = ObservedTable(obs.n00, obs.n01, obs.n10, obs.n11)
+    assert list(likelihood._columns(flipped, n01s)) == list(likelihood._columns(obs, n01s))
+
+
 def _recorded_runs(walk) -> list:
     """``(s, x, seed, points)`` per ``_add_run`` call of ``walk()``, points the
     number of entries the call changed: its inner-sum terms."""
@@ -577,6 +631,19 @@ def test_pvalue_walk_matches_the_kernel(obs):
     _assert_walk_matches_the_single_s_kernel(obs)
 
 
+@ORACLE
+@given(tables(max_total=2000))
+def test_pvalue_curve_is_its_outcome_flip_mirrored(obs):
+    # Flipping the outcome in both arms maps s to N - s and A to -A: the curve
+    # of (n10_obs, n11_obs, n00_obs, n01_obs) is obs's read backwards. The
+    # single-s reference costs O(N0) per s, so this reaches tables it cannot.
+    curve = pvalue_curve(obs)
+    flipped = pvalue_curve(ObservedTable(obs.n10, obs.n11, obs.n00, obs.n01))
+    assert flipped.values == tuple(-a for a in reversed(curve.values))
+    assert flipped.numerators == tuple(reversed(curve.numerators))
+    assert flipped.denominator == curve.denominator
+
+
 def _brute_force_hpd(dist, level):
     """Apply the documented rules of ``hpd_window`` in order to every window."""
     mass, size = dist.mass, len(dist.mass)
@@ -666,7 +733,7 @@ def test_oracle_compositions_tally_the_labelled_assignments():
             expected = [(*composition, ways) for composition, ways in sorted(tally.items())]
             dist = enumerate_assignments(science, n_treated)
             assert list(dist.compositions) == expected
-            assert dist._tables() == observed
+            assert dist._law()[0] == observed
 
 
 @ORACLE
