@@ -157,7 +157,7 @@ def posterior_points(
     InfeasibleError on an empty support or one the prior annihilates.
     """
     if prior.weights is None:
-        rows = _grid(obs, n01)
+        rows = next(_grid(obs, range(_count(n01, "n01"), n01 + 1)))
     else:
         table = {(n11, n10): w for n11, n10, w in _weighted(obs, n01, prior)}
         rows = ((n11, n10s, [table.get((n11, n10), 0) for n10 in n10s])

@@ -28,7 +28,12 @@ where it is a_x C(m - j, c); from n10 = n to n + 1 its term t steps to
 
 every division exact. A grid at one harmed count adds each row's runs, one
 per x, into the row, at a cost of its inner-sum terms; one point is the
-plain sum above, ``_numerator``, over the x of its row's runs.
+plain sum above, ``_numerator``, over the x of its row's runs. A grid over
+a range of harmed counts walks each diagonal s of the range's run box once,
+each run of it once from its packed seeds (below), into one list over the
+diagonal's window; count n01 reads its row off its own slot, over the
+windows of the runs that reach it, k <= n01 <= k + n01_obs. So it costs
+the terms of the range's distinct (s, x) runs, not one grid per count.
 
 Only the seed factor depends on the harmed count, and a_x(n01) is positive
 for n01 in [k, k + n01_obs], the box's k bounds read the other way. A
@@ -58,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .tables import (
     InfeasibleError,
@@ -111,18 +116,65 @@ def _add_run(obs: ObservedTable, s: int, x: int, seed: int, into: list, base: in
     into[lo + 1:hi] = [w + (t := t * (a * b) // (d * e)) for w, a, b, d, e in steps]
 
 
-def _grid(obs: ObservedTable, n01: int) -> Iterator[tuple[int, range, list[int]]]:
-    """``(n11, n10s, numerators)`` per support row, ``numerators[i]`` positive and
-    :func:`_numerator` at ``(n11, n10s[i])``. Raises InfeasibleError, before
-    the walk starts, when the support is empty."""
-    def row(s: int, n10s: range, xs: range) -> list[int]:
-        numerators = [0] * len(n10s)
-        for x in xs:
-            _add_run(obs, s, x, _seed(obs, s, x, n01), numerators, n10s[0])
-        return numerators
+def _slots(obs: ObservedTable, n01s: range) -> tuple[int, int, int, int]:
+    # The first and last of the harmed counts n01s, and the width w and mask of
+    # a packed integer's slots: a column is at most C(N, N1) < 2^w.
+    if not isinstance(n01s, range) or n01s.step != 1:
+        raise ValueError(f"harmed counts must be a range stepping by +1, got {n01s!r}")
+    width = math.comb(obs.total, obs.n_treated).bit_length()
+    return *((_count(n01s[0], "n01"), n01s[-1]) if n01s else (0, -1)), width, (1 << width) - 1
 
-    _check_support(obs, n01)
-    return ((n11, n10s, row(n11 + n01, n10s, xs)) for n11, n10s, xs in _rows(obs, n01))
+
+def _pack(obs: ObservedTable, s: int, x: int, reached: range, width: int, base: int) -> int:
+    # The (s, x) run's seeds at the harmed counts it reaches, count n01 in slot n01 - base.
+    packed = 0
+    for n01 in reversed(reached):
+        packed = (packed << width) + _seed(obs, s, x, n01)
+    return packed << width * (reached[0] - base)
+
+
+def _grid(obs: ObservedTable, n01s: range) -> Iterator[Iterable[tuple[int, range, list[int]]]]:
+    """Per harmed count of the consecutive ``n01s``, its support rows
+    ``(n11, n10s, numerators)``, ``numerators[i]`` positive and
+    :func:`_numerator` at ``(n11, n10s[i])``; no row when that count is
+    infeasible.
+
+    Each (s, x) run is walked once for the whole range, one diagonal s of
+    the run box at a time, its seeds packed as in :func:`_columns`. A
+    count's points are the windows of the diagonal's runs that reach it,
+    each holding its slot. The rows of a range are walked at the call; the
+    rows of one count as they are read, after InfeasibleError is raised when
+    the support is empty. Raises ValueError unless ``n01s`` is a range
+    stepping by +1.
+    """
+    lo, hi, width, mask = _slots(obs, n01s)
+
+    def walk() -> Iterator[tuple[int, tuple[int, range, list[int]]]]:
+        # (n01, row) per diagonal s of the run box and count it reaches, base..top.
+        # Its runs are k = s - n01_obs - x, kmin..kmax, and run k's window starts
+        # k - kmin into the diagonal's. The bounds are conditional expressions,
+        # not max and min: this loop is most of verify's walk.
+        for n11, n10s, xs in _rows(obs, lo, last=hi):
+            s, packed, n01_obs = n11 + lo, [0] * len(n10s), obs.n01
+            kmin, kmax = s - n01_obs - xs[-1], s - n01_obs - xs[0]
+            base, top = kmin if kmin > lo else lo, kmax + n01_obs if kmax + n01_obs < hi else hi
+            for x in xs:
+                k = s - n01_obs - x
+                reached = range(k if k > lo else lo, (k + n01_obs if k + n01_obs < hi else hi) + 1)
+                _add_run(obs, s, x, _pack(obs, s, x, reached, width, base), packed, n10s[0])
+            for n01 in range(base, top + 1):  # count n01 reads its runs, n01 - n01_obs <= k <= n01
+                a = n01 - n01_obs - kmin if n01 - n01_obs > kmin else 0
+                b, shift = (n01 if n01 < kmax else kmax) - kmin + obs.n00 + 1, width * (n01 - base)
+                yield n01, (s - n01, n10s[a:b], packed if base == top  # one slot: the diagonal
+                            else [v >> shift & mask for v in packed[a:b]])
+
+    if lo == hi:
+        _check_support(obs, lo)
+        return iter([(row for _, row in walk())])
+    counts = [[] for _ in n01s]
+    for n01, row in walk():
+        counts[n01 - lo].append(row)
+    return iter(counts)
 
 
 def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
@@ -135,12 +187,7 @@ def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
     slot per count; each count's columns are unpacked as they are read.
     Raises ValueError unless ``n01s`` is a range stepping by +1.
     """
-    if not isinstance(n01s, range) or n01s.step != 1:
-        raise ValueError(f"harmed counts must be a range stepping by +1, got {n01s!r}")
-    if not n01s:
-        return iter(())
-    lo, hi = _count(n01s[0], "n01"), n01s[-1]
-    width = math.comb(obs.total, obs.n_treated).bit_length()  # a column is at most C(N, N1)
+    lo, hi, width, mask = _slots(obs, n01s)
     packed = [0] * (obs.n11 + obs.n00 + 1)  # every window ends by n10 = n11_obs + n00_obs
     # The runs go by descending k = s - n01_obs - x, the least count a run
     # reaches (c = n10_obs - k >= 0), so slot 0 holds n01 = max(lo, k) and a
@@ -150,11 +197,8 @@ def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
         if lo <= k < ks[-1]:
             packed = [v << width for v in packed]
         reached = range(max(lo, k), min(hi, k + obs.n01) + 1)
-        for x in xs:
-            s = k + obs.n01 + x
-            seed = sum([_seed(obs, s, x, n01) << width * i for i, n01 in enumerate(reached)])
-            _add_run(obs, s, x, seed, packed, 0)
-    mask = (1 << width) - 1
+        for s, x in enumerate(xs, k + obs.n01):  # s = k + n01_obs + x, as xs starts at 0
+            _add_run(obs, s, x, _pack(obs, s, x, reached, width, reached[0]), packed, 0)
     return ([v >> width * i & mask for v in packed] for i in range(len(n01s)))
 
 
@@ -219,7 +263,7 @@ def mle(obs: ObservedTable, n01: int = 0) -> MaxLikelihood:
     so every genuine discrete tie survives.
     """
     best, argmax = 0, []
-    for n11, n10s, numerators in _grid(obs, n01):
+    for n11, n10s, numerators in next(_grid(obs, range(_count(n01, "n01"), n01 + 1))):
         for n10, numerator in zip(n10s, numerators):
             if numerator > best:
                 best, argmax = numerator, [(n11, n10)]

@@ -22,6 +22,10 @@ min(hi, n10_obs). Run (k, x) lies in row n11 = k + x + n01_obs - n01 and is
 positive on the n10 window [j, j + n00_obs], as the control failures hold
 the other n10 - j helped units. A support row is a diagonal of the box, its
 n10 range the union of its runs' windows; ``_rows`` states each row once.
+Over the harmed counts lo..hi it states each diagonal of their box once,
+labelled by its n11 at lo, with every run it holds: the union of the
+one-count rows on that diagonal, count n01 holding the runs with
+k <= n01 <= k + n01_obs.
 The box is empty exactly when n01 > n10_obs + n01_obs; at n01 = 0 each row
 holds one run, so the support has (n11_obs + 1) * (n00_obs + 1) points.
 """
@@ -215,11 +219,13 @@ def _run_box(obs: ObservedTable, lo: int, hi: int) -> tuple[range, range]:
     return range(max(0, lo - obs.n01), min(hi, obs.n10) + 1), range(obs.n11 + 1)
 
 
-def _rows(obs: ObservedTable, n01: int, n11s: range | None = None) -> list:
+def _rows(obs: ObservedTable, n01: int, n11s: range | None = None, last: int | None = None) -> list:
     # Each support row at harmed count n01 as (n11, its n10 window, the x of its
     # runs): every row, or only those of n11s that hold a run. Row n11 is the
     # box's diagonal k + x = n11 + n01 - n01_obs: its x lie in [n11 + lo, n11 + hi).
-    ks, xs = _run_box(obs, n01, n01)
+    # Over the counts n01..last, a row is a diagonal of their box, labelled by
+    # its n11 at n01, with the x and windows of every run it holds.
+    ks, xs = _run_box(obs, n01, n01 if last is None else last)
     lo, hi = n01 - obs.n01 - ks.stop + 1, n01 - obs.n01 - ks.start + 1
     if n11s is None:
         n11s = range(1 - hi, xs.stop - lo) if ks else range(0)  # no run, so no row

@@ -3,10 +3,11 @@
 Sweeps every science table up to a small population size and checks, by
 exhaustive enumeration in exact arithmetic, the closed-form moments, the
 moment cell estimates and ``likelihood._grid``: its points are the
-support, its box and steps the sweep's, its ``tables._rows`` and ``_seed``
-those the closed-form row sums read.
+support, its box, steps, slot width and packing the sweep's, its
+``tables._rows`` and ``_seed`` those the closed-form row sums read.
 Designs go one (N, N1) at a time, every one checked against the
-enumeration cap first. Each N builds one binomial table; each science
+enumeration cap first. Each observed table of a design is walked once,
+over every harmed count 0..N, its runs' seeds packed one slot per count. Each N builds one binomial table; each science
 table's law is the oracle's enumeration kernel, ``oracle._compose``, fed
 that table's rows, and one pass over it, ``_law()``, gives both moment sums
 and its table tally. A science table's integer way count of each observed
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import likelihood, moments, oracle
-from .tables import InfeasibleError, ObservedTable, ScienceTable
+from .tables import ObservedTable, ScienceTable
 
 _MAX_REPORTED_FAILURES = 5
 
@@ -84,21 +85,20 @@ def science_tables_up_to(max_n: int) -> Iterator[ScienceTable]:
                     yield ScienceTable(n11, n10, n01, total - n11 - n10 - n01)
 
 
-def _walk(tables: list, n01: int) -> tuple[dict, dict]:
-    # likelihood._grid's numerators as {(n11, n10): {(n11_obs, n01_obs): w on its grid}},
-    # and the moment cells times N1 N0 by the same (n11_obs, n01_obs).
-    columns, scaled = {}, {}
+def _walk(tables: list, total: int) -> list:
+    # Per harmed count n01 = 0..N, likelihood._grid's numerators as
+    # {(n11, n10): {(n11_obs, n01_obs): w on its grid}}, and the moment cells
+    # times N1 N0 by the same (n11_obs, n01_obs): one walk per observed table.
+    walks = [({}, {}) for _ in range(total + 1)]
     for obs in tables:
         key = obs.n11, obs.n01
-        try:
-            grid = likelihood._grid(obs, n01)
-        except InfeasibleError:
-            grid = ()
-        for n11, n10s, ws in grid:
-            for n10, w in zip(n10s, ws):
-                columns.setdefault((n11, n10), {})[key] = w
-        scaled[key] = moments._cells(obs, n01)
-    return columns, scaled
+        for n01, rows in enumerate(likelihood._grid(obs, range(total + 1))):
+            columns, scaled = walks[n01]
+            for n11, n10s, ws in rows:
+                for n10, w in zip(n10s, ws):
+                    columns.setdefault((n11, n10), {})[key] = w
+            scaled[key] = moments._cells(obs, n01)
+    return walks
 
 
 def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> VerificationReport:
@@ -127,7 +127,7 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
             tables = [ObservedTable(n11, n_treated - n11, n01, n_control - n01)
                       for n11 in range(n_treated + 1) for n01 in range(n_control + 1)]
             scale = n_treated * n_control
-            walks = [_walk(tables, n01) for n01 in range(total + 1)]
+            walks = _walk(tables, total)
             for science, rows in sciences:
                 dist = oracle.AssignmentDistribution(
                     science, n_treated, oracle._compose(science, n_treated, n_control, *rows),

@@ -18,7 +18,10 @@ row's x runs and their seeds against the x whose terms are positive on it,
 on tables of up to 90 units and on corner tables; the A weights also
 against the oracle's way counts on every science table of up to 8 units.
 The one-row query of ``tables._rows`` is its full build's row, or none, at
-every n01 and n11 in [0, N + 1] on tables of up to 40 units.
+every n01 and n11 in [0, N + 1] on tables of up to 40 units. On drawn
+windows of harmed counts, the rows of a window are the union of the
+one-count rows on each diagonal, and one grid walk over the window gives
+each count the one-count grid's rows and the reference numerator.
 The packed sweep's column sums over a window of harmed counts are checked against the reference numerator on
 drawn windows of generated tables, on corner tables, and on every table
 with counts 0..5 and every window; every swept column is at most C(N, N1),
@@ -28,8 +31,9 @@ reference: swapping the arms transposes the sweep's (n10, n01) column
 matrix, and swapping the arms and the outcome leaves the sweep as it is;
 flipping the outcome in both arms mirrors the p-value curve, on tables of
 up to 2,000 units. The run box is the set of runs
-the sweep and the grid step, each once, from a positive seed over its
-n00_obs + 1 window points, on drawn windows of generated tables. On science
+the sweep and the grid, over the window and one count at a time, step,
+each once, from a positive seed over its n00_obs + 1 window points, on
+drawn windows of generated tables. On science
 tables of up to 12 units the reference numerator, the
 p-value at the true number of responders under control, the oracle's
 integer moments and the moment cell estimates are checked against the
@@ -202,10 +206,10 @@ def _assert_grid_walk_is_the_pointwise_kernel(obs):
         expected = _pointwise_rows(obs, n01)
         if not expected:
             with pytest.raises(InfeasibleError):
-                likelihood._grid(obs, n01)
+                likelihood._grid(obs, range(n01, n01 + 1))
         else:
             rows = [(n11, n10s) for n11, n10s, _ in _rows(obs, n01)]
-            walked = list(likelihood._grid(obs, n01))
+            walked, = [list(grid) for grid in likelihood._grid(obs, range(n01, n01 + 1))]
             assert [(n11, n10s) for n11, n10s, _ in walked] == rows
             assert [
                 (n11, n10, numerator)
@@ -451,16 +455,59 @@ def _assert_walk_is_the_run_box(obs, n01s, walk):
 @PROPERTY
 @given(swept_tables())
 def test_the_run_box_is_the_runs_the_walks_step(swept):
-    # The box is the sweep's run set and, one count at a time, the grid's.
+    # The box is the run set of the sweep and of the grid over the window, and,
+    # one count at a time, the grid's.
     obs, n01s = swept
     _assert_walk_is_the_run_box(obs, n01s, lambda: likelihood._columns(obs, n01s))
+    if len(n01s) > 1:  # a range walks at the call; one count is the loop below
+        _assert_walk_is_the_run_box(obs, n01s, lambda: likelihood._grid(obs, n01s))
     for n01 in n01s:
         if not _run_box(obs, n01, n01)[0]:
             with pytest.raises(InfeasibleError):
-                likelihood._grid(obs, n01)
+                likelihood._grid(obs, range(n01, n01 + 1))
         else:
-            _assert_walk_is_the_run_box(obs, range(n01, n01 + 1),
-                                        lambda: list(likelihood._grid(obs, n01)))
+            _assert_walk_is_the_run_box(obs, range(n01, n01 + 1), lambda: [
+                list(grid) for grid in likelihood._grid(obs, range(n01, n01 + 1))])
+
+
+@PROPERTY
+@given(swept_tables())
+def test_range_grid_is_the_one_count_grid_and_the_pointwise_kernel(swept):
+    # One walk over a window gives each harmed count the rows of the one-count
+    # walk, _numerator at each of their points, and no row where the count's
+    # support is empty; a window of one such count raises instead.
+    obs, n01s = swept
+    if len(n01s) == 1 and not _run_box(obs, n01s[0], n01s[0])[0]:
+        with pytest.raises(InfeasibleError):
+            likelihood._grid(obs, n01s)
+        return
+    for n01, rows in zip(n01s, likelihood._grid(obs, n01s), strict=True):
+        rows, expected = list(rows), _pointwise_rows(obs, n01)
+        assert [
+            (n11, n10, numerator)
+            for n11, n10s, numerators in rows
+            for n10, numerator in zip(n10s, numerators, strict=True)
+        ] == expected
+        if expected:
+            assert rows == list(next(likelihood._grid(obs, range(n01, n01 + 1))))
+
+
+@PROPERTY
+@given(swept_tables())
+def test_range_rows_are_the_union_of_the_one_count_rows(swept):
+    # A row of _rows over a window is a diagonal s = n11 + n01s[0] of its run
+    # box: its x and n10 are those of the one-count rows on s at every count
+    # of the window, and the rows go by ascending n11.
+    obs, n01s = swept
+    diagonals = {}
+    for n01 in n01s:
+        for n11, n10s, xs in _rows(obs, n01):
+            runs, points = diagonals.setdefault(n11 + n01, (set(), set()))
+            runs.update(xs)
+            points.update(n10s)
+    rows = _rows(obs, n01s[0], last=n01s[-1])
+    assert [n11 + n01s[0] for n11, _, _ in rows] == sorted(diagonals)
+    assert {n11 + n01s[0]: (set(xs), set(n10s)) for n11, n10s, xs in rows} == diagonals
 
 
 @pytest.mark.parametrize("obs", GRID_CORNERS, ids=repr)
@@ -1027,7 +1074,8 @@ def test_posterior_reads_and_sweep_rows_are_the_fraction_formulas_up_to_n_10_4(
     obs, harmed = design
     total = obs.total
     grid = {ParameterPoint(n11, n10, harmed): w
-            for n11, n10s, ws in likelihood._grid(obs, harmed) for n10, w in zip(n10s, ws)}
+            for rows in likelihood._grid(obs, range(harmed, harmed + 1))
+            for n11, n10s, ws in rows for n10, w in zip(n10s, ws)}
     base = obs.n11 + obs.n01 - harmed
     for dist, value in ((tau_posterior(obs, harmed), lambda p: Fraction(p.n10 - harmed, total)),
                         (a_posterior(obs, harmed), lambda p: base - p.n11)):

@@ -115,18 +115,19 @@ def test_report_lines_include_failures(monkeypatch):
 
 
 def _wrap_grid(monkeypatch, rows):
-    # Replaces likelihood._grid by ``rows(obs, n01, walked)``, where
-    # ``walked`` is the shipped walk as {(n11, n10): numerator}, empty when
-    # the support is.
+    # Replaces likelihood._grid by ``rows(obs, n01, walked)`` at each harmed
+    # count of its range, where ``walked`` is the shipped walk at that count
+    # as {(n11, n10): numerator}, empty when the support is.
     original = likelihood._grid
 
-    def mutated(obs, n01):
+    def mutated(obs, n01s):
         try:
-            walked = {(n11, n10): w for n11, n10s, ws in original(obs, n01)
-                      for n10, w in zip(n10s, ws)}
+            grids = [list(grid) for grid in original(obs, n01s)]
         except InfeasibleError:
-            walked = {}
-        return rows(obs, n01, walked)
+            grids = [[]]
+        return iter([rows(obs, n01, {(n11, n10): w for n11, n10s, ws in grid
+                                     for n10, w in zip(n10s, ws)})
+                     for n01, grid in zip(n01s, grids, strict=True)])
 
     monkeypatch.setattr(likelihood, "_grid", mutated)
 
@@ -208,16 +209,53 @@ def test_detects_a_wrong_seed_in_the_walk(monkeypatch, capsys):
     assert right in source
     obs, n01s = ObservedTable(2, 1, 1, 2), range(0, 4)
     swept = list(likelihood._columns(obs, n01s))
-    rows, grid = a_posterior(obs, 1), list(likelihood._grid(obs, 1))
+    rows, grid = a_posterior(obs, 1), [list(walked) for walked in likelihood._grid(obs, n01s)]
     namespace = dict(vars(likelihood))
     exec(source.replace(right, "math.comb(n01, s - obs.n01 - x + 1)"), namespace)
     monkeypatch.setattr(likelihood, "_seed", namespace["_seed"])
     assert list(likelihood._columns(obs, n01s)) != swept
     assert a_posterior(obs, 1) != rows
-    assert list(likelihood._grid(obs, 1)) != grid
+    assert [list(walked) for walked in likelihood._grid(obs, n01s)] != grid
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
     assert lines[3].startswith("FAIL  likelihood equals assignment probability:")
+
+
+def test_detects_a_slot_one_bit_too_narrow(monkeypatch, capsys):
+    # Each packed slot one bit narrower than C(N, N1) needs: likelihood._slots,
+    # the one width statement behind the packing of the sensitivity sweep and
+    # of verify's walk over every harmed count, rebuilt from its source with
+    # that one change. A column above half of C(N, N1) carries into the slot
+    # of the next harmed count.
+    source = inspect.getsource(likelihood._slots)
+    right = ".bit_length()"
+    assert right in source
+    obs, n01s = ObservedTable(2, 1, 1, 2), range(0, 4)
+    swept = list(likelihood._columns(obs, n01s))
+    namespace = dict(vars(likelihood))
+    exec(source.replace(right, right + " - 1"), namespace)
+    monkeypatch.setattr(likelihood, "_slots", namespace["_slots"])
+    assert list(likelihood._columns(obs, n01s)) != swept
+    code, lines = _verify_max_n_6(capsys)
+    assert code == EXIT_VERIFY
+    assert [line[:4] for line in lines[:7]] == ["PASS"] * 3 + ["FAIL"] + ["PASS"] * 3
+    assert lines[3].startswith("FAIL  likelihood equals assignment probability:")
+
+
+def test_walks_each_observed_table_once_per_design(monkeypatch):
+    # One likelihood._grid call per (N, N1, observed table), over every harmed
+    # count 0..N: at N <= 5 the designs hold 85 observed tables, where a walk
+    # per harmed count made 449 calls.
+    calls, original = [], likelihood._grid
+
+    def counted(obs, n01s):
+        calls.append((obs, n01s))
+        return original(obs, n01s)
+
+    monkeypatch.setattr(likelihood, "_grid", counted)
+    assert run_verification(max_n=5, mc_draws=2000).ok
+    assert len(calls) == len({obs for obs, _ in calls}) == 85
+    assert all(n01s == range(obs.total + 1) for obs, n01s in calls)
 
 
 def test_detects_a_run_box_one_harmed_count_short(monkeypatch, capsys):
