@@ -10,12 +10,18 @@ x01, x00, ways), built into a record only on read; every probability is a
 way count over the distribution's one ``denominator``, C(N, N1), and the
 moments are integer sums over it (``tau_hat_sums``, ``prediction_gap_sums``,
 ``lemma1_check``'s treated totals), each divided once by ``_moments``.
-The compositions come from one kernel, ``_compose``, which reads each
-binomial from rows it is given: ``enumerate_assignments`` builds each
-count's row over its x window alone, ``verify`` one binomial table per N.
-One pass over a law, ``_law``, gives its observed-table tally and both
-moment sums: ``outcomes`` and ``normality_check`` read its tally, the two
-``*_sums`` views its sums.
+One science table's compositions come from one kernel, ``_compose``, fed
+each count's binomials over its x window alone: ``enumerate_assignments``
+may run at N in the thousands with a small arm. ``verify`` reads every
+science table's law of a design (N, N1) off one pass of ``_design_laws``
+instead: each composition of the treated arm paired with each of the
+control arm is one composition of their sum, its way count read from one
+binomial table per N. A law's tally of observed tables gives both moment
+sums through one helper, ``_sums``, per observed table rather than per
+composition, since each v is the observed table's alone. One pass over a
+law's compositions, ``_law``, gives its tally and those sums:
+``outcomes`` and ``normality_check`` read its tally, the two ``*_sums``
+views its sums.
 A seeded Monte Carlo stand-in covers populations beyond the enumeration
 cap; its weights are draw counts, its denominator the number of draws, and
 it is the one sampler here: ``normality_check`` studentizes its tally. Its
@@ -125,19 +131,13 @@ class AssignmentDistribution:
     def _law(self) -> tuple[dict, tuple[int, int], tuple[int, int]]:
         """One pass over ``_observed()``. It gives the summed integer weight of
         each observed table, keyed by its (n11_obs, n01_obs), in first-seen
-        order: the law the likelihood states. With it come the sums of w v and
-        w v^2 for v = tau_hat N1 N0 = n11_obs N0 - n01_obs N1, and for
-        v = (A - N1 tau_hat) N0 = (A - n11_obs) N0 + n01_obs N1."""
-        n1, n0 = self.n_treated, self.n_control
+        order: the law the likelihood states. With it come both views' moment
+        sums, ``_sums`` of that tally."""
         tally: dict = {}
-        tau = gap = (0, 0)  # each view's sums of w v and w v^2
-        for weight, n11, n01, a in self._observed():
+        for weight, n11, n01, _ in self._observed():
             tally[n11, n01] = tally.get((n11, n01), 0) + weight
-            v = n11 * n0 - n01 * n1
-            tau = tau[0] + weight * v, tau[1] + weight * v * v
-            v = (a - n11) * n0 + n01 * n1
-            gap = gap[0] + weight * v, gap[1] + weight * v * v
-        return tally, tau, gap
+        science = self.science
+        return (tally, *_sums(tally, self.n_treated, self.n_control, science.n11 + science.n01))
 
     def tau_hat_sums(self) -> tuple[int, int]:
         """Sums of w v and w v^2 over the compositions for v = tau_hat N1 N0;
@@ -161,6 +161,25 @@ def _moments(total: int, sums: tuple[int, int], scale: int) -> tuple:
     first, second = sums
     return (Fraction(first, total * scale),
             Fraction(total * second - first * first, (total * scale) ** 2))
+
+
+def _sums(tally: dict, n1: int, n0: int, y0: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Sums of w v and w v^2 over a law's ``tally`` of observed tables, keyed
+    by (n11_obs, n01_obs), for v = tau_hat N1 N0 = n11_obs N0 - n01_obs N1 and
+    for v = (A - N1 tau_hat) N0 = n01_obs N - y0 N0, where y0 = n11 + n01 of
+    the science table counts its units whose control outcome is 1. Both v's
+    are the observed table's alone: each composition has
+    A - n11_obs = -(x11 + x01) = n01_obs - y0."""
+    total, shift = n1 + n0, y0 * n0
+    tau1 = tau2 = gap1 = gap2 = 0
+    for (n11, n01), w in tally.items():
+        v = n11 * n0 - n01 * n1
+        wv = w * v
+        tau1, tau2 = tau1 + wv, tau2 + wv * v
+        v = n01 * total - shift
+        wv = w * v
+        gap1, gap2 = gap1 + wv, gap2 + wv * v
+    return (tau1, tau2), (gap1, gap2)
 
 
 def _assignment_count(total: int, n_treated: int) -> int:
@@ -190,6 +209,39 @@ def _compose(science: ScienceTable, n1: int, n0: int, c11, c10, c01, c00) -> tup
         for rest, ways in [(n1 - x11 - x10, c11[x11] * c10[x10])]  # x01 + x00, with x00 at most n00
         for x01 in range(max(0, rest - n00), min(n01, rest) + 1)
     ])
+
+
+def _design_laws(total: int, n1: int, binomials: list) -> list:
+    """Every science table's enumerated law for the design (N, N1) in one pass,
+    each as ``_law()`` gives it: its tally and ``_sums`` of it. They come one
+    per science table of N units, in lexicographic order of (n11, n10, n01),
+    the order ``verify.science_tables_up_to`` gives. Each composition x of the
+    N1 treated units into the four types pairs with each composition y of the
+    N0 in control: the pair is the composition x of science table x + y,
+    reached in prod_t C(x_t + y_t, x_t) ways, each read from
+    ``binomials[c][x] = C(c, x)``, and its observed table is
+    (n11_obs, n01_obs) = (x11 + x10, y11 + y01)."""
+    n0 = total - n1
+    # laws[s11][s10][s01]: the tally of science table (s11, s10, s01, N - s11 - s10 - s01)
+    laws = [[[{} for _ in range(total - s11 - s10 + 1)] for s10 in range(total - s11 + 1)]
+            for s11 in range(total + 1)]
+    for x11 in range(n1 + 1):
+        for x10 in range(n1 - x11 + 1):
+            keys = [(x11 + x10, n01) for n01 in range(n0 + 1)]  # the observed table at y11 + y01
+            for x01 in range(n1 - x11 - x10 + 1):
+                x00 = n1 - x11 - x10 - x01
+                c01 = [binomials[x01 + y][x01] for y in range(n0 + 1)]
+                c00 = [binomials[x00 + y][x00] for y in range(n0 + 1)]
+                for y11 in range(n0 + 1):
+                    plane, w11 = laws[x11 + y11], binomials[x11 + y11][x11]
+                    for y10 in range(n0 - y11 + 1):
+                        row, ways = plane[x10 + y10], w11 * binomials[x10 + y10][x10]
+                        rest = n0 - y11 - y10  # y01 + y00
+                        for y01 in range(rest + 1):
+                            tally, key = row[x01 + y01], keys[y11 + y01]
+                            tally[key] = tally.get(key, 0) + ways * c01[y01] * c00[rest - y01]
+    return [(tally, *_sums(tally, n1, n0, s11 + s01))
+            for s11, plane in enumerate(laws) for row in plane for s01, tally in enumerate(row)]
 
 
 def enumerate_assignments(science: ScienceTable, n_treated: int) -> AssignmentDistribution:

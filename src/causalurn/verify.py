@@ -7,15 +7,18 @@ support, its box, steps, slot width and packing the sweep's, its
 ``tables._rows`` and ``_seed`` those the closed-form row sums read.
 Designs go one (N, N1) at a time, every one checked against the
 enumeration cap first. Each observed table of a design is walked once,
-over every harmed count 0..N, its runs' seeds packed one slot per count. Each N builds one binomial table; each science
-table's law is the oracle's enumeration kernel, ``oracle._compose``, fed
-that table's rows, and one pass over it, ``_law()``, gives both moment sums
-and its table tally. A science table's integer way count of each observed
-table it reaches, that tally keyed by (n11_obs, n01_obs), must equal its
-point's walked numerators by the same key; only a mismatch is checked, and
-named, table by table. The moments are checked on integers:
-the oracle's sums over C(N, N1) meet ``moments._population`` and ``_cells``
-cross-multiplied; a failure line alone builds rationals (``oracle._moments``).
+over every harmed count 0..N, its runs' seeds packed one slot per count.
+Each N builds one binomial table, and one pass of the oracle's design
+kernel, ``oracle._design_laws``, over the pairs of the two arms'
+compositions reads from it every science table's law of a design: its
+tally of observed tables and both moment sums, taken per observed table
+through ``oracle._sums`` as ``_law()`` takes them. A science table's
+integer way count of each observed table it reaches, that tally keyed by
+(n11_obs, n01_obs), must equal its point's walked numerators by the same
+key; only a mismatch is checked, and named, table by table. The moments are
+checked on integers: the oracle's sums over C(N, N1) meet
+``moments._population`` and ``_cells`` cross-multiplied; a failure line
+alone builds rationals (``oracle._moments``).
 """
 
 from __future__ import annotations
@@ -118,21 +121,18 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
             oracle._assignment_count(total, n_treated)
 
     for total, group in itertools.groupby(science_tables_up_to(max_n), lambda s: s.total):
-        # One binomial table per N, row c holding C(c, x) for x = 0..c, and
-        # each science table's four rows from it, fed to the oracle's kernel.
+        # One binomial table per N, row c holding C(c, x) for x = 0..c, from
+        # which the oracle's kernel reads every way count of each design.
         binomials = [[math.comb(c, x) for x in range(c + 1)] for c in range(total + 1)]
-        sciences = [(s, [binomials[c] for c in (s.n11, s.n10, s.n01, s.n00)]) for s in group]
+        sciences = list(group)
         for n_treated in range(1, total):
             n_control = total - n_treated
             tables = [ObservedTable(n11, n_treated - n11, n01, n_control - n01)
                       for n11 in range(n_treated + 1) for n01 in range(n_control + 1)]
-            scale = n_treated * n_control
+            scale, denominator = n_treated * n_control, binomials[total][n_treated]
             walks = _walk(tables, total)
-            for science, rows in sciences:
-                dist = oracle.AssignmentDistribution(
-                    science, n_treated, oracle._compose(science, n_treated, n_control, *rows),
-                    binomials[total][n_treated])
-                ways, tau_sums, gap_sums = dist._law()
+            laws = oracle._design_laws(total, n_treated, binomials)
+            for science, (ways, tau_sums, gap_sums) in zip(sciences, laws, strict=True):
 
                 def label() -> str:
                     return f"science={science} N1={n_treated}"
@@ -146,12 +146,12 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
                     (prediction, "A - N1 tau_hat", gap_sums, n_control,
                      (0, 1), mse),
                 ):
-                    (first, second), whole = sums, dist.denominator * unit
-                    spread = (dist.denominator * second - first * first) * variance[1]
+                    (first, second), whole = sums, denominator * unit
+                    spread = (denominator * second - first * first) * variance[1]
                     result.record(first * mean[1] == mean[0] * whole, lambda: (
-                        f"{label()}: E({name})={oracle._moments(dist.denominator, sums, unit)[0]}"))
+                        f"{label()}: E({name})={oracle._moments(denominator, sums, unit)[0]}"))
                     result.record(spread == variance[0] * whole * whole, lambda: (
-                        f"{label()}: var({name})={oracle._moments(dist.denominator, sums, unit)[1]}"))
+                        f"{label()}: var({name})={oracle._moments(denominator, sums, unit)[1]}"))
 
                 columns, scaled = walks[science.n01]
                 column = columns.get((science.n11, science.n10), {})
@@ -171,14 +171,14 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
                             lik.record(
                                 walked == weight,
                                 lambda: f"{label()} obs={obs}: likelihood != probability "
-                                f"{Fraction(weight, dist.denominator)}",
+                                f"{Fraction(weight, denominator)}",
                             )
                 s11 = s00 = s10 = 0  # way counts times scaled moment cells
                 for key, weight in ways.items():
                     c11, c00, c10 = scaled[key]
                     s11, s00, s10 = s11 + weight * c11, s00 + weight * c00, s10 + weight * c10
                 sums = s11, s00, s10
-                whole = dist.denominator * scale
+                whole = denominator * scale
                 cells.record(
                     sums == (whole * science.n11, whole * science.n00, whole * science.n10),
                     lambda: f"{label()}: cell means {tuple(Fraction(s, whole) for s in sums)}",

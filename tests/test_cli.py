@@ -935,7 +935,7 @@ class TestUsage:
             raise AssertionError("work started before the options were checked")
 
         monkeypatch.setattr("causalurn.oracle._assignment_count", no_work)
-        monkeypatch.setattr("causalurn.oracle._compose", no_work)
+        monkeypatch.setattr("causalurn.oracle._design_laws", no_work)
         monkeypatch.setitem(sys.modules, "numpy", None)
         assert run(capsys, *command, flag, value) == (EXIT_USAGE, "", message)
 

@@ -1,6 +1,7 @@
 """The enumeration oracle itself: exactness, caps, Monte Carlo, normality."""
 
 import dataclasses
+import inspect
 import itertools
 import math
 import os
@@ -42,6 +43,18 @@ def wide_designs(draw):
 
 def _counts(science):
     return science.n11, science.n10, science.n01, science.n00
+
+
+def _hooked_design_laws(right, hook):
+    # oracle._design_laws rebuilt from its source with its one expression
+    # ``right`` passed through hook(value, x, y) at each pair: x and y are the
+    # pair's treated and control compositions as (x11, x10, x01, x00).
+    source = inspect.getsource(oracle._design_laws)
+    assert source.count(right) == 1
+    namespace = dict(vars(oracle), _hook=hook)
+    exec(source.replace(right, f"_hook({right}, (x11, x10, x01, x00), (y11, y10, y01, rest - y01))"),
+         namespace)
+    return namespace["_design_laws"]
 
 
 def _three_pass_law(dist):
@@ -116,17 +129,44 @@ class TestEnumerate:
             enumerate_assignments(ScienceTable(1, 1, 0, 1), 3)
 
     def test_the_kernel_on_one_table_per_n_is_the_enumeration(self):
-        # verify feeds the kernel the rows of one binomial table per N, row c
-        # holding C(c, x) for x = 0..c; enumerate_assignments feeds it each
-        # count's x window alone. Both give the same compositions, in the
-        # same order, for every science table with N <= 12 and every N1.
+        # verify reads every science table's law of a design off one pass of
+        # oracle._design_laws over one binomial table per N, row c holding
+        # C(c, x) for x = 0..c; enumerate_assignments composes each science
+        # table on its own. Both give the same tally, the same total weight
+        # and both moment sums as taken per composition, for every science
+        # table with N <= 12 and every N1.
         for total, group in itertools.groupby(science_tables_up_to(12), lambda s: s.total):
             binomials = [[math.comb(c, x) for x in range(c + 1)] for c in range(total + 1)]
-            for science in group:
-                rows = [binomials[c] for c in _counts(science)]
-                for n_treated in range(1, total):
-                    composed = oracle._compose(science, n_treated, total - n_treated, *rows)
-                    assert composed == enumerate_assignments(science, n_treated).compositions
+            sciences = list(group)
+            for n_treated in range(1, total):
+                laws = oracle._design_laws(total, n_treated, binomials)
+                for science, (tally, tau_sums, gap_sums) in zip(sciences, laws, strict=True):
+                    dist = enumerate_assignments(science, n_treated)
+                    pairs, *sums = _three_pass_law(dist)
+                    assert (tally, [tau_sums, gap_sums]) == (dict(pairs), sums)
+                    assert sum(tally.values()) == dist.denominator == binomials[total][n_treated]
+
+    def test_the_design_kernel_walks_each_pair_once(self):
+        # One step per (treated composition, control composition) pair:
+        # C(N1 + 3, 3) C(N0 + 3, 3) per design, 11,881 at N <= 8 and 41,757 at
+        # N <= 10. Each is a composition of its science table, so the steps
+        # are the enumeration's (science table, composition) pairs.
+        steps = 0
+        for total in range(2, 11):
+            binomials = [[math.comb(c, x) for x in range(c + 1)] for c in range(total + 1)]
+            for n_treated in range(1, total):
+                pairs = []
+                walk = _hooked_design_laws("ways * c01[y01] * c00[rest - y01]",
+                                           lambda ways, x, y: pairs.append((x, y)) or ways)
+                laws = walk(total, n_treated, binomials)
+                assert laws == oracle._design_laws(total, n_treated, binomials)
+                assert len(pairs) == len(set(pairs)) == (
+                    math.comb(n_treated + 3, 3) * math.comb(total - n_treated + 3, 3))
+                assert {(sum(x), sum(y)) for x, y in pairs} == {(n_treated, total - n_treated)}
+                steps += len(pairs)
+            if total == 8:
+                assert steps == 11_881
+        assert steps == 41_757
 
     @settings(max_examples=60, deadline=None)
     @given(wide_designs())

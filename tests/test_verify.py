@@ -20,6 +20,7 @@ from causalurn import (
 from causalurn.cli import EXIT_INFEASIBLE, EXIT_VERIFY, main
 from causalurn.tables import InfeasibleError, ObservedTable, ScienceTable
 from causalurn.verify import run_verification, science_tables_up_to
+import test_oracle
 import test_properties
 
 
@@ -36,7 +37,7 @@ def test_sampling_options_are_checked_before_any_enumeration(monkeypatch, option
     def no_work(*args, **kwargs):
         raise AssertionError("enumeration started before the options were checked")
 
-    monkeypatch.setattr(oracle, "_compose", no_work)
+    monkeypatch.setattr(oracle, "_design_laws", no_work)
     with pytest.raises(ValueError) as raised:
         run_verification(6, **options)
     assert str(raised.value) == message
@@ -343,44 +344,43 @@ def _assert_swapped_report(capsys, target):
     return lines
 
 
-def test_detects_an_oracle_that_swaps_two_way_counts(monkeypatch, capsys):
-    # One treated unit of science (2, 1, 0, 1): a treated never-responder and a
-    # treated always-responder reach different observed tables, in 1 and 2 ways.
-    # Swapped, the way counts still total C(4, 1), so only this science table's
-    # identities fail: two likelihoods, the moments and the cell means.
+def _swap_two_pairs(monkeypatch, right, pick):
+    # oracle._design_laws with its expression ``right`` rebuilt to swap, between
+    # two pairs of science (2, 1, 0, 1) at N1 = 1, what ``pick`` reads off the
+    # oracle's law of each. A treated never-responder and a treated
+    # always-responder reach different observed tables, in 1 and 2 ways.
     target = ScienceTable(2, 1, 0, 1)
-    original = oracle._compose
-    never, helped, always = oracle.enumerate_assignments(target, 1).compositions
+    dist = oracle.enumerate_assignments(target, 1)
+    (never, _, always), (to_never, _, to_always) = dist.compositions, list(dist._observed())
     assert (never[4], always[4]) == (1, 2)
 
-    def mutated(science, n_treated, n_control, *rows):
-        compositions = original(science, n_treated, n_control, *rows)
-        if (science, n_treated) != (target, 1):
-            return compositions
-        return (never[:4] + (always[4],), helped, always[:4] + (never[4],))
+    def pair(composition):  # (x, y), each arm's composition as (x11, x10, x01, x00)
+        x = composition[:4]
+        return x, tuple(s - t for s, t in zip(test_oracle._counts(target), x))
 
-    monkeypatch.setattr(oracle, "_compose", mutated)
+    swapped = {pair(never): pick(always, to_always), pair(always): pick(never, to_never)}
+    mutated = test_oracle._hooked_design_laws(
+        right, lambda value, x, y: swapped.get((x, y), value))
+    monkeypatch.setattr(oracle, "_design_laws", mutated)
+    return target
+
+
+def test_detects_an_oracle_that_swaps_two_way_counts(monkeypatch, capsys):
+    # The pair walk gives each of the two pairs the other's way count. The
+    # way counts still total C(4, 1), so only this science table's identities
+    # fail: two likelihoods, the moments and the cell means.
+    target = _swap_two_pairs(monkeypatch, "ways * c01[y01] * c00[rest - y01]",
+                             lambda composition, observed: composition[4])
     _assert_swapped_report(capsys, target)
 
 
 def test_detects_an_observed_table_map_that_swaps_two_way_counts(monkeypatch, capsys):
-    # The same swap made in the oracle's map from compositions to observed
-    # tables, its compositions left as they are. verify reads the likelihood's
-    # table law off that one map, as the moments do, so the likelihood
-    # identity fails with them.
-    target = ScienceTable(2, 1, 0, 1)
-    original = oracle.AssignmentDistribution._observed
-    compositions = oracle.enumerate_assignments(target, 1).compositions
-
-    def mutated(self):
-        rows = list(original(self))
-        if (self.science, self.n_treated) == (target, 1):
-            (never, *to_never), helped, (always, *to_always) = rows
-            rows = [(always, *to_never), helped, (never, *to_always)]
-        return iter(rows)
-
-    monkeypatch.setattr(oracle.AssignmentDistribution, "_observed", mutated)
-    assert oracle.enumerate_assignments(target, 1).compositions == compositions
+    # The same swap made in the kernel's map from pairs to observed tables,
+    # its way counts left as they are. verify reads the likelihood's table law
+    # and both moment sums off that one tally, so the likelihood identity
+    # fails with the moments.
+    target = _swap_two_pairs(monkeypatch, "keys[y11 + y01]",
+                             lambda composition, observed: tuple(observed[1:3]))
     lines = _assert_swapped_report(capsys, target)
     assert [line[:4] for line in lines[:3]] == ["FAIL"] * 3
 
@@ -392,7 +392,7 @@ def test_a_design_over_the_cap_fails_before_any_is_walked(monkeypatch, capsys):
         raise AssertionError("walked or enumerated a design before the cap check")
 
     monkeypatch.setenv(oracle.ENUM_CAP_ENV, "20")
-    monkeypatch.setattr(oracle, "_compose", refuse)
+    monkeypatch.setattr(oracle, "_design_laws", refuse)
     monkeypatch.setattr(likelihood, "_grid", refuse)
     assert main(["verify", "--max-n", "9"]) == EXIT_INFEASIBLE
     captured = capsys.readouterr()
@@ -403,10 +403,11 @@ def test_a_design_over_the_cap_fails_before_any_is_walked(monkeypatch, capsys):
 
 
 def test_detects_a_wrong_entry_in_the_binomial_table(monkeypatch, capsys):
-    # verify builds one binomial table per N and feeds its rows to the
-    # oracle's kernel. C(3, 1) read as 4 there, and nowhere else, changes the
-    # way counts of every law that reads row 3 and the denominator of
-    # (N, N1) = (3, 1): the four identities read off those laws fail.
+    # verify builds one binomial table per N, and the oracle's kernel reads
+    # every way count of a design from it. C(3, 1) read as 4 there, and
+    # nowhere else, changes the way count of every pair that treats 1 of 3
+    # units of one type, and the denominator of (N, N1) = (3, 1): the four
+    # identities read off those laws fail.
     def comb(n, k):
         return 4 if (n, k) == (3, 1) else math.comb(n, k)
 
