@@ -48,7 +48,7 @@ class DiscreteDistribution:
             raise ValueError("empty distribution")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("support must be strictly increasing")
-        if any(not isinstance(w, int) or w < 0 for w in self.weights):
+        if any(type(w) is not int or w < 0 for w in self.weights):  # a bool is no weight
             raise ValueError("weights must be nonnegative integers")
         if not any(self.weights):
             raise ValueError("weights must have a positive sum")
@@ -157,13 +157,14 @@ def posterior_points(
     InfeasibleError on an empty support or one the prior annihilates.
     """
     if prior.weights is None:
-        rows = next(_grid(obs, range(_count(n01, "n01"), n01 + 1)))
+        _check_support(obs, n01)
+        rows = _grid(obs, range(n01, n01 + 1))
     else:
         table = {(n11, n10): w for n11, n10, w in _weighted(obs, n01, prior)}
-        rows = ((n11, n10s, [table.get((n11, n10), 0) for n10 in n10s])
+        rows = ((n01, n11, n10s, [table.get((n11, n10), 0) for n10 in n10s])
                 for n11, n10s, _ in _rows(obs, n01))
     return DiscreteDistribution(*zip(*(
-        (ParameterPoint(n11, n10, n01), w) for n11, n10s, ws in rows for n10, w in zip(n10s, ws)
+        (ParameterPoint(n11, n10, n01), w) for _, n11, n10s, ws in rows for n10, w in zip(n10s, ws)
     )))
 
 

@@ -30,10 +30,11 @@ every division exact. A grid at one harmed count adds each row's runs, one
 per x, into the row, at a cost of its inner-sum terms; one point is the
 plain sum above, ``_numerator``, over the x of its row's runs. A grid over
 a range of harmed counts walks each diagonal s of the range's run box once,
-each run of it once from its packed seeds (below), into one list over the
-diagonal's window; count n01 reads its row off its own slot, over the
-windows of the runs that reach it, k <= n01 <= k + n01_obs. So it costs
-the terms of the range's distinct (s, x) runs, not one grid per count.
+as its rows are read, each run of it once from its packed seeds (below),
+into one list over the diagonal's window; count n01 reads its row off its
+own slot, over the windows of the runs that reach it,
+k <= n01 <= k + n01_obs. So it costs the terms of the range's distinct
+(s, x) runs, not one grid per count, and one count is the range of one.
 
 Only the seed factor depends on the harmed count, and a_x(n01) is positive
 for n01 in [k, k + n01_obs], the box's k bounds read the other way. A
@@ -63,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .tables import (
     InfeasibleError,
@@ -133,48 +134,36 @@ def _pack(obs: ObservedTable, s: int, x: int, reached: range, width: int, base: 
     return packed << width * (reached[0] - base)
 
 
-def _grid(obs: ObservedTable, n01s: range) -> Iterator[Iterable[tuple[int, range, list[int]]]]:
-    """Per harmed count of the consecutive ``n01s``, its support rows
-    ``(n11, n10s, numerators)``, ``numerators[i]`` positive and
-    :func:`_numerator` at ``(n11, n10s[i])``; no row when that count is
+def _grid(obs: ObservedTable, n01s: range) -> Iterator[tuple[int, int, range, list[int]]]:
+    """The support rows ``(n01, n11, n10s, numerators)`` of each harmed count
+    of the consecutive ``n01s``, ``numerators[i]`` positive and
+    :func:`_numerator` at ``(n11, n10s[i])``; no row where that count is
     infeasible.
 
     Each (s, x) run is walked once for the whole range, one diagonal s of
-    the run box at a time, its seeds packed as in :func:`_columns`. A
-    count's points are the windows of the diagonal's runs that reach it,
-    each holding its slot. The rows of a range are walked at the call; the
-    rows of one count as they are read, after InfeasibleError is raised when
-    the support is empty. Raises ValueError unless ``n01s`` is a range
-    stepping by +1.
+    the run box at a time as the rows are read, its seeds packed as in
+    :func:`_columns`. A diagonal's rows follow its walk, one per count it
+    reaches, in ascending n01: a count's points are the windows of the
+    diagonal's runs that reach it, each holding its slot. Raises ValueError,
+    on the first read, unless ``n01s`` is a range stepping by +1.
     """
     lo, hi, width, mask = _slots(obs, n01s)
-
-    def walk() -> Iterator[tuple[int, tuple[int, range, list[int]]]]:
-        # (n01, row) per diagonal s of the run box and count it reaches, base..top.
-        # Its runs are k = s - n01_obs - x, kmin..kmax, and run k's window starts
-        # k - kmin into the diagonal's. The bounds are conditional expressions,
-        # not max and min: this loop is most of verify's walk.
-        for n11, n10s, xs in _rows(obs, lo, last=hi):
-            s, packed, n01_obs = n11 + lo, [0] * len(n10s), obs.n01
-            kmin, kmax = s - n01_obs - xs[-1], s - n01_obs - xs[0]
-            base, top = kmin if kmin > lo else lo, kmax + n01_obs if kmax + n01_obs < hi else hi
-            for x in xs:
-                k = s - n01_obs - x
-                reached = range(k if k > lo else lo, (k + n01_obs if k + n01_obs < hi else hi) + 1)
-                _add_run(obs, s, x, _pack(obs, s, x, reached, width, base), packed, n10s[0])
-            for n01 in range(base, top + 1):  # count n01 reads its runs, n01 - n01_obs <= k <= n01
-                a = n01 - n01_obs - kmin if n01 - n01_obs > kmin else 0
-                b, shift = (n01 if n01 < kmax else kmax) - kmin + obs.n00 + 1, width * (n01 - base)
-                yield n01, (s - n01, n10s[a:b], packed if base == top  # one slot: the diagonal
-                            else [v >> shift & mask for v in packed[a:b]])
-
-    if lo == hi:
-        _check_support(obs, lo)
-        return iter([(row for _, row in walk())])
-    counts = [[] for _ in n01s]
-    for n01, row in walk():
-        counts[n01 - lo].append(row)
-    return iter(counts)
+    # Each diagonal's runs are k = s - n01_obs - x, kmin..kmax, and run k's
+    # window starts k - kmin into the diagonal's. The bounds are conditional
+    # expressions, not max and min: this loop is most of verify's walk.
+    for n11, n10s, xs in _rows(obs, lo, last=hi):
+        s, packed, n01_obs = n11 + lo, [0] * len(n10s), obs.n01
+        kmin, kmax = s - n01_obs - xs[-1], s - n01_obs - xs[0]
+        base, top = kmin if kmin > lo else lo, kmax + n01_obs if kmax + n01_obs < hi else hi
+        for x in xs:
+            k = s - n01_obs - x
+            reached = range(k if k > lo else lo, (k + n01_obs if k + n01_obs < hi else hi) + 1)
+            _add_run(obs, s, x, _pack(obs, s, x, reached, width, base), packed, n10s[0])
+        for n01 in range(base, top + 1):  # count n01 reads its runs, n01 - n01_obs <= k <= n01
+            a = n01 - n01_obs - kmin if n01 - n01_obs > kmin else 0
+            b, shift = (n01 if n01 < kmax else kmax) - kmin + obs.n00 + 1, width * (n01 - base)
+            yield n01, s - n01, n10s[a:b], (packed if base == top  # one slot: the diagonal
+                                            else [v >> shift & mask for v in packed[a:b]])
 
 
 def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
@@ -262,8 +251,9 @@ def mle(obs: ObservedTable, n01: int = 0) -> MaxLikelihood:
     The argmax compares exact integer numerators at every population size,
     so every genuine discrete tie survives.
     """
+    _check_support(obs, n01)
     best, argmax = 0, []
-    for n11, n10s, numerators in next(_grid(obs, range(_count(n01, "n01"), n01 + 1))):
+    for _, n11, n10s, numerators in _grid(obs, range(n01, n01 + 1)):
         for n10, numerator in zip(n10s, numerators):
             if numerator > best:
                 best, argmax = numerator, [(n11, n10)]

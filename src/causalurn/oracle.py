@@ -10,15 +10,16 @@ x01, x00, ways), built into a record only on read; every probability is a
 way count over the distribution's one ``denominator``, C(N, N1), and the
 moments are integer sums over it (``tau_hat_sums``, ``prediction_gap_sums``,
 ``lemma1_check``'s treated totals), each divided once by ``_moments``.
-One science table's compositions come from one kernel, ``_compose``, fed
-each count's binomials over its x window alone: ``enumerate_assignments``
-may run at N in the thousands with a small arm. ``verify`` reads every
-science table's law of a design (N, N1) off one pass of ``_design_laws``
-instead: each composition of the treated arm paired with each of the
-control arm is one composition of their sum, its way count read from one
-binomial table per N. A law's tally of observed tables gives both moment
-sums through one helper, ``_sums``, per observed table rather than per
-composition, since each v is the observed table's alone. One pass over a
+One science table's compositions come from one kernel, ``_compose``,
+which builds each count's binomials over its x window alone:
+``enumerate_assignments`` may run at N in the thousands with a small arm.
+``verify`` reads every science table's law of a design (N, N1) off one
+pass of ``_design_laws`` instead: each composition of the treated arm
+paired with each of the control arm is one composition of their sum, its
+way count read from the one binomial table of N the kernel builds. A
+law's tally of observed tables gives both moment sums through one helper,
+``_sums``, per observed table rather than per composition, since each v
+is the observed table's alone. One pass over a
 law's compositions, ``_law``, gives its tally and those sums:
 ``outcomes`` and ``normality_check`` read its tally, the two ``*_sums``
 views its sums.
@@ -195,13 +196,16 @@ def _assignment_count(total: int, n_treated: int) -> int:
     return n_assignments
 
 
-def _compose(science: ScienceTable, n1: int, n0: int, c11, c10, c01, c00) -> tuple:
+def _compose(science: ScienceTable, n1: int) -> tuple:
     """Every type composition of a treatment arm of N1 units, N0 left in
     control, as (x11, x10, x01, x00, ways) in lexicographic order: the one
-    enumeration. ``c11`` to ``c00`` are the rows of the four counts; row c_t
-    holds C(c_t, x) at index x for each x the arm can take,
-    max(0, c_t - N0)..min(c_t, N1), and the kernel reads no other entry."""
-    n11, n10, n01, n00 = science.n11, science.n10, science.n01, science.n00
+    enumeration. Each count c_t gets its row of C(c_t, x) over the x the arm
+    can take, max(0, c_t - N0)..min(c_t, N1), and no other: N may run to
+    thousands with a small arm."""
+    n0, counts = science.total - n1, (science.n11, science.n10, science.n01, science.n00)
+    c11, c10, c01, c00 = ({x: math.comb(c, x) for x in range(max(0, c - n0), min(c, n1) + 1)}
+                          for c in counts)
+    n11, n10, n01, n00 = counts
     return tuple([  # a list first: a tuple grown in place fragments the heap
         (x11, x10, x01, rest - x01, ways * c01[x01] * c00[rest - x01])
         for x11 in range(max(0, n11 - n0), min(n11, n1) + 1)
@@ -211,17 +215,18 @@ def _compose(science: ScienceTable, n1: int, n0: int, c11, c10, c01, c00) -> tup
     ])
 
 
-def _design_laws(total: int, n1: int, binomials: list) -> list:
+def _design_laws(total: int, n1: int) -> list:
     """Every science table's enumerated law for the design (N, N1) in one pass,
     each as ``_law()`` gives it: its tally and ``_sums`` of it. They come one
     per science table of N units, in lexicographic order of (n11, n10, n01),
     the order ``verify.science_tables_up_to`` gives. Each composition x of the
     N1 treated units into the four types pairs with each composition y of the
     N0 in control: the pair is the composition x of science table x + y,
-    reached in prod_t C(x_t + y_t, x_t) ways, each read from
-    ``binomials[c][x] = C(c, x)``, and its observed table is
-    (n11_obs, n01_obs) = (x11 + x10, y11 + y01)."""
+    reached in prod_t C(x_t + y_t, x_t) ways, each read from the design's
+    one binomial table, ``binomials[c][x] = C(c, x)``, and its observed table
+    is (n11_obs, n01_obs) = (x11 + x10, y11 + y01)."""
     n0 = total - n1
+    binomials = [[math.comb(c, x) for x in range(c + 1)] for c in range(total + 1)]
     # laws[s11][s10][s01]: the tally of science table (s11, s10, s01, N - s11 - s10 - s01)
     laws = [[[{} for _ in range(total - s11 - s10 + 1)] for s10 in range(total - s11 + 1)]
             for s11 in range(total + 1)]
@@ -247,11 +252,7 @@ def _design_laws(total: int, n1: int, binomials: list) -> list:
 def enumerate_assignments(science: ScienceTable, n_treated: int) -> AssignmentDistribution:
     """Exact sampling distribution over all C(N, N1) assignments."""
     n_assignments = _assignment_count(science.total, n_treated)
-    n0 = science.total - n_treated
-    # Each row over its count's x window alone: N may run to thousands with a small arm.
-    rows = [{x: math.comb(c, x) for x in range(max(0, c - n0), min(c, n_treated) + 1)}
-            for c in (science.n11, science.n10, science.n01, science.n00)]
-    compositions = _compose(science, n_treated, n0, *rows)
+    compositions = _compose(science, n_treated)
     total_ways = sum(c[4] for c in compositions)
     if total_ways != n_assignments:
         raise AssertionError(f"composition way counts sum to {total_ways}, not {n_assignments}")

@@ -41,16 +41,20 @@ class InfeasibleError(ValueError):
     """Requested inputs are incompatible with the observed data."""
 
 
-def _count(value, name: str, positive: bool = False) -> int:
-    """The one count rule: an integer, not a bool, and nonnegative (positive
-    when asked); a TypeError or ValueError naming ``name`` otherwise."""
+def _integer(value, name: str) -> int:
+    """``value`` as an int, not a bool; a TypeError naming ``name`` otherwise."""
     try:
         if isinstance(value, bool):  # operator.index would take True as 1
             raise TypeError
-        count = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if count < positive:  # 1 when positive, else 0
+
+
+def _count(value, name: str, positive: bool = False) -> int:
+    """The one count rule: an ``_integer``, nonnegative (positive when asked);
+    a TypeError or ValueError naming ``name`` otherwise."""
+    if (count := _integer(value, name)) < positive:  # 1 when positive, else 0
         raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'}, got {count}")
     return count
 
@@ -75,17 +79,20 @@ def _counts(table, names: tuple) -> None:
 
 
 def _n_control(total: int, n_treated: int) -> int:
-    """N0 = N - N1, after checking that both arms are nonempty."""
-    if not 1 <= n_treated <= total - 1:
+    """N0 = N - N1, after checking that N1 is an ``_integer`` and both arms are nonempty."""
+    if not 1 <= _integer(n_treated, "n_treated") <= total - 1:
         raise ValueError("both arms must contain at least one unit")
     return total - n_treated
 
 
 def _level(value, name: str = "level") -> tuple[int, int]:
-    """The exact ratio of a level or alpha, after checking 0 < value < 1."""
-    if not 0 < value < 1:
-        raise ValueError(f"{name} must be in (0, 1), got {value}")
-    return value.as_integer_ratio()
+    """The exact ratio of a level or alpha; a ValueError naming ``name`` unless 0 < value < 1."""
+    try:
+        if 0 < value < 1:
+            return value.as_integer_ratio()
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
 @dataclass(frozen=True)

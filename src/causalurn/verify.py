@@ -8,17 +8,18 @@ support, its box, steps, slot width and packing the sweep's, its
 Designs go one (N, N1) at a time, every one checked against the
 enumeration cap first. Each observed table of a design is walked once,
 over every harmed count 0..N, its runs' seeds packed one slot per count.
-Each N builds one binomial table, and one pass of the oracle's design
-kernel, ``oracle._design_laws``, over the pairs of the two arms'
-compositions reads from it every science table's law of a design: its
-tally of observed tables and both moment sums, taken per observed table
-through ``oracle._sums`` as ``_law()`` takes them. A science table's
-integer way count of each observed table it reaches, that tally keyed by
-(n11_obs, n01_obs), must equal its point's walked numerators by the same
-key; only a mismatch is checked, and named, table by table. The moments are
-checked on integers: the oracle's sums over C(N, N1) meet
-``moments._population`` and ``_cells`` cross-multiplied; a failure line
-alone builds rationals (``oracle._moments``).
+One pass of the oracle's design kernel, ``oracle._design_laws``, over the
+pairs of the two arms' compositions reads every science table's law of a
+design off the binomial table the kernel builds: its tally of observed
+tables and both moment sums, taken per observed table through
+``oracle._sums`` as ``_law()`` takes them. This module takes no binomial
+itself: C(N, N1) is the cap check's ``oracle._assignment_count``. A
+science table's integer way count of each observed table it reaches, that
+tally keyed by (n11_obs, n01_obs), must equal its point's walked
+numerators by the same key; only a mismatch is checked, and named, table
+by table. The moments are checked on integers: the oracle's sums over
+C(N, N1) meet ``moments._population`` and ``_cells`` cross-multiplied; a
+failure line alone builds rationals (``oracle._moments``).
 """
 
 from __future__ import annotations
@@ -95,11 +96,11 @@ def _walk(tables: list, total: int) -> list:
     walks = [({}, {}) for _ in range(total + 1)]
     for obs in tables:
         key = obs.n11, obs.n01
-        for n01, rows in enumerate(likelihood._grid(obs, range(total + 1))):
-            columns, scaled = walks[n01]
-            for n11, n10s, ws in rows:
-                for n10, w in zip(n10s, ws):
-                    columns.setdefault((n11, n10), {})[key] = w
+        for n01, n11, n10s, ws in likelihood._grid(obs, range(total + 1)):
+            columns = walks[n01][0]
+            for n10, w in zip(n10s, ws):
+                columns.setdefault((n11, n10), {})[key] = w
+        for n01, (_, scaled) in enumerate(walks):
             scaled[key] = moments._cells(obs, n01)
     return walks
 
@@ -116,22 +117,19 @@ def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> V
     lemma = CheckResult("treated-sum moments (constants)")
     mc = CheckResult("monte carlo agrees with exact moments")
 
-    for total in range(2, max_n + 1):  # every design within the cap before any is walked
-        for n_treated in range(1, total):
-            oracle._assignment_count(total, n_treated)
+    # C(N, N1) of every design, each within the cap before any is walked
+    denominators = {(total, n_treated): oracle._assignment_count(total, n_treated)
+                    for total in range(2, max_n + 1) for n_treated in range(1, total)}
 
     for total, group in itertools.groupby(science_tables_up_to(max_n), lambda s: s.total):
-        # One binomial table per N, row c holding C(c, x) for x = 0..c, from
-        # which the oracle's kernel reads every way count of each design.
-        binomials = [[math.comb(c, x) for x in range(c + 1)] for c in range(total + 1)]
         sciences = list(group)
         for n_treated in range(1, total):
             n_control = total - n_treated
             tables = [ObservedTable(n11, n_treated - n11, n01, n_control - n01)
                       for n11 in range(n_treated + 1) for n01 in range(n_control + 1)]
-            scale, denominator = n_treated * n_control, binomials[total][n_treated]
+            scale, denominator = n_treated * n_control, denominators[total, n_treated]
             walks = _walk(tables, total)
-            laws = oracle._design_laws(total, n_treated, binomials)
+            laws = oracle._design_laws(total, n_treated)
             for science, (ways, tau_sums, gap_sums) in zip(sciences, laws, strict=True):
 
                 def label() -> str:

@@ -45,6 +45,13 @@ class TestDiscreteDistribution:
             with pytest.raises(ValueError):
                 DiscreteDistribution(values=(1, 2), weights=weights)
 
+    @pytest.mark.parametrize("weights", [(True, 1), (1, False), (True, True)])
+    def test_rejects_a_bool_weight(self, weights):
+        # A bool is an int subclass; as a weight it is neither a count nor a draw.
+        with pytest.raises(ValueError) as raised:
+            DiscreteDistribution((1, 2), weights)
+        assert str(raised.value) == "weights must be nonnegative integers"
+
     @pytest.mark.parametrize("denominator", [0, -3, 2.0, True])
     def test_rejects_a_denominator_that_is_not_a_positive_integer(self, denominator):
         with pytest.raises(ValueError, match="denominator must be a positive integer"):

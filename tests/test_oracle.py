@@ -130,21 +130,20 @@ class TestEnumerate:
 
     def test_the_kernel_on_one_table_per_n_is_the_enumeration(self):
         # verify reads every science table's law of a design off one pass of
-        # oracle._design_laws over one binomial table per N, row c holding
-        # C(c, x) for x = 0..c; enumerate_assignments composes each science
-        # table on its own. Both give the same tally, the same total weight
-        # and both moment sums as taken per composition, for every science
-        # table with N <= 12 and every N1.
+        # oracle._design_laws, over the one binomial table of N it builds;
+        # enumerate_assignments composes each science table on its own. Both
+        # give the same tally, the same total weight and both moment sums as
+        # taken per composition, for every science table with N <= 12 and
+        # every N1.
         for total, group in itertools.groupby(science_tables_up_to(12), lambda s: s.total):
-            binomials = [[math.comb(c, x) for x in range(c + 1)] for c in range(total + 1)]
             sciences = list(group)
             for n_treated in range(1, total):
-                laws = oracle._design_laws(total, n_treated, binomials)
+                laws = oracle._design_laws(total, n_treated)
                 for science, (tally, tau_sums, gap_sums) in zip(sciences, laws, strict=True):
                     dist = enumerate_assignments(science, n_treated)
                     pairs, *sums = _three_pass_law(dist)
                     assert (tally, [tau_sums, gap_sums]) == (dict(pairs), sums)
-                    assert sum(tally.values()) == dist.denominator == binomials[total][n_treated]
+                    assert sum(tally.values()) == dist.denominator == math.comb(total, n_treated)
 
     def test_the_design_kernel_walks_each_pair_once(self):
         # One step per (treated composition, control composition) pair:
@@ -153,13 +152,12 @@ class TestEnumerate:
         # are the enumeration's (science table, composition) pairs.
         steps = 0
         for total in range(2, 11):
-            binomials = [[math.comb(c, x) for x in range(c + 1)] for c in range(total + 1)]
             for n_treated in range(1, total):
                 pairs = []
                 walk = _hooked_design_laws("ways * c01[y01] * c00[rest - y01]",
                                            lambda ways, x, y: pairs.append((x, y)) or ways)
-                laws = walk(total, n_treated, binomials)
-                assert laws == oracle._design_laws(total, n_treated, binomials)
+                laws = walk(total, n_treated)
+                assert laws == oracle._design_laws(total, n_treated)
                 assert len(pairs) == len(set(pairs)) == (
                     math.comb(n_treated + 3, 3) * math.comb(total - n_treated + 3, 3))
                 assert {(sum(x), sum(y)) for x, y in pairs} == {(n_treated, total - n_treated)}
@@ -171,16 +169,19 @@ class TestEnumerate:
     @settings(max_examples=60, deadline=None)
     @given(wide_designs())
     def test_the_kernel_on_a_wide_design_table_is_the_enumeration(self, design):
-        # An arm of N1 units reads row c of its design's table at x <= min(c, N1).
+        # An arm of N1 units takes C(c, x) at x <= min(c, N1) alone, for each
+        # count c: the kernel's compositions are every (x11, x10, x01, x00)
+        # summing to N1 with a positive way count, in lexicographic order.
         # C(2000, 3) is over the default cap, which bounds assignments, not
         # the few compositions of a small arm.
         science, n_treated = design
-        binomials = [[math.comb(c, x) for x in range(min(c, n_treated) + 1)]
-                     for c in range(science.total + 1)]
-        rows = [binomials[c] for c in _counts(science)]
+        reference = tuple(
+            (*x, n_treated - sum(x), ways) for x in itertools.product(range(n_treated + 1), repeat=3)
+            if sum(x) <= n_treated and (ways := math.prod(
+                math.comb(c, t) for c, t in zip(_counts(science), (*x, n_treated - sum(x))))))
         with mock.patch.dict(os.environ, {ENUM_CAP_ENV: str(10**10)}):
             compositions = enumerate_assignments(science, n_treated).compositions
-        assert oracle._compose(science, n_treated, science.total - n_treated, *rows) == compositions
+        assert oracle._compose(science, n_treated) == compositions == reference
 
     def test_one_pass_is_the_three_passes_on_enumerated_laws(self):
         for science in science_tables_up_to(8):

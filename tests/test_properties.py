@@ -199,17 +199,26 @@ def _pointwise_columns(obs, n01) -> dict:
     return columns
 
 
+def _assert_empty_support_raises(obs, n01):
+    # The grid's one-count readers raise on an empty support.
+    for reader in (mle, posterior_points):
+        with pytest.raises(InfeasibleError):
+            reader(obs, n01)
+
+
 def _assert_grid_walk_is_the_pointwise_kernel(obs):
     # Every row _grid gives holds _numerator at each of its points, at every
     # harmed count up to one past the largest feasible one.
     for n01 in range(obs.n10 + obs.n01 + 2):
         expected = _pointwise_rows(obs, n01)
+        grid = list(likelihood._grid(obs, range(n01, n01 + 1)))
         if not expected:
-            with pytest.raises(InfeasibleError):
-                likelihood._grid(obs, range(n01, n01 + 1))
+            assert grid == []
+            _assert_empty_support_raises(obs, n01)
         else:
             rows = [(n11, n10s) for n11, n10s, _ in _rows(obs, n01)]
-            walked, = [list(grid) for grid in likelihood._grid(obs, range(n01, n01 + 1))]
+            assert {row[0] for row in grid} == {n01}
+            walked = [row[1:] for row in grid]
             assert [(n11, n10s) for n11, n10s, _ in walked] == rows
             assert [
                 (n11, n10, numerator)
@@ -459,15 +468,12 @@ def test_the_run_box_is_the_runs_the_walks_step(swept):
     # one count at a time, the grid's.
     obs, n01s = swept
     _assert_walk_is_the_run_box(obs, n01s, lambda: likelihood._columns(obs, n01s))
-    if len(n01s) > 1:  # a range walks at the call; one count is the loop below
-        _assert_walk_is_the_run_box(obs, n01s, lambda: likelihood._grid(obs, n01s))
+    _assert_walk_is_the_run_box(obs, n01s, lambda: list(likelihood._grid(obs, n01s)))
     for n01 in n01s:
         if not _run_box(obs, n01, n01)[0]:
-            with pytest.raises(InfeasibleError):
-                likelihood._grid(obs, range(n01, n01 + 1))
-        else:
-            _assert_walk_is_the_run_box(obs, range(n01, n01 + 1), lambda: [
-                list(grid) for grid in likelihood._grid(obs, range(n01, n01 + 1))])
+            _assert_empty_support_raises(obs, n01)
+        _assert_walk_is_the_run_box(obs, range(n01, n01 + 1),
+                                    lambda: list(likelihood._grid(obs, range(n01, n01 + 1))))
 
 
 @PROPERTY
@@ -475,21 +481,48 @@ def test_the_run_box_is_the_runs_the_walks_step(swept):
 def test_range_grid_is_the_one_count_grid_and_the_pointwise_kernel(swept):
     # One walk over a window gives each harmed count the rows of the one-count
     # walk, _numerator at each of their points, and no row where the count's
-    # support is empty; a window of one such count raises instead.
+    # support is empty; there the one-count readers raise.
     obs, n01s = swept
-    if len(n01s) == 1 and not _run_box(obs, n01s[0], n01s[0])[0]:
-        with pytest.raises(InfeasibleError):
-            likelihood._grid(obs, n01s)
-        return
-    for n01, rows in zip(n01s, likelihood._grid(obs, n01s), strict=True):
-        rows, expected = list(rows), _pointwise_rows(obs, n01)
+    counts = {n01: [] for n01 in n01s}
+    for n01, *row in likelihood._grid(obs, n01s):
+        counts[n01].append(tuple(row))
+    for n01, rows in counts.items():
+        expected = _pointwise_rows(obs, n01)
         assert [
             (n11, n10, numerator)
             for n11, n10s, numerators in rows
             for n10, numerator in zip(n10s, numerators, strict=True)
         ] == expected
-        if expected:
-            assert rows == list(next(likelihood._grid(obs, range(n01, n01 + 1))))
+        assert rows == [row[1:] for row in likelihood._grid(obs, range(n01, n01 + 1))]
+        if not expected:
+            _assert_empty_support_raises(obs, n01)
+
+
+@PROPERTY
+@given(swept_tables())
+def test_a_range_stream_walks_one_diagonal_before_its_first_row(swept):
+    # The grid walks as it is read: nothing at the call, and its first row
+    # after the _add_run calls of the first diagonal of the window's run box
+    # alone, one per run of it.
+    obs, n01s = swept
+    calls, add_run = [], likelihood._add_run
+
+    def counted(obs, s, *rest):
+        calls.append(s)
+        return add_run(obs, s, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(likelihood, "_add_run", counted)
+        stream = likelihood._grid(obs, n01s)
+        assert calls == []
+        first = next(stream, None)
+    diagonals = _rows(obs, n01s[0], last=n01s[-1])
+    if not diagonals:
+        assert (first, calls) == (None, [])
+        return
+    n11, _, xs = diagonals[0]
+    assert calls == [n11 + n01s[0]] * len(xs)
+    assert first[0] + first[1] == n11 + n01s[0]  # its n01 + n11 is the diagonal's s
 
 
 @PROPERTY
@@ -1074,8 +1107,8 @@ def test_posterior_reads_and_sweep_rows_are_the_fraction_formulas_up_to_n_10_4(
     obs, harmed = design
     total = obs.total
     grid = {ParameterPoint(n11, n10, harmed): w
-            for rows in likelihood._grid(obs, range(harmed, harmed + 1))
-            for n11, n10s, ws in rows for n10, w in zip(n10s, ws)}
+            for _, n11, n10s, ws in likelihood._grid(obs, range(harmed, harmed + 1))
+            for n10, w in zip(n10s, ws)}
     base = obs.n11 + obs.n01 - harmed
     for dist, value in ((tau_posterior(obs, harmed), lambda p: Fraction(p.n10 - harmed, total)),
                         (a_posterior(obs, harmed), lambda p: base - p.n11)):

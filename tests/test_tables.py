@@ -1,5 +1,6 @@
 """Domain types, feasibility regions and the input rules every module shares."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -12,12 +13,17 @@ from causalurn import (
     ObservedTable,
     ParameterPoint,
     ScienceTable,
+    confidence_interval,
     enumerate_assignments,
     general_support,
     hpd_window,
     in_general_support,
     interval_A,
+    lemma1_check,
     monotone_support,
+    monte_carlo,
+    normality_check,
+    population_attributable_mse,
     population_tau_variance,
     pvalue_curve,
     tau_posterior,
@@ -113,15 +119,40 @@ def test_observed_table_with_an_empty_arm_is_rejected(counts):
 SCIENCE = ScienceTable(1, 2, 0, 1)
 
 
+# Each reader of an arm size N1, as a function of N1 for SCIENCE's N units.
+ARM_READERS = {
+    "population_tau_variance": lambda n1: population_tau_variance(SCIENCE, n1),
+    "population_attributable_mse": lambda n1: population_attributable_mse(SCIENCE, n1),
+    "enumerate_assignments": lambda n1: enumerate_assignments(SCIENCE, n1),
+    "lemma1_check": lambda n1: lemma1_check(range(SCIENCE.total), n1),
+    "monte_carlo": lambda n1: monte_carlo(SCIENCE, n1, 10, 0),
+    "normality_check": lambda n1: normality_check(SCIENCE, n1, 10**4, 0),
+}
+
+
 @pytest.mark.parametrize("call", [
     lambda: ObservedTable(1, 1, 0, 0),
     lambda: population_tau_variance(SCIENCE, 0),
     lambda: enumerate_assignments(SCIENCE, SCIENCE.total),
-], ids=["ObservedTable", "population_tau_variance", "enumerate_assignments"])
+    *(functools.partial(reader, n1) for reader in ARM_READERS.values()
+      for n1 in (-1, 0, SCIENCE.total)),
+], ids=["ObservedTable", "population_tau_variance", "enumerate_assignments",
+        *(f"{name}({n1})" for name in ARM_READERS for n1 in (-1, 0, SCIENCE.total))])
 def test_every_empty_arm_meets_one_message(call):
+    # Every integer N1 outside 1..N - 1, negative ones included.
     with pytest.raises(ValueError) as raised:
         call()
     assert str(raised.value) == "both arms must contain at least one unit"
+
+
+@pytest.mark.parametrize("reader", ARM_READERS.values(), ids=ARM_READERS)
+@pytest.mark.parametrize("n_treated", [True, 2.5, 2.0, "2", None])
+def test_every_arm_size_reader_names_an_arm_that_is_not_an_integer(reader, n_treated):
+    # The count rule's type check: a bool is not one treated unit, and a
+    # float does not reach the arithmetic.
+    with pytest.raises(TypeError) as raised:
+        reader(n_treated)
+    assert str(raised.value) == f"n_treated must be an integer, got {n_treated!r}"
 
 
 WORKED = ObservedTable(18, 14, 5, 16)
@@ -129,6 +160,7 @@ WORKED = ObservedTable(18, 14, 5, 16)
 # Each reader of a level, with the name its message gives the value.
 LEVEL_READERS = {
     "normal_quantile": (normal_quantile, "level"),
+    "confidence_interval": (lambda v: confidence_interval(0.1, 0.01, v), "level"),
     "IntervalEstimate": (lambda v: IntervalEstimate(0.0, 0.0, 0.0, v, "neyman"), "level"),
     "hpd_window": (lambda v: hpd_window(DiscreteDistribution((0, 1), (1, 1)), v), "level"),
     "interval_A": (lambda v: interval_A(pvalue_curve(WORKED), v), "alpha"),
@@ -141,6 +173,14 @@ def test_every_level_reader_rejects_a_level_outside_the_unit_interval(reader, na
     with pytest.raises(ValueError) as raised:
         reader(value)
     assert str(raised.value) == f"{name} must be in (0, 1), got {value}"
+
+
+@pytest.mark.parametrize("reader, name", LEVEL_READERS.values(), ids=LEVEL_READERS)
+@pytest.mark.parametrize("value", ["0.5", None, b"0.5", 0.5j])
+def test_every_level_reader_names_a_level_that_is_not_a_number(reader, name, value):
+    with pytest.raises(ValueError) as raised:
+        reader(value)
+    assert str(raised.value) == f"{name} must be a number, got {value!r}"
 
 
 @pytest.mark.parametrize("level", [0.95, 0.75, 0.1])

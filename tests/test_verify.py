@@ -15,10 +15,9 @@ from causalurn import (
     moments,
     oracle,
     tables,
-    verify,
 )
 from causalurn.cli import EXIT_INFEASIBLE, EXIT_VERIFY, main
-from causalurn.tables import InfeasibleError, ObservedTable, ScienceTable
+from causalurn.tables import ObservedTable, ScienceTable
 from causalurn.verify import run_verification, science_tables_up_to
 import test_oracle
 import test_properties
@@ -116,19 +115,17 @@ def test_report_lines_include_failures(monkeypatch):
 
 
 def _wrap_grid(monkeypatch, rows):
-    # Replaces likelihood._grid by ``rows(obs, n01, walked)`` at each harmed
-    # count of its range, where ``walked`` is the shipped walk at that count
-    # as {(n11, n10): numerator}, empty when the support is.
+    # Replaces likelihood._grid by ``rows(obs, n01, walked)``, each row
+    # (n11, n10s, numerators), at each harmed count of its range, where
+    # ``walked`` is the shipped walk at that count as {(n11, n10): numerator},
+    # empty when the support is.
     original = likelihood._grid
 
     def mutated(obs, n01s):
-        try:
-            grids = [list(grid) for grid in original(obs, n01s)]
-        except InfeasibleError:
-            grids = [[]]
-        return iter([rows(obs, n01, {(n11, n10): w for n11, n10s, ws in grid
-                                     for n10, w in zip(n10s, ws)})
-                     for n01, grid in zip(n01s, grids, strict=True)])
+        walked = {n01: {} for n01 in n01s}
+        for n01, n11, n10s, ws in original(obs, n01s):
+            walked[n01].update(((n11, n10), w) for n10, w in zip(n10s, ws))
+        return ((n01, *row) for n01, grid in walked.items() for row in rows(obs, n01, grid))
 
     monkeypatch.setattr(likelihood, "_grid", mutated)
 
@@ -210,13 +207,13 @@ def test_detects_a_wrong_seed_in_the_walk(monkeypatch, capsys):
     assert right in source
     obs, n01s = ObservedTable(2, 1, 1, 2), range(0, 4)
     swept = list(likelihood._columns(obs, n01s))
-    rows, grid = a_posterior(obs, 1), [list(walked) for walked in likelihood._grid(obs, n01s)]
+    rows, grid = a_posterior(obs, 1), list(likelihood._grid(obs, n01s))
     namespace = dict(vars(likelihood))
     exec(source.replace(right, "math.comb(n01, s - obs.n01 - x + 1)"), namespace)
     monkeypatch.setattr(likelihood, "_seed", namespace["_seed"])
     assert list(likelihood._columns(obs, n01s)) != swept
     assert a_posterior(obs, 1) != rows
-    assert [list(walked) for walked in likelihood._grid(obs, n01s)] != grid
+    assert list(likelihood._grid(obs, n01s)) != grid
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
     assert lines[3].startswith("FAIL  likelihood equals assignment probability:")
@@ -403,15 +400,17 @@ def test_a_design_over_the_cap_fails_before_any_is_walked(monkeypatch, capsys):
 
 
 def test_detects_a_wrong_entry_in_the_binomial_table(monkeypatch, capsys):
-    # verify builds one binomial table per N, and the oracle's kernel reads
-    # every way count of a design from it. C(3, 1) read as 4 there, and
-    # nowhere else, changes the way count of every pair that treats 1 of 3
-    # units of one type, and the denominator of (N, N1) = (3, 1): the four
+    # The oracle's design kernel builds one binomial table per design and
+    # reads every way count of it from there. C(3, 1) read as 4 in that table,
+    # and nowhere else, not in C(N, N1) nor in lemma1_check, changes the way
+    # count of every pair that treats 1 of 3 units of one type: the four
     # identities read off those laws fail.
     def comb(n, k):
         return 4 if (n, k) == (3, 1) else math.comb(n, k)
 
-    monkeypatch.setattr(verify, "math", SimpleNamespace(**{**vars(math), "comb": comb}))
+    namespace = dict(vars(oracle), math=SimpleNamespace(**{**vars(math), "comb": comb}))
+    exec(inspect.getsource(oracle._design_laws), namespace)
+    monkeypatch.setattr(oracle, "_design_laws", namespace["_design_laws"])
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
     assert [line[:4] for line in lines[:7]] == ["FAIL"] * 4 + ["PASS"] * 3
