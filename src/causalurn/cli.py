@@ -306,8 +306,6 @@ def cmd_attributable(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_n < 2:
-        raise UsageError("--max-n must be at least 2; smaller populations have no designs")
     report = verify.run_verification(max_n=args.max_n, seed=args.seed, mc_draws=args.draws)
     print("\n".join(report.lines()))
     if report.ok:

@@ -50,7 +50,9 @@ in, the observed successes n11_obs + n01_obs rise by one. So each of the
 C(N, N1) treatment assignments yields the observed table for at most one
 n11, and the column counts those (assignment, n11) pairs. A sweep costs the
 terms of its distinct (s, x) runs, not one grid walk per harmed count, and
-a run packs only the slots it reaches.
+a run packs only the slots it reaches. Which counts those are,
+max(lo, k)..min(hi, k + n01_obs), is stated once, in ``_pack``, for the
+sweep and the grid alike.
 
 A row's sum over n10 has a closed form: Chu-Vandermonde,
 sum_n10 C(n10, j) C(m - n10, c) = C(m + 1, j + c + 1) = C(m + 1, n00_obs)
@@ -126,12 +128,15 @@ def _slots(obs: ObservedTable, n01s: range) -> tuple[int, int, int, int]:
     return *((_count(n01s[0], "n01"), n01s[-1]) if n01s else (0, -1)), width, (1 << width) - 1
 
 
-def _pack(obs: ObservedTable, s: int, x: int, reached: range, width: int, base: int) -> int:
-    # The (s, x) run's seeds at the harmed counts it reaches, count n01 in slot n01 - base.
-    packed = 0
-    for n01 in reversed(reached):
+def _pack(obs: ObservedTable, s: int, x: int, lo: int, hi: int, width: int) -> tuple[int, int]:
+    # The one statement of a run's reach: the (s, x) run's seeds at the counts
+    # of lo..hi it reaches, max(lo, k)..min(hi, k + n01_obs) with
+    # k = s - n01_obs - x, the first in slot 0; returned with that first count.
+    k, packed = s - obs.n01 - x, 0
+    first = k if k > lo else lo
+    for n01 in range(k + obs.n01 if k + obs.n01 < hi else hi, first - 1, -1):
         packed = (packed << width) + _seed(obs, s, x, n01)
-    return packed << width * (reached[0] - base)
+    return packed, first
 
 
 def _grid(obs: ObservedTable, n01s: range) -> Iterator[tuple[int, int, range, list[int]]]:
@@ -141,11 +146,12 @@ def _grid(obs: ObservedTable, n01s: range) -> Iterator[tuple[int, int, range, li
     infeasible.
 
     Each (s, x) run is walked once for the whole range, one diagonal s of
-    the run box at a time as the rows are read, its seeds packed as in
-    :func:`_columns`. A diagonal's rows follow its walk, one per count it
-    reaches, in ascending n01: a count's points are the windows of the
-    diagonal's runs that reach it, each holding its slot. Raises ValueError,
-    on the first read, unless ``n01s`` is a range stepping by +1.
+    the run box at a time as the rows are read, its seeds packed by
+    :func:`_pack` as in :func:`_columns`. A diagonal's rows follow its walk,
+    one per count it reaches, in ascending n01: a count's points are the
+    windows of the diagonal's runs that reach it, each holding its slot.
+    Raises ValueError, on the first read, unless ``n01s`` is a range
+    stepping by +1.
     """
     lo, hi, width, mask = _slots(obs, n01s)
     # Each diagonal's runs are k = s - n01_obs - x, kmin..kmax, and run k's
@@ -155,10 +161,9 @@ def _grid(obs: ObservedTable, n01s: range) -> Iterator[tuple[int, int, range, li
         s, packed, n01_obs = n11 + lo, [0] * len(n10s), obs.n01
         kmin, kmax = s - n01_obs - xs[-1], s - n01_obs - xs[0]
         base, top = kmin if kmin > lo else lo, kmax + n01_obs if kmax + n01_obs < hi else hi
-        for x in xs:
-            k = s - n01_obs - x
-            reached = range(k if k > lo else lo, (k + n01_obs if k + n01_obs < hi else hi) + 1)
-            _add_run(obs, s, x, _pack(obs, s, x, reached, width, base), packed, n10s[0])
+        for x in xs:  # each run's seeds shifted from its first count to the base
+            seeds, first = _pack(obs, s, x, lo, hi, width)
+            _add_run(obs, s, x, seeds << width * (first - base), packed, n10s[0])
         for n01 in range(base, top + 1):  # count n01 reads its runs, n01 - n01_obs <= k <= n01
             a = n01 - n01_obs - kmin if n01 - n01_obs > kmin else 0
             b, shift = (n01 if n01 < kmax else kmax) - kmin + obs.n00 + 1, width * (n01 - base)
@@ -179,15 +184,15 @@ def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
     lo, hi, width, mask = _slots(obs, n01s)
     packed = [0] * (obs.n11 + obs.n00 + 1)  # every window ends by n10 = n11_obs + n00_obs
     # The runs go by descending k = s - n01_obs - x, the least count a run
-    # reaches (c = n10_obs - k >= 0), so slot 0 holds n01 = max(lo, k) and a
-    # run packs no slot below it: the accumulator moves up a slot as k falls.
+    # reaches (c = n10_obs - k >= 0), so slot 0 holds n01 = max(lo, k), the
+    # first count _pack returns, and a run packs no slot below it: the
+    # accumulator moves up a slot as k falls.
     ks, xs = _run_box(obs, lo, hi)
     for k in reversed(ks):
         if lo <= k < ks[-1]:
             packed = [v << width for v in packed]
-        reached = range(max(lo, k), min(hi, k + obs.n01) + 1)
         for s, x in enumerate(xs, k + obs.n01):  # s = k + n01_obs + x, as xs starts at 0
-            _add_run(obs, s, x, _pack(obs, s, x, reached, width, reached[0]), packed, 0)
+            _add_run(obs, s, x, _pack(obs, s, x, lo, hi, width)[0], packed, 0)
     return ([v >> width * i & mask for v in packed] for i in range(len(n01s)))
 
 

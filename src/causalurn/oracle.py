@@ -59,9 +59,7 @@ def enumeration_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{ENUM_CAP_ENV} must be positive, got {cap}")
-    return cap
+    return _count(cap, ENUM_CAP_ENV, positive=True)
 
 
 #: Draws per Monte Carlo chunk, so memory stays bounded at any ``draws``.

@@ -3,8 +3,9 @@
 Sweeps every science table up to a small population size and checks, by
 exhaustive enumeration in exact arithmetic, the closed-form moments, the
 moment cell estimates and ``likelihood._grid``: its points are the
-support, its box, steps, slot width and packing the sweep's, its
-``tables._rows`` and ``_seed`` those the closed-form row sums read.
+support, its box, steps, slot width, packing and each run's reach
+(``likelihood._pack``) the sweep's, its ``tables._rows`` and ``_seed``
+those the closed-form row sums read.
 Designs go one (N, N1) at a time, every one checked against the
 enumeration cap first. Each observed table of a design is walked once,
 over every harmed count 0..N, its runs' seeds packed one slot per count.
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import likelihood, moments, oracle
-from .tables import ObservedTable, ScienceTable
+from .tables import ObservedTable, ScienceTable, _integer
 
 _MAX_REPORTED_FAILURES = 5
 
@@ -106,8 +107,15 @@ def _walk(tables: list, total: int) -> list:
 
 
 def run_verification(max_n: int = 8, seed: int = 0, mc_draws: int = 20_000) -> VerificationReport:
-    """Run the full identity suite over all designs with N <= ``max_n``."""
-    oracle._sampling(mc_draws, seed)  # before any design is counted or walked
+    """Run the full identity suite over all designs with N <= ``max_n``.
+
+    ``max_n`` must be an integer of at least 2, as no design has fewer than 2
+    units; it and the sampling options are checked before any design is
+    counted or walked, a TypeError or ValueError naming the option otherwise.
+    """
+    if _integer(max_n, "max_n") < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}: no design has fewer than 2 units")
+    oracle._sampling(mc_draws, seed)
 
     estimator = CheckResult("rate-difference mean and variance")
     cells = CheckResult("cell estimators are unbiased")

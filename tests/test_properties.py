@@ -32,8 +32,9 @@ matrix, and swapping the arms and the outcome leaves the sweep as it is;
 flipping the outcome in both arms mirrors the p-value curve, on tables of
 up to 2,000 units. The run box is the set of runs
 the sweep and the grid, over the window and one count at a time, step,
-each once, from a positive seed over its n00_obs + 1 window points, on
-drawn windows of generated tables. On science
+each once, from a positive seed over its n00_obs + 1 window points, and
+each run of the box packs its seed at every count of its reach in that
+count's slot and nothing else, on drawn windows of generated tables. On science
 tables of up to 12 units the reference numerator, the
 p-value at the true number of responders under control, the oracle's
 integer moments and the moment cell estimates are checked against the
@@ -422,6 +423,26 @@ def test_sweep_is_its_double_flip(swept):
     obs, n01s = swept
     flipped = ObservedTable(obs.n00, obs.n01, obs.n10, obs.n11)
     assert list(likelihood._columns(flipped, n01s)) == list(likelihood._columns(obs, n01s))
+
+
+@PROPERTY
+@given(swept_tables())
+@example((ObservedTable(2, 1, 1, 2), range(0, 4)))
+def test_a_pack_holds_each_seed_of_its_runs_reach_in_its_slot(swept):
+    # likelihood._pack, the one statement of a run's reach: over the window
+    # lo..hi, run (s, x) with k = s - n01_obs - x packs exactly its seeds at
+    # max(lo, k)..min(hi, k + n01_obs), the first in slot 0, and returns that
+    # first count; every run of the window's box is checked.
+    obs, n01s = swept
+    lo, hi, width, mask = likelihood._slots(obs, n01s)
+    ks, xs = _run_box(obs, lo, hi)
+    for k, x in itertools.product(ks, xs):
+        s, reach = k + obs.n01 + x, range(max(lo, k), min(hi, k + obs.n01) + 1)
+        seeds, first = likelihood._pack(obs, s, x, lo, hi, width)
+        assert first == reach[0]
+        assert [seeds >> width * (n01 - first) & mask for n01 in reach] == [
+            likelihood._seed(obs, s, x, n01) for n01 in reach]
+        assert seeds >> width * len(reach) == 0
 
 
 def _recorded_runs(walk) -> list:

@@ -42,6 +42,29 @@ def test_sampling_options_are_checked_before_any_enumeration(monkeypatch, option
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("max_n,error,message", [
+    (1, ValueError, "max_n must be at least 2, got 1: no design has fewer than 2 units"),
+    (0, ValueError, "max_n must be at least 2, got 0: no design has fewer than 2 units"),
+    (-1, ValueError, "max_n must be at least 2, got -1: no design has fewer than 2 units"),
+    (True, TypeError, "max_n must be an integer, got True"),
+    (8.5, TypeError, "max_n must be an integer, got 8.5"),
+    ("8", TypeError, "max_n must be an integer, got '8'"),
+    (None, TypeError, "max_n must be an integer, got None"),
+], ids=["1", "0", "-1", "True", "8.5", "str", "None"])
+def test_max_n_is_checked_before_any_enumeration(monkeypatch, max_n, error, message):
+    # No science table has fewer than 2 units, so a smaller max_n would check
+    # nothing; the rule is the library's, met before any design is counted.
+    def no_work(*args, **kwargs):
+        raise AssertionError("a design was counted or walked before max_n was checked")
+
+    monkeypatch.setattr(oracle, "_assignment_count", no_work)
+    monkeypatch.setattr(oracle, "_design_laws", no_work)
+    monkeypatch.setattr(likelihood, "_grid", no_work)
+    with pytest.raises(error) as raised:
+        run_verification(max_n)
+    assert str(raised.value) == message
+
+
 def test_suite_passes_as_shipped():
     report = run_verification(max_n=5, mc_draws=5000)
     assert report.ok
@@ -233,6 +256,26 @@ def test_detects_a_slot_one_bit_too_narrow(monkeypatch, capsys):
     namespace = dict(vars(likelihood))
     exec(source.replace(right, right + " - 1"), namespace)
     monkeypatch.setattr(likelihood, "_slots", namespace["_slots"])
+    assert list(likelihood._columns(obs, n01s)) != swept
+    code, lines = _verify_max_n_6(capsys)
+    assert code == EXIT_VERIFY
+    assert [line[:4] for line in lines[:7]] == ["PASS"] * 3 + ["FAIL"] + ["PASS"] * 3
+    assert lines[3].startswith("FAIL  likelihood equals assignment probability:")
+
+
+def test_detects_a_reach_one_count_short_in_the_sweep(monkeypatch, capsys):
+    # Each run's reach stops one harmed count below min(hi, k + n01_obs):
+    # likelihood._pack, the one statement of which counts a run reaches,
+    # behind the sensitivity sweep and verify's walk over every harmed count,
+    # rebuilt from its source with that one change.
+    source = inspect.getsource(likelihood._pack)
+    right = "k + obs.n01"
+    assert right in source
+    obs, n01s = ObservedTable(2, 1, 1, 2), range(0, 4)
+    swept = list(likelihood._columns(obs, n01s))
+    namespace = dict(vars(likelihood))
+    exec(source.replace(right, right + " - 1"), namespace)
+    monkeypatch.setattr(likelihood, "_pack", namespace["_pack"])
     assert list(likelihood._columns(obs, n01s)) != swept
     code, lines = _verify_max_n_6(capsys)
     assert code == EXIT_VERIFY
