@@ -14,6 +14,7 @@ over one ``denominator``, N for tau and 1 for A; ``support``, ``mass``, ``mode``
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -115,7 +116,10 @@ class Prior:
     def __post_init__(self) -> None:
         if self.weights is None:
             return
-        table = dict(_prior_point(n11, n10, w) for (n11, n10), w in self.weights.items())
+        table = dict(  # each entry through _prior_point, unless already a checked one
+            ((n11, n10), w) if type(n11) is type(n10) is int and type(w) is Fraction
+            and min(n11, n10, w.numerator) >= 0 else _prior_point(n11, n10, w)
+            for (n11, n10), w in self.weights.items())
         if not any(table.values()):
             raise ValueError("prior must put positive weight somewhere")
         object.__setattr__(self, "weights", MappingProxyType(table))
@@ -132,15 +136,24 @@ def _weighted(
 ) -> list[tuple[int, int, int]]:
     """``(n11, n10, prior weight x likelihood numerator)`` at the table prior's
     points wherever positive, the weights scaled to integers by the lcm of
-    their denominators, each numerator :func:`likelihood._numerator`'s urn sum. Raises
+    their denominators. A support row is walked by :func:`likelihood._grid`
+    when its prior points times its runs reach its window length; every
+    other point takes :func:`likelihood._numerator`'s urn sum. Raises
     InfeasibleError on an empty support and when the prior annihilates it.
     """
     _check_support(obs, n01)
     scale = math.lcm(*(w.denominator for w in prior.weights.values()))
-    rows = [
-        (n11, n10, w.numerator * (scale // w.denominator) * _numerator(obs, n11, n10, n01))
-        for (n11, n10), w in prior.weights.items()
-    ]
+    points = Counter(n11 for n11, _ in prior.weights)  # the prior's points per row n11
+    # The one per-row rule: a row is walked once its points' urn sums, a term
+    # per point and run, would reach its window length.
+    walk = [n11 for n11, n10s, xs in _rows(obs, n01, sorted(points))
+            if points[n11] * len(xs) >= len(n10s)]
+    walked, get = set(walk), prior.weights.get
+    rows = [(n11, n10, w.numerator * (scale // w.denominator) * numerator)
+            for _, n11, n10s, numerators in _grid(obs, range(n01, n01 + 1), walk)
+            for n10, numerator in zip(n10s, numerators) if (w := get((n11, n10)))]
+    rows += [(n11, n10, w.numerator * (scale // w.denominator) * _numerator(obs, n11, n10, n01))
+             for (n11, n10), w in prior.weights.items() if n11 not in walked]
     rows = [row for row in rows if row[2]]
     if not rows:
         raise InfeasibleError("prior assigns zero weight to the entire support")
@@ -217,7 +230,8 @@ def a_posterior(
     """Posterior of the attributable effect A = n11_obs + n01_obs - n01 - n11.
 
     Under the uniform prior each n11 weight is the likelihood's row sum,
-    taken in closed form; a table prior weighs its own points.
+    taken in closed form and walked down the rows (see ``likelihood``); a
+    table prior weighs its own points.
     """
     base = obs.n11 + obs.n01 - n01
     if prior.weights is None:

@@ -59,6 +59,12 @@ sum_n10 C(n10, j) C(m - n10, c) = C(m + 1, j + c + 1) = C(m + 1, n00_obs)
 as m - c = j + n00_obs, gives
 
     C(m + 1, n00_obs) sum_x C(n11, x) C(n01, n01 + n11 - n01_obs - x).
+
+The row sums walk it down the rows n11, as the p-value curve walks s. Run
+k's term a_x = C(n11, x) C(n01, k) moves to the next row with x, so it
+steps by n11 / x = (s - n01) / x from the row above, entering at x = 0
+as its seed; the factor steps by (m + 2 - n00_obs) / (m + 2) as m falls
+by one. Both divisions are exact, and a row costs one step per run.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .tables import (
     InfeasibleError,
@@ -139,11 +145,13 @@ def _pack(obs: ObservedTable, s: int, x: int, lo: int, hi: int, width: int) -> t
     return packed, first
 
 
-def _grid(obs: ObservedTable, n01s: range) -> Iterator[tuple[int, int, range, list[int]]]:
+def _grid(obs: ObservedTable, n01s: range,
+          n11s: Iterable[int] | None = None) -> Iterator[tuple[int, int, range, list[int]]]:
     """The support rows ``(n01, n11, n10s, numerators)`` of each harmed count
     of the consecutive ``n01s``, ``numerators[i]`` positive and
     :func:`_numerator` at ``(n11, n10s[i])``; no row where that count is
-    infeasible.
+    infeasible. Given ``n11s``, only the diagonals they label at the first
+    count, as ``tables._rows`` takes them: at one count, those rows.
 
     Each (s, x) run is walked once for the whole range, one diagonal s of
     the run box at a time as the rows are read, its seeds packed by
@@ -157,7 +165,7 @@ def _grid(obs: ObservedTable, n01s: range) -> Iterator[tuple[int, int, range, li
     # Each diagonal's runs are k = s - n01_obs - x, kmin..kmax, and run k's
     # window starts k - kmin into the diagonal's. The bounds are conditional
     # expressions, not max and min: this loop is most of verify's walk.
-    for n11, n10s, xs in _rows(obs, lo, last=hi):
+    for n11, n10s, xs in _rows(obs, lo, n11s, last=hi):
         s, packed, n01_obs = n11 + lo, [0] * len(n10s), obs.n01
         kmin, kmax = s - n01_obs - xs[-1], s - n01_obs - xs[0]
         base, top = kmin if kmin > lo else lo, kmax + n01_obs if kmax + n01_obs < hi else hi
@@ -199,13 +207,18 @@ def _columns(obs: ObservedTable, n01s: range) -> Iterator[list[int]]:
 def _row_sums(obs: ObservedTable, n01: int) -> list[tuple[int, int]]:
     """``(n11, sum of the numerators over the row's n10)`` over the support.
 
-    Every sum is positive and comes from the Chu-Vandermonde closed form in
-    the module docstring, in time linear in the row's x range. Raises
-    InfeasibleError when the support is empty.
+    Every sum is positive and comes from the Chu-Vandermonde closed form,
+    walked down the rows of ``tables._rows`` as the module docstring gives,
+    each run entering from :func:`_seed`. Raises InfeasibleError when the
+    support is empty.
     """
     _check_support(obs, n01)
-    return [(n11, math.comb(obs.total - n11 - n01 + 1, obs.n00)  # C(m + 1, n00_obs)
-             * sum(_seed(obs, n11 + n01, x, n01) for x in xs)) for n11, _, xs in _rows(obs, n01)]
+    sums, a, n, r = [], {}, obs.total - n01 + 2, obs.n00  # row n11 has m + 2 = n - n11
+    for n11, _, xs in _rows(obs, n01):  # a: row n11's a_x by n11 - x, which names run k
+        factor = factor * (n - n11 - r) // (n - n11) if a else math.comb(n - n11 - 1, r)
+        a = {n11 - x: a[n11 - x] * n11 // x if x else _seed(obs, n11 + n01, 0, n01) for x in xs}
+        sums.append((n11, factor * sum(a.values())))
+    return sums
 
 
 def _log_likelihood(obs: ObservedTable, numerator: int) -> float:

@@ -63,7 +63,7 @@ def enumeration_cap() -> int:
 
 
 #: Draws per Monte Carlo chunk, so memory stays bounded at any ``draws``.
-_MC_CHUNK = 1 << 16
+_MC_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)

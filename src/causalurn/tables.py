@@ -35,6 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 
 class InfeasibleError(ValueError):
@@ -226,7 +227,8 @@ def _run_box(obs: ObservedTable, lo: int, hi: int) -> tuple[range, range]:
     return range(max(0, lo - obs.n01), min(hi, obs.n10) + 1), range(obs.n11 + 1)
 
 
-def _rows(obs: ObservedTable, n01: int, n11s: range | None = None, last: int | None = None) -> list:
+def _rows(obs: ObservedTable, n01: int, n11s: Iterable[int] | None = None,
+          last: int | None = None) -> list:
     # Each support row at harmed count n01 as (n11, its n10 window, the x of its
     # runs): every row, or only those of n11s that hold a run. Row n11 is the
     # box's diagonal k + x = n11 + n01 - n01_obs: its x lie in [n11 + lo, n11 + hi).

@@ -82,12 +82,12 @@ class VerificationReport:
 
 
 def science_tables_up_to(max_n: int) -> Iterator[ScienceTable]:
-    """Every science table with population size from 2 to ``max_n``."""
-    for total in range(2, max_n + 1):
-        for n11 in range(total + 1):
-            for n10 in range(total - n11 + 1):
-                for n01 in range(total - n11 - n10 + 1):
-                    yield ScienceTable(n11, n10, n01, total - n11 - n10 - n01)
+    """Every science table with population size from 2 to ``max_n``, none when
+    ``max_n`` is below 2; a TypeError naming ``max_n``, at the call, unless it
+    is an ``_integer``."""
+    return (ScienceTable(n11, n10, n01, total - n11 - n10 - n01)
+            for total in range(2, _integer(max_n, "max_n") + 1) for n11 in range(total + 1)
+            for n10 in range(total - n11 + 1) for n01 in range(total - n11 - n10 + 1))
 
 
 def _walk(tables: list, total: int) -> list:

@@ -18,6 +18,7 @@ from causalurn import (
     general_support,
     hpd_interval,
     hpd_window,
+    likelihood,
     posterior_points,
     tau_posterior,
     tau_posterior_sweep,
@@ -185,6 +186,36 @@ class TestPosteriorPoints:
     def test_empty_support_raises(self, pit):
         with pytest.raises(InfeasibleError):
             posterior_points(pit, pit.n10 + pit.n01 + 1)
+
+    @pytest.mark.parametrize("n01", [0, 3])
+    def test_a_table_prior_walks_exactly_its_dense_rows(self, pit, monkeypatch, n01):
+        # A row is walked when its prior points times its runs reach its
+        # window length, and every other point takes its urn sum. A flat prior
+        # over the support walks every row and is the uniform posterior; a
+        # full row beside one lone point walks that row alone, and both read
+        # the pointwise likelihood.
+        walked = []
+        add_run = likelihood._add_run
+
+        def spy(obs, s, *args):
+            walked.append(s - n01)  # the run's row n11
+            add_run(obs, s, *args)
+
+        monkeypatch.setattr(likelihood, "_add_run", spy)
+        support = general_support(pit, n01)
+        flat = posterior_points(pit, n01, Prior({(p.n11, p.n10): 1 for p in support}))
+        assert flat == posterior_points(pit, n01)
+        assert set(walked) == {p.n11 for p in support}
+
+        walked.clear()
+        row, lone = support[0].n11 + 3, support[-1]
+        weights = {(p.n11, p.n10): 2 for p in support if p.n11 == row}
+        weights[lone.n11, lone.n10] = Fraction(1, 3)
+        dist = posterior_points(pit, n01, Prior(weights))
+        assert set(walked) == {row}
+        raw = {p: weights.get((p.n11, p.n10), 0) * _reference_likelihood(pit, p) for p in support}
+        total = sum(raw.values())
+        assert (dist.support, dist.mass) == (support, tuple(raw[p] / total for p in support))
 
     @pytest.mark.parametrize("n01", [0, 1])
     def test_small_population_matches_oracle_bayes(self, n01):

@@ -136,7 +136,8 @@ GOLDEN_TEXT = {
         "var tau-hat:            0.013805  (exact 0.013865)",
         "var(A - N1 tau-hat):    15.058890  (exact 15.238095)",
     ),
-    # Two chunks of oracle._MC_CHUNK draws: the tally decode spans both.
+    # Thirteen chunks of oracle._MC_CHUNK = 8,192 draws, the last of 1,696:
+    # the tally decode spans them all.
     "simulate 13 10 0 30 --n1 32 --draws 100000 --seed 1": (
         "100000 draws, seed 1 (numpy.random.Generator(PCG64(seed=1)), numpy NUMPY_VERSION)",
         "tau:                    0.189",
@@ -596,6 +597,25 @@ class TestPosterior:
             assert code == EXIT_OK
             outputs.append(out)
         assert outputs[0] == outputs[1] != outputs[2]
+
+    def test_the_prior_rule_runs_once_per_entry(self, capsys, monkeypatch, tmp_path):
+        # The file's entries are checked as they are read, and Prior keeps
+        # checked entries as they are: one call per entry, a repeated one too.
+        calls = []
+        prior_point = causalurn.bayes._prior_point
+
+        def counted(*entry):
+            calls.append(entry)
+            return prior_point(*entry)
+
+        monkeypatch.setattr(causalurn.bayes, "_prior_point", counted)
+        entries = [(13, 17, 1), (16, 12, 0.5), (13, 17, 2)]
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"points": [
+            {"n11": n11, "n10": n10, "weight": w} for n11, n10, w in entries]}))
+        code, _, _ = run(capsys, "posterior", *PIT, "--prior-file", str(prior))
+        assert code == EXIT_OK
+        assert calls == entries
 
     @pytest.mark.parametrize("weight", ["Infinity", "NaN"])
     def test_non_finite_weight_exit_1(self, capsys, tmp_path, weight):

@@ -28,6 +28,19 @@ def test_science_table_family_count():
     assert sum(1 for _ in science_tables_up_to(6)) == 10 + 20 + 35 + 56 + 84
 
 
+@pytest.mark.parametrize("max_n", [4.5, True, "8", None], ids=["4.5", "True", "str", "None"])
+def test_science_tables_take_an_integer_max_n(max_n):
+    # The rule holds at the call, before any table is read.
+    with pytest.raises(TypeError) as raised:
+        science_tables_up_to(max_n)
+    assert str(raised.value) == f"max_n must be an integer, got {max_n!r}"
+
+
+@pytest.mark.parametrize("max_n", [1, 0, -3])
+def test_no_science_table_has_fewer_than_2_units(max_n):
+    assert list(science_tables_up_to(max_n)) == []
+
+
 @pytest.mark.parametrize("options,message", [
     ({"seed": -1}, "seed must be nonnegative, got -1"),
     ({"mc_draws": 0}, "draws must be positive, got 0"),
