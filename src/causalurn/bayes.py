@@ -135,26 +135,26 @@ def _weighted(
     obs: ObservedTable, n01: int, prior: Prior
 ) -> list[tuple[int, int, int]]:
     """``(n11, n10, prior weight x likelihood numerator)`` at the table prior's
-    points wherever positive, the weights scaled to integers by the lcm of
-    their denominators. A support row is walked by :func:`likelihood._grid`
-    when its prior points times its runs reach its window length; every
-    other point takes :func:`likelihood._numerator`'s urn sum. Raises
-    InfeasibleError on an empty support and when the prior annihilates it.
+    points wherever positive, each positive weight scaled once to its integer
+    over the lcm of their denominators. A support row is walked by
+    :func:`likelihood._grid` when its positive prior points times its runs
+    reach its window length; every other point takes
+    :func:`likelihood._numerator`'s urn sum. The caller checks the support;
+    raises InfeasibleError when the prior annihilates it.
     """
-    _check_support(obs, n01)
     scale = math.lcm(*(w.denominator for w in prior.weights.values()))
-    points = Counter(n11 for n11, _ in prior.weights)  # the prior's points per row n11
+    table = {p: w.numerator * (scale // w.denominator) for p, w in prior.weights.items() if w}
+    points = Counter(n11 for n11, _ in table)  # the prior's positive points per row n11
     # The one per-row rule: a row is walked once its points' urn sums, a term
     # per point and run, would reach its window length.
     walk = [n11 for n11, n10s, xs in _rows(obs, n01, sorted(points))
             if points[n11] * len(xs) >= len(n10s)]
-    walked, get = set(walk), prior.weights.get
-    rows = [(n11, n10, w.numerator * (scale // w.denominator) * numerator)
+    walked = set(walk)
+    rows = [(n11, n10, w * numerator)
             for _, n11, n10s, numerators in _grid(obs, range(n01, n01 + 1), walk)
-            for n10, numerator in zip(n10s, numerators) if (w := get((n11, n10)))]
-    rows += [(n11, n10, w.numerator * (scale // w.denominator) * _numerator(obs, n11, n10, n01))
-             for (n11, n10), w in prior.weights.items() if n11 not in walked]
-    rows = [row for row in rows if row[2]]
+            for n10, numerator in zip(n10s, numerators) if (w := table.get((n11, n10)))]
+    rows += [(n11, n10, weight) for (n11, n10), w in table.items()
+             if n11 not in walked and (weight := w * _numerator(obs, n11, n10, n01))]
     if not rows:
         raise InfeasibleError("prior assigns zero weight to the entire support")
     return rows
@@ -169,8 +169,8 @@ def posterior_points(
     prior the posterior is exactly the normalized likelihood. Raises
     InfeasibleError on an empty support or one the prior annihilates.
     """
+    _check_support(obs, n01)
     if prior.weights is None:
-        _check_support(obs, n01)
         rows = _grid(obs, range(n01, n01 + 1))
     else:
         table = {(n11, n10): w for n11, n10, w in _weighted(obs, n01, prior)}
@@ -201,8 +201,8 @@ def tau_posterior(
     slot width and its cost. A table prior weighs its own points. Raises
     InfeasibleError when the support is empty or the prior annihilates it.
     """
+    _check_support(obs, n01)
     if prior.weights is None:
-        _check_support(obs, n01)
         return next(tau_posterior_sweep(obs, range(n01, n01 + 1)))
     return _pushforward(((n10, w) for _, n10, w in _weighted(obs, n01, prior)),
                         lambda n10: n10 - n01, obs.total)
@@ -231,8 +231,10 @@ def a_posterior(
 
     Under the uniform prior each n11 weight is the likelihood's row sum,
     taken in closed form and walked down the rows (see ``likelihood``); a
-    table prior weighs its own points.
+    table prior weighs its own points. Raises InfeasibleError when the
+    support is empty or the prior annihilates it.
     """
+    _check_support(obs, n01)
     base = obs.n11 + obs.n01 - n01
     if prior.weights is None:
         pairs = _row_sums(obs, n01)
@@ -248,10 +250,11 @@ def hpd_window(dist: DiscreteDistribution, level: float) -> tuple:
     remaining tie goes to the window most symmetric around the mode, then
     to the leftmost. Returns (low value, high value, window mass). Window
     weights are compared with the level's exact value: w * den >= num * total.
-    The search is two linear scans over the prefix sums: a two-pointer scan
-    finds the minimal width, since the first end holding the level never
-    moves left as the start moves right, and one pass at that width applies
-    the tie rules.
+    The search is one two-pointer scan over the prefix sums, since the first
+    end holding the level never moves left as the start moves right. Each
+    start's window to its first end, the narrowest from it that holds the
+    level, is keyed (width, -weight, distance from the mode, start), and the
+    least key wins: every window of minimal width holding the level is keyed.
     """
     num, den = _level(level)
     weights = dist.weights
@@ -259,20 +262,18 @@ def hpd_window(dist: DiscreteDistribution, level: float) -> tuple:
     mode_index = weights.index(max(weights))
     prefix = [0, *accumulate(weights)]
     total = prefix[-1]
-    # The whole support holds total >= level * total, so some width succeeds;
-    # level > 0, so each window holding it is at least one point wide.
+    # The whole support holds total >= level * total, so some start has a key,
+    # and each key sorts before (size + 1,); level > 0, so each window holding
+    # it is at least one point wide.
     need = num * total
-    width, end = size, 0
+    end, best = 0, (size + 1,)
     for lo in range(size):
         while end < size and (prefix[end] - prefix[lo]) * den < need:
             end += 1
-        if (prefix[end] - prefix[lo]) * den < need:
+        if (window := prefix[end] - prefix[lo]) * den < need:
             break
-        width = min(width, end - lo)
-    window, _, lo = min(
-        (-(prefix[lo + width] - prefix[lo]), abs(2 * lo + width - 1 - 2 * mode_index), lo)
-        for lo in range(size - width + 1)
-    )
+        best = min(best, (end - lo, -window, abs(lo + end - 1 - 2 * mode_index), lo))
+    width, window, _, lo = best
     return dist._at(lo), dist._at(lo + width - 1), Fraction(-window, total)
 
 

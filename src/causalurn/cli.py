@@ -236,7 +236,7 @@ def _load_prior(path: Optional[str]) -> bayes.Prior:
         except (TypeError, ValueError) as exc:
             offenders.append(f"entry {index} {entry!r}: {exc}")
             continue
-        weights[point] = weights.get(point, 0) + weight  # a repeated point's weights add up
+        weights[point] = weights[point] + weight if point in weights else weight  # a repeat adds up
     if offenders:
         raise UsageError("malformed prior entries:\n" + "\n".join(offenders))
     return bayes.Prior(weights)

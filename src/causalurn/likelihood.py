@@ -209,10 +209,8 @@ def _row_sums(obs: ObservedTable, n01: int) -> list[tuple[int, int]]:
 
     Every sum is positive and comes from the Chu-Vandermonde closed form,
     walked down the rows of ``tables._rows`` as the module docstring gives,
-    each run entering from :func:`_seed`. Raises InfeasibleError when the
-    support is empty.
+    each run entering from :func:`_seed`. The caller checks the support.
     """
-    _check_support(obs, n01)
     sums, a, n, r = [], {}, obs.total - n01 + 2, obs.n00  # row n11 has m + 2 = n - n11
     for n11, _, xs in _rows(obs, n01):  # a: row n11's a_x by n11 - x, which names run k
         factor = factor * (n - n11 - r) // (n - n11) if a else math.comb(n - n11 - 1, r)

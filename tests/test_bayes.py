@@ -14,6 +14,7 @@ from causalurn import (
     Prior,
     ScienceTable,
     a_posterior,
+    bayes,
     enumerate_assignments,
     general_support,
     hpd_interval,
@@ -186,6 +187,25 @@ class TestPosteriorPoints:
     def test_empty_support_raises(self, pit):
         with pytest.raises(InfeasibleError):
             posterior_points(pit, pit.n10 + pit.n01 + 1)
+
+    @pytest.mark.parametrize("posterior", [posterior_points, tau_posterior, a_posterior])
+    @pytest.mark.parametrize("prior", [UNIFORM, Prior({(13, 17): 1})], ids=["uniform", "table"])
+    def test_each_posterior_checks_the_support_at_its_door(self, pit, monkeypatch, posterior,
+                                                           prior):
+        # The support and the harmed count are checked once, before either
+        # the table prior's weighting or the row sums start.
+        def unreached(*args):
+            raise AssertionError("the support check came too late")
+
+        monkeypatch.setattr(bayes, "_weighted", unreached)
+        monkeypatch.setattr(bayes, "_row_sums", unreached)
+        infeasible = pit.n10 + pit.n01 + 1
+        with pytest.raises(InfeasibleError, match=f"empty likelihood support at n01={infeasible}"):
+            posterior(pit, infeasible, prior)
+        with pytest.raises(TypeError, match="n01 must be an integer"):
+            posterior(pit, True, prior)
+        with pytest.raises(ValueError, match="n01 must be nonnegative"):
+            posterior(pit, -1, prior)
 
     @pytest.mark.parametrize("n01", [0, 3])
     def test_a_table_prior_walks_exactly_its_dense_rows(self, pit, monkeypatch, n01):
@@ -371,7 +391,7 @@ class TestHpd:
     def test_window_search_is_linear_in_the_support(self):
         # Counting the interpreter's line events, not timing them, bounds the
         # work. Trying every width and every window at it took 605 events per
-        # point on Python 3.11; the two linear scans take about 2.
+        # point on Python 3.11; the one two-pointer scan takes about 2.
         dist = DiscreteDistribution(tuple(range(400)), (1,) * 400)
         events = 0
 

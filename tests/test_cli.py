@@ -617,6 +617,33 @@ class TestPosterior:
         assert code == EXIT_OK
         assert calls == entries
 
+    def test_only_a_repeated_point_sums_its_weights(self, capsys, monkeypatch, tmp_path):
+        # A weight is added into the prior's table only where its point
+        # repeats: a file of distinct points loads with no Fraction sum, and
+        # prints the same output.
+        from fractions import Fraction
+
+        class Unsummable(Fraction):
+            def __add__(self, other):
+                raise AssertionError("a weight was summed")
+
+            __radd__ = __add__
+
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"points": [
+            {"n11": n11, "n10": n10, "weight": w} for n11, n10, w in [(13, 17, 1), (16, 12, 0.5)]]}))
+        argv = ("posterior", *PIT, "--prior-file", str(prior))
+        expected = run(capsys, *argv)
+        prior_point = causalurn.bayes._prior_point
+
+        def unsummable(*entry):
+            point, weight = prior_point(*entry)
+            return point, Unsummable(weight)
+
+        monkeypatch.setattr(causalurn.bayes, "_prior_point", unsummable)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == EXIT_OK
+
     @pytest.mark.parametrize("weight", ["Infinity", "NaN"])
     def test_non_finite_weight_exit_1(self, capsys, tmp_path, weight):
         # json.load accepts these literals as floats; they are not weights.
