@@ -11,7 +11,10 @@ Formats per command, the default first: ``estimate`` text or json,
 text only. Human output uses 3 decimals. CSV and JSON carry 12 significant
 digits and the versioned schema tag ``causalurn.<command>.v1``: a CSV
 starts with it as a ``#`` comment, and a JSON document holds it under
-``schema`` beside an ``input`` echo of the request. Exit codes: 0 success,
+``schema``, then an ``input`` echo of the request, then the results. A JSON
+document is laid out as ``json.dumps(doc, indent=2)`` lays it out: one
+member per line, two spaces per level, strings escaped to ASCII, members in
+the order above. ``_json`` writes it. Exit codes: 0 success,
 1 usage error, 2 infeasible request or counts too large to evaluate,
 3 verification failure, 141 output closed by its reader, with no traceback
 (as in ``causalurn ... | head``; 128 + SIGPIPE, the code a shell reports
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import attributable, bayes, moments, oracle, verify
@@ -99,6 +103,36 @@ def _interval_json(estimate: IntervalEstimate) -> dict:
     }
 
 
+# The spelling json.dumps gives a non-finite float, keyed by the float's repr.
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json(value, pad="\n") -> str:
+    """``json.dumps(value, indent=2)`` for a document of dicts with str keys,
+    lists, tuples, str, int, float, bool and None: each member on its own
+    line, two spaces deeper than ``pad``. A scalar goes to the encoder of its
+    exact type, so a bool never reads as an int."""
+    kind = type(value)
+    if kind is dict or kind is list or kind is tuple:
+        ends, inner = "{}" if kind is dict else "[]", pad + "  "
+        members = ([f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
+                    for key, item in value.items()] if kind is dict
+                   else [_json(item, inner) for item in value])
+        return ends[0] + inner + ("," + inner).join(members) + pad + ends[1] if members else ends
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(args, echo: dict, fields, csv=None, text=None) -> int:
     """Print a result in ``args.format``: JSON ``fields()`` after the schema
     tag and the ``input`` echo, or the CSV header and rows of cells that
@@ -106,7 +140,7 @@ def _emit(args, echo: dict, fields, csv=None, text=None) -> int:
     """
     schema = f"causalurn.{args.command}.v1"
     if args.format == "json":
-        print(json.dumps({"schema": schema, "input": echo, **fields()}, indent=2))
+        print(_json({"schema": schema, "input": echo, **fields()}))
     elif args.format == "csv":
         header, rows = csv()
         print("\n".join([f"# {schema}", header, *(",".join(map(_cell, row)) for row in rows)]))

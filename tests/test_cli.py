@@ -145,6 +145,32 @@ GOLDEN_TEXT = {
         "var tau-hat:            0.013795  (exact 0.013865)",
         "var(A - N1 tau-hat):    15.195494  (exact 15.238095)",
     ),
+    # simulate's JSON, pinned nowhere else byte for byte; recorded from
+    # json.dumps(indent=2) before the CLI's own writer replaced it.
+    "simulate 13 10 0 30 --n1 32 --draws 5000 --seed 11 --format json": (
+        "{",
+        '  "schema": "causalurn.simulate.v1",',
+        '  "input": {',
+        '    "science": [',
+        "      13,",
+        "      10,",
+        "      0,",
+        "      30",
+        "    ],",
+        '    "n1": 32,',
+        '    "draws": 5000,',
+        '    "seed": 11',
+        "  },",
+        '  "rng": "numpy.random.Generator(PCG64(seed=11)), numpy NUMPY_VERSION",',
+        '  "tau": 0.188679245283,',
+        '  "tau_hat_mean": 0.188679761905,',
+        '  "tau_hat_variance": 0.0138049883702,',
+        '  "tau_hat_variance_exact": 0.0138647304843,',
+        '  "prediction_gap_mean": 0.0430476190476,',
+        '  "prediction_gap_variance": 15.0588897596,',
+        '  "prediction_gap_variance_exact": 15.2380952381',
+        "}",
+    ),
 }
 
 GOLDEN_JSON = {

@@ -39,7 +39,9 @@ tables of up to 12 units the reference numerator, the
 p-value at the true number of responders under control, the oracle's
 integer moments and the moment cell estimates are checked against the
 enumerated assignments, and the Monte Carlo tally against a row-wise
-``np.unique``.
+``np.unique``. On science tables of up to 500 units with one arm of at
+most 3 units, the grid's numerator at the science point is checked against
+the oracle's way count of each observed table the design reaches.
 The closed-form population variances are checked against the ``Fraction``
 formulas they replaced, on science tables of up to 400 units. The plug-in
 variances, which evaluate the same closed form on integer margins scaled by
@@ -48,10 +50,13 @@ n01 = 0..N and the prediction intervals are checked against those formulas
 in the rates p1_hat = n11_obs / N1 and p0_hat = n01_obs / N0, which the
 tests state themselves, on observed tables of up to 90 units, about half of
 them with a one-unit arm; ``n01_bounds`` against the same rates on tables
-with counts up to 10^24.
+with counts up to 10^24. The CLI's JSON writer is checked against
+``json.dumps(indent=2)`` on generated documents, and every JSON command
+against a ``json.dumps`` that raises.
 """
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -104,9 +109,11 @@ from causalurn import (
     tau_posterior,
     tau_posterior_sweep,
 )
+from causalurn import cli
 from causalurn.attributable import _pvalue_numerator
 from causalurn.cli import _level_label
 from causalurn.moments import ASSUMPTIONS, normal_quantile
+from causalurn.oracle import AssignmentDistribution, _compose
 from causalurn.tables import _rows, _run_box
 from causalurn.verify import science_tables_up_to
 
@@ -857,6 +864,40 @@ def test_kernel_numerator_is_the_oracle_way_count(science):
                 assert numerator == ways.get(obs, 0)
 
 
+@st.composite
+def small_arm_designs(draw):
+    """A science table with 4 <= N <= 500 and a treatment arm of N1 in
+    {1, 2, 3, N - 3, N - 2, N - 1}: one arm holds at most 3 units, so the
+    design has at most 20 type compositions at any N."""
+    total = draw(st.integers(4, 500))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=3, max_size=3)))
+    counts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    return ScienceTable(*counts), draw(st.sampled_from((1, 2, 3, total - 3, total - 2, total - 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_arm_designs())
+@example((ScienceTable(0, 0, 0, 4), 1))
+@example((ScienceTable(200, 100, 150, 50), 497))
+def test_grid_numerator_is_the_small_arm_oracle_way_count(design):
+    # Every observed table the design reaches: the oracle's summed way count
+    # equals the grid's numerator at the science point, on the row of the
+    # science table's harmed count.
+    science, n_treated = design
+    n_control = science.total - n_treated
+    tally = AssignmentDistribution(science, n_treated, _compose(science, n_treated),
+                                   math.comb(science.total, n_treated))._law()[0]
+    for (n11, n01), ways in tally.items():
+        obs = ObservedTable(n11, n_treated - n11, n01, n_control - n01)
+        numerators = {
+            (row_n11, n10): numerator
+            for _, row_n11, n10s, row in likelihood._grid(
+                obs, range(science.n01, science.n01 + 1), (science.n11,))
+            for n10, numerator in zip(n10s, row)
+        }
+        assert numerators.get((science.n11, science.n10), 0) == ways
+
+
 def test_uniform_a_weights_are_the_oracle_way_counts():
     # Every observed table of every science table with N <= 8: the uniform
     # A weight at n11 is the oracle's way count of that table, summed over
@@ -1259,3 +1300,51 @@ def test_level_labels_keep_a_level_below_one_below_one(alpha):
         assert float(label) < scale
         if float(f"{scale * level:g}") < scale:
             assert label == f"{scale * level:g}"
+
+
+_JSON_CHARS = st.one_of(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\uffff\U0001f600'),
+                        st.characters())
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**40, 10**40),
+    st.floats(),
+    st.sampled_from((-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan)),
+    st.text(_JSON_CHARS),
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS,
+    lambda members: st.one_of(
+        st.lists(members),
+        st.lists(members).map(tuple),
+        st.dictionaries(st.text(_JSON_CHARS), members),
+    ),
+    max_leaves=20,
+)
+
+
+@PROPERTY
+@given(_JSON_DOCUMENTS)
+@example({"": [[], {}, ()], "a": {"b": [{}]}, "c": ((), [[]])})
+@example([True, 1, False, 0, None, 1.0, -0.0, -10**40, 10**40])
+@example([math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 1.7976931348623157e308])
+@example({'"\\\x00\x1f\x7f\u00e9\U0001f600': '"\\/\x08\t\n\u2028\uffff\U0001f600'})
+def test_json_writer_is_json_dumps_with_indent_2(document):
+    assert cli._json(document) == json.dumps(document, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    "estimate 18 14 5 16 --method all",
+    "sensitivity 2 3 1 4 --n01-max 4",
+    "posterior 18 14 5 16 --target A",
+    "attributable 1 0 3 2 --curve",
+    "simulate 2 3 1 4 --n1 5 --draws 200",
+])
+def test_every_json_command_writes_without_json_dumps(argv, monkeypatch, capsys):
+    def dumps(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(cli.json, "dumps", dumps)
+    assert cli.main([*argv.split(), "--format", "json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["schema"] == f"causalurn.{argv.split()[0]}.v1"
