@@ -14,12 +14,18 @@ starts with it as a ``#`` comment, and a JSON document holds it under
 ``schema``, then an ``input`` echo of the request, then the results. A JSON
 document is laid out as ``json.dumps(doc, indent=2)`` lays it out: one
 member per line, two spaces per level, strings escaped to ASCII, members in
-the order above. ``_json`` writes it. Exit codes: 0 success,
-1 usage error, 2 infeasible request or counts too large to evaluate,
-3 verification failure, 141 output closed by its reader, with no traceback
-(as in ``causalurn ... | head``; 128 + SIGPIPE, the code a shell reports
-for a process the signal ends). ``sensitivity --n01-max`` above the
-table's N is a usage error: no population of N units holds more harmed units.
+the order above. ``_json`` writes it. A computed number there is the repr of
+its 12-digit rounding, as ``json.dumps`` writes that float, and a CSV cell or
+curve line the value's ``:.12g`` text; ``_machine`` spells each number once.
+A command's own parser reads the argv after the command's name; the
+top-level parser reads only an argv that names no command first.
+
+Exit codes: 0 success, 1 usage error, 2 infeasible request or counts too
+large to evaluate, 3 verification failure, 141 output closed by its reader,
+with no traceback (as in ``causalurn ... | head``; 128 + SIGPIPE, the code
+a shell reports for a process the signal ends). ``sensitivity --n01-max``
+above the table's N is a usage error: no population of N units holds more
+harmed units.
 """
 
 from __future__ import annotations
@@ -63,13 +69,36 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpShown
 
 
-def _machine(value) -> float:
-    return float(f"{float(value):.12g}")
+class _Number(str):
+    """JSON text of a number, which ``_json`` writes as it is."""
+
+    __slots__ = ()
+
+
+# The spelling json.dumps gives a non-finite float, keyed by its repr and :g text.
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _machine(value) -> _Number:
+    """``json.dumps`` of ``value`` rounded to 12 significant digits: the repr
+    of that rounding, read off its one :.12g text. Only where repr spells the
+    number otherwise does the text change. Exponents 12 to 15, which repr
+    writes in full, and a subnormal, whose repr has fewer digits, are parsed
+    back; an integral value gains repr's ``.0``, a non-finite one takes
+    json.dumps's name."""
+    number = float(value)
+    text = f"{number:.12g}"
+    if "e" in text:
+        if text[-4:] in {"e+12", "e+13", "e+14", "e+15"} or abs(number) < sys.float_info.min:
+            text = float.__repr__(float(text))
+    elif "." not in text:
+        text = _NON_FINITE.get(text) or text + ".0"
+    return _Number(text)
 
 
 def _masses(dist) -> list[float]:
     total = dist.total  # int true division rounds as float(Fraction(w, total)), with no gcd
-    return [_machine(w / total) for w in dist.weights]
+    return [w / total for w in dist.weights]
 
 
 def _level_label(level: float, scale: int = 1) -> str:
@@ -103,16 +132,15 @@ def _interval_json(estimate: IntervalEstimate) -> dict:
     }
 
 
-# The spelling json.dumps gives a non-finite float, keyed by the float's repr.
-_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-
-
 def _json(value, pad="\n") -> str:
     """``json.dumps(value, indent=2)`` for a document of dicts with str keys,
     lists, tuples, str, int, float, bool and None: each member on its own
     line, two spaces deeper than ``pad``. A scalar goes to the encoder of its
-    exact type, so a bool never reads as an int."""
+    exact type, so a bool never reads as an int, and a ``_Number`` is
+    written as it is."""
     kind = type(value)
+    if kind is _Number:
+        return value
     if kind is dict or kind is list or kind is tuple:
         ends, inner = "{}" if kind is dict else "[]", pad + "  "
         members = ([f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
@@ -281,13 +309,13 @@ def cmd_posterior(args) -> int:
     prior = _load_prior(args.prior_file)
     posterior = bayes.tau_posterior if args.target == "tau" else bayes.a_posterior
     dist = posterior(obs, args.n01, prior)
-    values = [_machine(v / dist.denominator) for v in dist.values]
+    values = [v / dist.denominator for v in dist.values]
     masses = _masses(dist)
     return _emit(
         args,
         {"table": args.counts, "target": args.target, "n01": args.n01,
          "prior_file": args.prior_file},
-        lambda: {"support": values, "mass": masses},
+        lambda: {"support": list(map(_machine, values)), "mass": list(map(_machine, masses))},
         csv=lambda: ("value,mass", zip(values, masses)),
     )
 
@@ -332,7 +360,8 @@ def cmd_attributable(args) -> int:
             "retained": list(retained),
             "prediction": _interval_json(prediction),
             **({} if standardized is None else {"standardized_pvalues": {
-                "support": [int(v) for v in standardized.support], "mass": masses,
+                "support": [int(v) for v in standardized.support],
+                "mass": list(map(_machine, masses)),
             }}),
         },
         text=text,
@@ -393,6 +422,7 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for main to read argv with
 
     def command(name, func, summary, counts=(), formats=()):
         p = sub.add_parser(name, help=summary)
@@ -478,8 +508,16 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser.parse_args(argv)
+        # A command's own parser reads the rest of argv. The top-level parser
+        # reads argv only when it names no command first (no argument, -h, an
+        # unknown command, an option before the command): given a command,
+        # it would hand the rest to that same parser, so every message and
+        # help text is the same either way.
+        command = _parser.commands.get(argv[0]) if argv else None
+        args = (_parser.parse_args(argv) if command is None
+                else command.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
         code = args.func(args)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()

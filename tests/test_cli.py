@@ -1013,6 +1013,72 @@ class TestUsage:
         assert run(capsys, *command, flag, value) == (EXIT_USAGE, "", message)
 
 
+# Each command's counts and the options a run of it needs.
+_RUNS = {
+    "estimate": (PIT, ()),
+    "sensitivity": (PIT, ()),
+    "posterior": (PIT, ()),
+    "attributable": (PIT, ()),
+    "verify": ((), ("--max-n", "3", "--draws", "10")),
+    "simulate": (PIT, ("--n1", "3", "--draws", "10")),
+}
+# Per command: a run, both help flags, an abbreviated and an unknown option,
+# a missing and a non-integer count, a format no command has, and "--"
+# before the counts; verify has no counts, so its missing-count argv is its
+# run. Then argv that names no command first, and None, which reads sys.argv.
+DISPATCHED = list(dict.fromkeys(
+    (command, *argv)
+    for command, (counts, options) in _RUNS.items()
+    for argv in (
+        (*counts, *options),
+        ("-h",),
+        ("--help",),
+        (*counts, *options, "--form", "json"),
+        (*counts, *options, "--bogus"),
+        (*counts[:3], *options),
+        ("1.5", *counts[1:], *options),
+        (*counts, *options, "--format", "xml"),
+        (*options, "--", *counts),
+    )
+)) + [(), ("bogus",), ("--format", "json", "estimate", *PIT), ("-h",), None]
+
+
+class TestDispatch:
+    @staticmethod
+    def main_on(capsys, monkeypatch, argv):
+        if argv is None:
+            monkeypatch.setattr(sys, "argv", ["causalurn", "posterior", *PIT, "--format", "json"])
+        code = main(None if argv is None else list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", DISPATCHED,
+                             ids=lambda argv: "sys.argv" if argv is None else " ".join(argv) or "-")
+    def test_a_command_parser_reads_argv_as_the_top_level_parser(self, capsys, monkeypatch,
+                                                                 argv):
+        # With no command map, the top-level parser reads every argv and
+        # hands the rest to the command's parser itself: the old path.
+        shipped = self.main_on(capsys, monkeypatch, argv)
+        parser = causalurn.cli.build_parser()
+        parser.commands = {}
+        monkeypatch.setattr(causalurn.cli, "_parser", parser)
+        assert self.main_on(capsys, monkeypatch, argv) == shipped
+
+    def test_sys_argv_is_read_as_an_argv_list(self, capsys, monkeypatch):
+        expected = self.main_on(capsys, monkeypatch, ["posterior", *PIT, "--format", "json"])
+        assert expected[0] == EXIT_OK
+        assert self.main_on(capsys, monkeypatch, None) == expected
+
+    def test_a_command_is_parsed_by_its_own_parser_alone(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the top-level parser read a command's argv")
+
+        parser = causalurn.cli.build_parser()
+        monkeypatch.setattr(parser, "parse_args", forbidden)
+        monkeypatch.setattr(causalurn.cli, "_parser", parser)
+        assert run(capsys, "estimate", *PIT)[0] == EXIT_OK
+
+
 @pytest.mark.parametrize("command", ["estimate", "sensitivity", "posterior", "attributable"])
 def test_commands_that_never_sample_leave_numpy_unloaded(command):
     # numpy is imported by the sampler alone, so the other commands start

@@ -41,7 +41,9 @@ integer moments and the moment cell estimates are checked against the
 enumerated assignments, and the Monte Carlo tally against a row-wise
 ``np.unique``. On science tables of up to 500 units with one arm of at
 most 3 units, the grid's numerator at the science point is checked against
-the oracle's way count of each observed table the design reaches.
+the oracle's way count of each observed table the design reaches, the
+column at the science table's (n10, n01) against those way counts summed
+over n11, and the p-value at s = n11 + n01 against the oracle's tail.
 The closed-form population variances are checked against the ``Fraction``
 formulas they replaced, on science tables of up to 400 units. The plug-in
 variances, which evaluate the same closed form on integer margins scaled by
@@ -51,8 +53,9 @@ in the rates p1_hat = n11_obs / N1 and p0_hat = n01_obs / N0, which the
 tests state themselves, on observed tables of up to 90 units, about half of
 them with a one-unit arm; ``n01_bounds`` against the same rates on tables
 with counts up to 10^24. The CLI's JSON writer is checked against
-``json.dumps(indent=2)`` on generated documents, and every JSON command
-against a ``json.dumps`` that raises.
+``json.dumps(indent=2)`` on generated documents, every JSON command
+against a ``json.dumps`` that raises, and the CLI's number text against
+``json.dumps`` of the 12-digit rounding on generated floats and fractions.
 """
 
 import itertools
@@ -875,6 +878,17 @@ def small_arm_designs(draw):
     return ScienceTable(*counts), draw(st.sampled_from((1, 2, 3, total - 3, total - 2, total - 1)))
 
 
+def _small_arm_tables(science, n_treated) -> list:
+    # (observed table, the oracle's way count) for every table the design
+    # reaches, the way counts summed over oracle._compose as
+    # AssignmentDistribution._law() sums them.
+    n_control = science.total - n_treated
+    tally = AssignmentDistribution(science, n_treated, _compose(science, n_treated),
+                                   math.comb(science.total, n_treated))._law()[0]
+    return [(ObservedTable(n11, n_treated - n11, n01, n_control - n01), ways)
+            for (n11, n01), ways in tally.items()]
+
+
 @settings(max_examples=400, deadline=None)
 @given(small_arm_designs())
 @example((ScienceTable(0, 0, 0, 4), 1))
@@ -884,11 +898,7 @@ def test_grid_numerator_is_the_small_arm_oracle_way_count(design):
     # equals the grid's numerator at the science point, on the row of the
     # science table's harmed count.
     science, n_treated = design
-    n_control = science.total - n_treated
-    tally = AssignmentDistribution(science, n_treated, _compose(science, n_treated),
-                                   math.comb(science.total, n_treated))._law()[0]
-    for (n11, n01), ways in tally.items():
-        obs = ObservedTable(n11, n_treated - n11, n01, n_control - n01)
+    for obs, ways in _small_arm_tables(science, n_treated):
         numerators = {
             (row_n11, n10): numerator
             for _, row_n11, n10s, row in likelihood._grid(
@@ -896,6 +906,45 @@ def test_grid_numerator_is_the_small_arm_oracle_way_count(design):
             for n10, numerator in zip(n10s, row)
         }
         assert numerators.get((science.n11, science.n10), 0) == ways
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_arm_designs())
+@example((ScienceTable(0, 0, 0, 4), 1))
+@example((ScienceTable(200, 100, 150, 50), 497))
+def test_columns_are_the_small_arm_oracle_way_counts_summed_over_n11(design):
+    # Every observed table the design reaches: the column entry at the
+    # science table's (n10, n01) is the oracle's way count of that table
+    # summed over the science tables of every n11 with that n10 and n01.
+    science, n_treated = design
+    total, n10, n01 = science.total, science.n10, science.n01
+    summed = Counter()
+    for n11 in range(total - n10 - n01 + 1):
+        summed.update(dict(_small_arm_tables(
+            ScienceTable(n11, n10, n01, total - n11 - n10 - n01), n_treated)))
+    for obs, _ in _small_arm_tables(science, n_treated):
+        column, = likelihood._columns(obs, range(n01, n01 + 1))
+        assert column[n10] == summed[obs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_arm_designs())
+@example((ScienceTable(0, 0, 0, 4), 1))
+@example((ScienceTable(200, 100, 150, 50), 497))
+def test_pvalue_curve_is_the_small_arm_oracle_tail(design):
+    # s = n11 + n01 units respond under control. The oracle's way counts
+    # summed over n11_obs are the law of n01_obs, and p(s) C(N, N0) is the
+    # sum of those no larger than the observed table's.
+    science, n_treated = design
+    s = science.n11 + science.n01
+    tables = _small_arm_tables(science, n_treated)
+    law = Counter()
+    for obs, ways in tables:
+        law[obs.n01] += ways
+    for obs, _ in tables:
+        curve = pvalue_curve(obs)
+        assert curve.numerators[obs.n11 + obs.n01 - s + obs.n10] == sum(
+            ways for ways in law.values() if ways <= law[obs.n01])
 
 
 def test_uniform_a_weights_are_the_oracle_way_counts():
@@ -1332,6 +1381,29 @@ _JSON_DOCUMENTS = st.recursive(
 @example({'"\\\x00\x1f\x7f\u00e9\U0001f600': '"\\/\x08\t\n\u2028\uffff\U0001f600'})
 def test_json_writer_is_json_dumps_with_indent_2(document):
     assert cli._json(document) == json.dumps(document, indent=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(allow_subnormal=True, allow_nan=True, allow_infinity=True),
+                 st.fractions(min_value=-10**30, max_value=10**30)))
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(1e-5)
+@example(1e-4)
+@example(-0.0)
+@example(999999999999.5)
+@example(1e12)
+@example(1e15)
+@example(9.999999999995e15)
+@example(1e16)
+def test_machine_text_is_json_of_the_12_digit_rounding(value):
+    # _machine spells the number from one :.12g format, parsing it back only
+    # where repr spells it otherwise; a CSV cell or a curve line formats the
+    # unrounded double, and reads as the rounding formatted again.
+    text = f"{float(value):.12g}"
+    rounded = float(text)
+    assert cli._machine(value) == json.dumps(rounded)
+    assert text == f"{rounded:.12g}"
 
 
 @pytest.mark.parametrize("argv", [
